@@ -23,6 +23,7 @@ from .syntax import (
     Var,
     act,
     atom,
+    atoms_in,
     atoms_of,
     check_well_formed,
     flatten,
@@ -73,8 +74,6 @@ from .parser import (
     parse_term,
 )
 from .printer import (
-    print_fixp_context,
-    print_fresh_context,
     print_perm,
     print_subst,
     print_term,

@@ -19,12 +19,7 @@ from .fixpoint import check_alpha_fixp, check_fixp
 from .freshness import check_alpha_fresh, check_fresh
 from .oracle import TermPool, enumerate_terms, ground_alpha_oracle, verify_solution
 from .parser import FreshRequest, ProblemFile, parse_problem_file, parse_signature
-from .printer import (
-    print_fixp_context,
-    print_fresh_context,
-    print_perm,
-    print_term,
-)
+from .printer import print_perm, print_term
 from .syntax import (
     Atom,
     FixpointContext,
@@ -36,10 +31,11 @@ from .syntax import (
     Susp,
     Theory,
     Var,
+    atoms_in,
     generator_avoiding,
 )
 from .translate import fixp_to_fresh, fresh_to_fixp
-from .unify import Eq, Fix, Solution, problem_atoms, unify
+from .unify import Eq, Fix, Solution, unify
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -71,7 +67,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(cu)
     cu.add_argument("--tree", action="store_true", help="include the derivation tree")
     cu.add_argument("--dedup", action="store_true", help="drop equivalent solutions")
-    cu.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads")
     common(sub.add_parser("translate", help="translate the context section"))
     common(sub.add_parser("selfcheck", help="run the built-in agreement suite"), needs_file=False)
     return ap
@@ -100,35 +95,16 @@ def _read_problem(args) -> ProblemFile:
 
 
 def _gen_for(pf: ProblemFile, args) -> NameGenerator:
-    atoms = set()
-    for c in pf.constraints:
-        if isinstance(c, Eq):
-            atoms |= problem_atoms((c,))
-        elif isinstance(c, Fix):
-            atoms |= problem_atoms((c,))
-        else:
-            from .syntax import atoms_of
-
-            atoms |= atoms_of(c.term) | {c.atom}
-    if pf.fixp_context:
-        atoms |= pf.fixp_context.atoms()
-    if pf.fresh_context:
-        atoms |= pf.fresh_context.atoms()
-    return generator_avoiding(atoms, prefix=args.fresh_prefix)
+    contexts = [ctx for ctx in (pf.fresh_context, pf.fixp_context) if ctx is not None]
+    return generator_avoiding(atoms_in(*pf.constraints, *contexts), prefix=args.fresh_prefix)
 
 
 def _contexts(pf: ProblemFile, gen: NameGenerator):
     """The problem's context in both presentations."""
-    fresh = pf.fresh_context
-    fixp = pf.fixp_context
-    if fresh is not None and fixp is None:
-        fixp = fresh_to_fixp(fresh, gen)
-    elif fixp is not None and fresh is None:
-        fresh = fixp_to_fresh(fixp)
-    else:
-        fresh = fresh or FreshnessContext()
-        fixp = fixp or FixpointContext()
-    return fresh, fixp
+    if pf.fresh_context is not None:
+        return pf.fresh_context, fresh_to_fixp(pf.fresh_context, gen)
+    fixp = pf.fixp_context or FixpointContext()
+    return fixp_to_fresh(fixp), fixp
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -170,12 +146,13 @@ def _check_command(args) -> int:
     return 0 if all_ok else 1
 
 
+def _fixp_entries(ctx: FixpointContext) -> list[dict]:
+    return [{"perm": print_perm(p), "var": x.name} for p, x in ctx.entries()]
+
+
 def _solution_payload(sol: Solution) -> dict:
     return {
-        "context": [
-            {"perm": print_perm(p), "var": x.name}
-            for p, x in sorted(sol.context.constraints, key=lambda c: (c[1], str(c[0])))
-        ],
+        "context": _fixp_entries(sol.context),
         "subst": [
             {"var": x.name, "term": print_term(t)}
             for x, t in sorted(sol.subst.bindings.items())
@@ -189,11 +166,8 @@ def _initial_problem(pf: ProblemFile, gen: NameGenerator):
         if isinstance(c, FreshRequest):
             raise ValueError("freshness goals are not unification constraints")
         constraints.append(c)
-    if pf.fresh_context is not None:
-        ctx = fresh_to_fixp(pf.fresh_context, gen)
-    else:
-        ctx = pf.fixp_context or FixpointContext()
-    for p, x in sorted(ctx.constraints, key=lambda c: (c[1], str(c[0]))):
+    _, ctx = _contexts(pf, gen)
+    for p, x in ctx.entries():
         constraints.append(Fix(p, Susp(Permutation.identity(), x)))
     return tuple(constraints)
 
@@ -218,7 +192,7 @@ def _unify_command(args) -> int:
             lines += ["  " + str(s) for s in res.steps]
         _emit(args, payload, lines)
         return 0 if res.solved else 1
-    res = c_unify(pr, pf.signature, gen=gen, dedup=args.dedup, jobs=args.jobs)
+    res = c_unify(pr, pf.signature, gen=gen, dedup=args.dedup)
     payload = {
         "status": res.status,
         "solutions": [_solution_payload(s) for s in res.solutions],
@@ -239,19 +213,14 @@ def _translate_command(args) -> int:
     records = []
     if pf.fresh_context is not None:
         ctx = fresh_to_fixp(pf.fresh_context, gen, records=records)
-        kind, rendered = "fixpoint", print_fixp_context(ctx)
-        entries = [
-            {"perm": print_perm(p), "var": x.name}
-            for p, x in sorted(ctx.constraints, key=lambda c: (c[1], str(c[0])))
-        ]
+        kind, entries = "fixpoint", _fixp_entries(ctx)
     elif pf.fixp_context is not None:
         ctx = fixp_to_fresh(pf.fixp_context, records=records)
-        kind, rendered = "freshness", print_fresh_context(ctx)
-        entries = [{"atom": a.name, "var": x.name} for a, x in sorted(ctx.constraints)]
+        kind, entries = "freshness", [{"atom": a.name, "var": x.name} for a, x in ctx.entries()]
     else:
         raise ValueError("no context section to translate")
     payload = {"kind": kind, "context": entries}
-    lines = [rendered]
+    lines = [str(ctx)]
     if args.trace:
         payload["records"] = [
             {"source": r.source, "target": r.target, "generated": [a.name for a in r.generated]}
@@ -280,8 +249,9 @@ def _selfcheck_command(args) -> int:
             checked += 1
             if want != got or want != got2:
                 disagreements += 1
-    # unification results must verify
-    verified = 0
+    # unification results must verify; counted, not asserted, so that
+    # python -O reports an unsound unifier too
+    verified = unverified = 0
     usig = Signature({"f": Theory.NONE})
     upool = TermPool(atoms=(a, b), variables=(Var("X"), Var("Y")), signature=usig, max_depth=1)
     uterms = enumerate_terms(upool)
@@ -289,18 +259,21 @@ def _selfcheck_command(args) -> int:
         s, t = rng.choice(uterms), rng.choice(uterms)
         res = unify((Eq(s, t),))
         if res.solved:
-            assert verify_solution(usig, (Eq(s, t),), res.solution)
-            verified += 1
-    ok = disagreements == 0
+            if verify_solution(usig, (Eq(s, t),), res.solution):
+                verified += 1
+            else:
+                unverified += 1
+    ok = disagreements == 0 and unverified == 0
     payload = {
         "seed": seed,
         "pairs_checked": checked,
         "disagreements": disagreements,
         "solutions_verified": verified,
+        "unverified": unverified,
         "ok": ok,
     }
     _emit(args, payload, [f"checked {checked} pairs, {disagreements} disagreements, "
-                          f"{verified} solutions verified: {'ok' if ok else 'FAILED'}"])
+                          f"{verified} solutions verified, {unverified} unverified: {'ok' if ok else 'FAILED'}"])
     return 0 if ok else 1
 
 

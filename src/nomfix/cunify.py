@@ -8,11 +8,11 @@ complete set of solutions for the problem.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .syntax import NameGenerator, Signature, Theory
+from .syntax import NameGenerator, Signature, Theory, atoms_in, check_well_formed, generator_avoiding
 from .unify import (
+    Eq,
     Solution,
     classify_normal_form,
     expand,
@@ -21,8 +21,6 @@ from .unify import (
     measure_decreases,
     problem_measure,
     problem_vars,
-    _default_gen,
-    _validate,
 )
 
 
@@ -76,28 +74,25 @@ def c_unify(
     sig: Signature,
     gen: NameGenerator | None = None,
     dedup: bool = False,
-    jobs: int = 1,
 ) -> CUnifyResult:
     """Solve a unification problem over plain and commutative symbols."""
     pr = tuple(pr)
-    _validate(pr, sig, (Theory.NONE, Theory.C))
+    for c in pr:
+        for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,):
+            check_well_formed(sig, t, theories=(Theory.NONE, Theory.C))
     if gen is None:
-        gen = _default_gen(pr)
+        gen = generator_avoiding(atoms_in(*pr))
     root = DerivationNode(pr)
-    if jobs > 1:
-        _grow_parallel(root, sig, gen, [], jobs)
-    else:
-        _grow(root, sig, gen, [])
     solutions: list[Solution] = []
     leaves = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
+    todo = [(root, [])]
+    while todo:
+        node, steps = todo.pop()
+        todo.extend(_expand_node(node, sig, gen, steps))
         if node.leaf_kind is not None:
             leaves += 1
             if node.solution is not None:
                 solutions.append(node.solution)
-        stack.extend(node.children)
     solutions.sort(key=Solution.key)
     if dedup:
         solutions = _dedup(solutions, problem_vars(pr), sig)
@@ -108,7 +103,7 @@ def c_unify(
 def _expand_node(node: DerivationNode, sig, gen, steps):
     """Apply one rule, attach children, and return their (node, steps) pairs;
     classify the node as a leaf when no rule applies."""
-    children = expand(node.problem, gen, sig=sig, branching=True)
+    children = expand(node.problem, gen, sig=sig)
     if not children:
         failure = classify_normal_form(node.problem)
         if failure is None:
@@ -128,25 +123,6 @@ def _expand_node(node: DerivationNode, sig, gen, steps):
         node.children.append(sub)
         out.append((sub, steps + [step]))
     return out
-
-
-def _grow(node: DerivationNode, sig, gen, steps):
-    todo = [(node, steps)]
-    while todo:
-        n, st = todo.pop()
-        todo.extend(_expand_node(n, sig, gen, st))
-
-
-def _grow_parallel(root: DerivationNode, sig, gen, steps, jobs: int):
-    # expand sequentially until the first branch point, then give each
-    # branch its own worker; the shared generator hands out disjoint atoms
-    frontier = _expand_node(root, sig, gen, steps)
-    while len(frontier) == 1:
-        frontier = _expand_node(frontier[0][0], sig, gen, frontier[0][1])
-    if not frontier:
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(lambda item: _grow(item[0], sig, gen, item[1]), frontier))
 
 
 def _dedup(solutions: list[Solution], variables, sig) -> list[Solution]:

@@ -8,10 +8,11 @@ every variable in scope, which records that both atoms are new for Y.
 
 from __future__ import annotations
 
-from .printer import print_perm, print_term
+from .alpha import AlphaRules, TraceNode, alpha, trace_root
 from .syntax import (
     Abs,
     App,
+    Atom,
     AtomTerm,
     FixpointContext,
     NameGenerator,
@@ -22,28 +23,17 @@ from .syntax import (
     Theory,
     Tup,
     act,
-    atoms_of,
-    equational_args,
+    atoms_in,
     flatten,
     free_vars,
     generator_avoiding,
     term_size,
 )
-from .tracing import TraceNode
 
 # Lexicographic termination measure for the mutual recursion: first the
 # maximal size of the terms in the judgement, then the judgement kind, with
 # fix-judgements above equality judgements.
 _FIX, _EQ = 1, 0
-
-
-def _default_gen(ctx: FixpointContext, *terms: Term, perm: Permutation | None = None) -> NameGenerator:
-    atoms = set(ctx.atoms())
-    for t in terms:
-        atoms |= atoms_of(t)
-    if perm is not None:
-        atoms |= perm.mentioned_atoms()
-    return generator_avoiding(atoms)
 
 
 def check_fixp(
@@ -58,12 +48,8 @@ def check_fixp(
     if sig.has_equational_symbols():
         t = flatten(sig, t)
     if gen is None:
-        gen = _default_gen(ctx, t, perm=perm)
-    node = TraceNode("", f"{print_perm(perm)} fix? {print_term(t)}")
-    ok = _fixp(sig, ctx, perm, t, gen, node, None)
-    if trace is not None:
-        trace.append(node)
-    return ok
+        gen = generator_avoiding(atoms_in(ctx, t, perm))
+    return _fixp(sig, ctx, perm, t, gen, trace_root(trace, perm, "fix?", t), None)
 
 
 def check_alpha_fixp(
@@ -79,16 +65,12 @@ def check_alpha_fixp(
         s = flatten(sig, s)
         t = flatten(sig, t)
     if gen is None:
-        gen = _default_gen(ctx, s, t)
-    node = TraceNode("", f"{print_term(s)} =? {print_term(t)}")
-    ok = _alpha(sig, ctx, s, t, gen, node, None)
-    if trace is not None:
-        trace.append(node)
-    return ok
+        gen = generator_avoiding(atoms_in(ctx, s, t))
+    return alpha(_RULES, sig, ctx, gen, s, t, trace_root(trace, s, "=?", t))
 
 
-def _check_measure(bound, size: int, kind: int) -> tuple[int, int]:
-    measure = (size, kind)
+def _measure(bound, *terms: Term, kind: int = _EQ) -> tuple[int, int]:
+    measure = (max(map(term_size, terms)), kind)
     assert bound is None or measure < bound, (
         f"termination measure did not decrease: {measure} not below {bound}"
     )
@@ -104,12 +86,8 @@ def _fixp(
     node: TraceNode,
     bound,
 ) -> bool:
-    bound = _check_measure(bound, term_size(t), _FIX)
-
-    def sub(t1: Term) -> bool:
-        goal = node.child("", f"{print_perm(perm)} fix? {print_term(t1)}")
-        return _fixp(sig, ctx, perm, t1, gen, goal, bound)
-
+    if __debug__:
+        bound = _measure(bound, t, kind=_FIX)
     match t:
         case AtomTerm(a):
             node.rule = "fix-atom"
@@ -119,120 +97,43 @@ def _fixp(
             node.ok = perm.conjugate(q.inverse()).support() <= ctx.supp_of(x)
         case Tup(items):
             node.rule = "fix-tuple"
-            node.ok = all(sub(s) for s in items)
+            node.ok = all(_fixp(sig, ctx, perm, s, gen, node.child("", perm, "fix?", s), bound) for s in items)
         case App(f, arg):
             th = sig.theory(f)
             if th in (Theory.NONE, Theory.A):
                 node.rule = "fix-app"
-                node.ok = sub(arg)
+                node.ok = _fixp(sig, ctx, perm, arg, gen, node.child("", perm, "fix?", arg), bound)
             else:
                 # commutative theories: pi fixes t when pi.t ~ t
                 node.rule = f"fix-app-{th.value}"
                 moved = act(perm, t)
-                goal = node.child("", f"{print_term(moved)} =? {print_term(t)}")
-                node.ok = _alpha(sig, ctx, moved, t, gen, goal, bound)
+                node.ok = alpha(_RULES, sig, ctx, gen, moved, t, node.child("", moved, "=?", t), bound)
         case Abs(a, body):
             node.rule = "fix-abs"
-            c1, c2 = gen.fresh_pair()
-            ctx2 = ctx.extend((Permutation.swap(c1, c2), y) for y in free_vars(body))
+            c1, ctx2 = _new_atom(ctx, gen, body)
             moved = act(Permutation.swap(a, c1), body)
-            goal = node.child("", f"{print_perm(perm)} fix? {print_term(moved)}")
-            node.ok = _fixp(sig, ctx2, perm, moved, gen, goal, bound)
+            node.ok = _fixp(sig, ctx2, perm, moved, gen, node.child("", perm, "fix?", moved), bound)
         case _:
             raise TypeError(f"not a term: {t!r}")
     return node.ok
 
 
-def _goal(s: Term, t: Term) -> str:
-    return f"{print_term(s)} =? {print_term(t)}"
+def _new_atom(ctx: FixpointContext, gen: NameGenerator, t: Term) -> tuple[Atom, FixpointContext]:
+    """A new atom c1 and the context extended with (c1 c2) fix Y, for a
+    second new atom c2 and every variable Y of t."""
+    c1, c2 = gen.fresh_pair()
+    return c1, ctx.extend((Permutation.swap(c1, c2), y) for y in free_vars(t))
 
 
-def _alpha(
-    sig: Signature,
-    ctx: FixpointContext,
-    s: Term,
-    t: Term,
-    gen: NameGenerator,
-    node: TraceNode,
-    bound,
-) -> bool:
-    bound = _check_measure(bound, max(term_size(s), term_size(t)), _EQ)
-
-    def sub(s1: Term, t1: Term, parent: TraceNode | None = None) -> bool:
-        holder = parent if parent is not None else node
-        return _alpha(sig, ctx, s1, t1, gen, holder.child("", _goal(s1, t1)), bound)
-
-    match (s, t):
-        case (AtomTerm(a), AtomTerm(b)):
-            node.rule = "eq-atom"
-            node.ok = a == b
-        case (Susp(p, x), Susp(q, y)) if x == y:
-            node.rule = "eq-var"
-            node.ok = q.inverse().compose(p).support() <= ctx.supp_of(x)
-        case (Tup(xs), Tup(ys)) if len(xs) == len(ys):
-            node.rule = "eq-tuple"
-            node.ok = all(sub(x, y) for x, y in zip(xs, ys))
-        case (Abs(a, s1), Abs(b, t1)):
-            if a == b:
-                node.rule = "eq-abs"
-                node.ok = sub(s1, t1)
-            else:
-                node.rule = "eq-abs-rename"
-                if sub(s1, act(Permutation.swap(a, b), t1)):
-                    c1, c2 = gen.fresh_pair()
-                    ctx2 = ctx.extend((Permutation.swap(c1, c2), y) for y in free_vars(t1))
-                    p = Permutation.swap(a, c1)
-                    goal = node.child("", f"{print_perm(p)} fix? {print_term(t1)}")
-                    node.ok = _fixp(sig, ctx2, p, t1, gen, goal, bound)
-                else:
-                    node.ok = False
-        case (App(f, _), App(g, _)) if f == g:
-            node.ok = _alpha_app(sig, ctx, s, t, gen, node, bound, sub)
-        case _:
-            node.rule = "clash"
-            node.ok = False
-    return node.ok
+def _var(ctx: FixpointContext, p: Permutation, q: Permutation, x) -> bool:
+    return q.inverse().compose(p).support() <= ctx.supp_of(x)
 
 
-def _alpha_app(sig, ctx, s: App, t: App, gen, node: TraceNode, bound, sub) -> bool:
-    th = sig.theory(s.symbol)
-    spair = isinstance(s.arg, Tup) and len(s.arg.items) == 2
-    tpair = isinstance(t.arg, Tup) and len(t.arg.items) == 2
-    if th is Theory.NONE or (th is Theory.C and not (spair and tpair)):
-        node.rule = "eq-app"
-        return sub(s.arg, t.arg)
-    if th is Theory.A:
-        node.rule = "eq-app-A"
-        ss = equational_args(sig, s)
-        ts = equational_args(sig, t)
-        return len(ss) == len(ts) and all(sub(x, y) for x, y in zip(ss, ts))
-    if th is Theory.C:
-        node.rule = "eq-app-C"
-        s0, s1 = s.arg.items
-        for i in (0, 1):
-            t0, t1 = t.arg.items[i], t.arg.items[(i + 1) % 2]
-            attempt = node.child(f"align-{i}", _goal(s, t))
-            if sub(s0, t0, attempt) and sub(s1, t1, attempt):
-                attempt.ok = True
-                return True
-        return False
-    node.rule = "eq-app-AC"
-    return _alpha_ac(
-        sig, ctx, s.symbol, equational_args(sig, s), equational_args(sig, t), gen, node, bound
-    )
+def _rename(sig, ctx: FixpointContext, gen: NameGenerator, a: Atom, t: Term, node: TraceNode, bound) -> bool:
+    # [a] s ~ [b] t needs (a c1) fix t for a new atom c1
+    c1, ctx2 = _new_atom(ctx, gen, t)
+    p = Permutation.swap(a, c1)
+    return _fixp(sig, ctx2, p, t, gen, node.child("", p, "fix?", t), bound)
 
 
-def _alpha_ac(sig, ctx, f: str, ss: list[Term], ts: list[Term], gen, node: TraceNode, bound) -> bool:
-    if len(ss) != len(ts):
-        return False
-    if len(ss) == 1:
-        return _alpha(sig, ctx, ss[0], ts[0], gen, node.child("", _goal(ss[0], ts[0])), bound)
-    head = ss[0]
-    for i, cand in enumerate(ts):
-        attempt = node.child(f"pick-{i}", _goal(head, cand))
-        if _alpha(sig, ctx, head, cand, gen, attempt, bound):
-            rest = node.child(f"rest-{i}", f"{f} remainder")
-            if _alpha_ac(sig, ctx, f, ss[1:], ts[:i] + ts[i + 1 :], gen, rest, bound):
-                rest.ok = True
-                return True
-    return False
+_RULES = AlphaRules("eq-", _var, _rename, _measure)

@@ -4,7 +4,7 @@ function symbols."""
 
 from __future__ import annotations
 
-from .printer import print_term
+from .alpha import AlphaRules, TraceNode, alpha, trace_root
 from .syntax import (
     Abs,
     App,
@@ -14,23 +14,16 @@ from .syntax import (
     Signature,
     Susp,
     Term,
-    Theory,
     Tup,
-    equational_args,
     flatten,
 )
-from .tracing import TraceNode
 
 
 def check_fresh(
     ctx: FreshnessContext, a: Atom, t: Term, trace: list[TraceNode] | None = None
 ) -> bool:
     """Decide ctx |- a # t.  Freshness does not look at equational theories."""
-    node = TraceNode("", f"{a} fresh? {print_term(t)}")
-    ok = _fresh(ctx, a, t, node)
-    if trace is not None:
-        trace.append(node)
-    return ok
+    return _fresh(ctx, a, t, trace_root(trace, a, "fresh?", t))
 
 
 def _fresh(ctx: FreshnessContext, a: Atom, t: Term, node: TraceNode) -> bool:
@@ -43,20 +36,17 @@ def _fresh(ctx: FreshnessContext, a: Atom, t: Term, node: TraceNode) -> bool:
             node.ok = ctx.holds(p.inverse()(a), x)
         case App(_, arg):
             node.rule = "#app"
-            node.ok = _fresh(ctx, a, arg, node.child("", f"{a} fresh? {print_term(arg)}"))
+            node.ok = _fresh(ctx, a, arg, node.child("", a, "fresh?", arg))
         case Tup(items):
             node.rule = "#tuple"
-            node.ok = all(
-                _fresh(ctx, a, s, node.child("", f"{a} fresh? {print_term(s)}"))
-                for s in items
-            )
+            node.ok = all(_fresh(ctx, a, s, node.child("", a, "fresh?", s)) for s in items)
         case Abs(b, body):
             if a == b:
                 node.rule = "#abs-same"
                 node.ok = True
             else:
                 node.rule = "#abs"
-                node.ok = _fresh(ctx, a, body, node.child("", f"{a} fresh? {print_term(body)}"))
+                node.ok = _fresh(ctx, a, body, node.child("", a, "fresh?", body))
         case _:
             raise TypeError(f"not a term: {t!r}")
     return node.ok
@@ -74,98 +64,17 @@ def check_alpha_fresh(
     if sig.has_equational_symbols():
         s = flatten(sig, s)
         t = flatten(sig, t)
-    node = TraceNode("", f"{print_term(s)} =? {print_term(t)}")
-    ok = _alpha(sig, ctx, s, t, node)
-    if trace is not None:
-        trace.append(node)
-    return ok
+    return alpha(_RULES, sig, ctx, None, s, t, trace_root(trace, s, "=?", t))
 
 
-def _goal(s: Term, t: Term) -> str:
-    return f"{print_term(s)} =? {print_term(t)}"
+def _var(ctx: FreshnessContext, p, q, x) -> bool:
+    # p.X ~ q.X when X is fresh for every atom on which p and q disagree
+    return all(ctx.holds(a, x) for a in p.disagreement_set(q))
 
 
-def _alpha(sig: Signature, ctx: FreshnessContext, s: Term, t: Term, node: TraceNode) -> bool:
-    from .syntax import Permutation, act
-
-    match (s, t):
-        case (AtomTerm(a), AtomTerm(b)):
-            node.rule = "~atom"
-            node.ok = a == b
-        case (Susp(p, x), Susp(q, y)) if x == y:
-            node.rule = "~var"
-            node.ok = all(ctx.holds(a, x) for a in p.disagreement_set(q))
-        case (Tup(xs), Tup(ys)) if len(xs) == len(ys):
-            node.rule = "~tuple"
-            node.ok = all(
-                _alpha(sig, ctx, x, y, node.child("", _goal(x, y))) for x, y in zip(xs, ys)
-            )
-        case (Abs(a, s1), Abs(b, t1)):
-            if a == b:
-                node.rule = "~abs"
-                node.ok = _alpha(sig, ctx, s1, t1, node.child("", _goal(s1, t1)))
-            else:
-                node.rule = "~abs-rename"
-                t2 = act(Permutation.swap(a, b), t1)
-                node.ok = _alpha(
-                    sig, ctx, s1, t2, node.child("", _goal(s1, t2))
-                ) and _fresh(ctx, a, t1, node.child("", f"{a} fresh? {print_term(t1)}"))
-        case (App(f, _), App(g, _)) if f == g:
-            node.ok = _alpha_app(sig, ctx, s, t, node)
-        case _:
-            node.rule = "clash"
-            node.ok = False
-    return node.ok
+def _rename(sig, ctx: FreshnessContext, gen, a: Atom, t: Term, node: TraceNode, bound) -> bool:
+    # [a] s ~ [b] t needs a # t
+    return _fresh(ctx, a, t, node.child("", a, "fresh?", t))
 
 
-def _alpha_app(sig: Signature, ctx: FreshnessContext, s: App, t: App, node: TraceNode) -> bool:
-    th = sig.theory(s.symbol)
-    spair = isinstance(s.arg, Tup) and len(s.arg.items) == 2
-    tpair = isinstance(t.arg, Tup) and len(t.arg.items) == 2
-    if th is Theory.NONE or (th is Theory.C and not (spair and tpair)):
-        node.rule = "~app"
-        return _alpha(sig, ctx, s.arg, t.arg, node.child("", _goal(s.arg, t.arg)))
-    if th is Theory.A:
-        node.rule = "~app-A"
-        ss = equational_args(sig, s)
-        ts = equational_args(sig, t)
-        return len(ss) == len(ts) and all(
-            _alpha(sig, ctx, x, y, node.child("", _goal(x, y))) for x, y in zip(ss, ts)
-        )
-    if th is Theory.C:
-        node.rule = "~app-C"
-        s0, s1 = s.arg.items
-        for i in (0, 1):
-            t0, t1 = t.arg.items[i], t.arg.items[(i + 1) % 2]
-            attempt = node.child(f"align-{i}", _goal(s, t))
-            if _alpha(sig, ctx, s0, t0, attempt.child("", _goal(s0, t0))) and _alpha(
-                sig, ctx, s1, t1, attempt.child("", _goal(s1, t1))
-            ):
-                attempt.ok = True
-                return True
-        return False
-    node.rule = "~app-AC"
-    return _alpha_ac(sig, ctx, s.symbol, equational_args(sig, s), equational_args(sig, t), node)
-
-
-def _alpha_ac(
-    sig: Signature,
-    ctx: FreshnessContext,
-    f: str,
-    ss: list[Term],
-    ts: list[Term],
-    node: TraceNode,
-) -> bool:
-    if len(ss) != len(ts):
-        return False
-    if len(ss) == 1:
-        return _alpha(sig, ctx, ss[0], ts[0], node.child("", _goal(ss[0], ts[0])))
-    head = ss[0]
-    for i, cand in enumerate(ts):
-        attempt = node.child(f"pick-{i}", _goal(head, cand))
-        if _alpha(sig, ctx, head, cand, attempt):
-            rest = node.child(f"rest-{i}", f"{f} remainder")
-            if _alpha_ac(sig, ctx, f, ss[1:], ts[:i] + ts[i + 1 :], rest):
-                rest.ok = True
-                return True
-    return False
+_RULES = AlphaRules("~", _var, _rename)

@@ -40,6 +40,7 @@ from .syntax import (
     Theory,
     Tup,
     Var,
+    atoms_in,
 )
 from .unify import Eq, Fix
 
@@ -57,6 +58,9 @@ class FreshRequest:
 
     atom: Atom
     term: Term
+
+    def atoms(self) -> set[Atom]:
+        return atoms_in(self.atom, self.term)
 
     def __str__(self) -> str:
         from .printer import print_term

@@ -1,4 +1,5 @@
-"""Text rendering of terms, permutations, contexts, and constraints.
+"""Text rendering of terms, permutations, and substitutions; contexts print
+themselves with str().
 
 Output parses back with nomfix.parser, except for generated atoms, which are
 printed with the reserved "#c" prefix and never accepted in input.
@@ -10,8 +11,6 @@ from .syntax import (
     Abs,
     App,
     AtomTerm,
-    FixpointContext,
-    FreshnessContext,
     Permutation,
     Substitution,
     Susp,
@@ -47,15 +46,4 @@ def print_subst(sigma: Substitution) -> str:
     inner = ", ".join(
         f"{x.name} -> {print_term(t)}" for x, t in sorted(sigma.bindings.items())
     )
-    return "{" + inner + "}"
-
-
-def print_fresh_context(ctx: FreshnessContext) -> str:
-    inner = ", ".join(f"{a.name} fresh {x.name}" for a, x in sorted(ctx.constraints))
-    return "{" + inner + "}"
-
-
-def print_fixp_context(ctx: FixpointContext) -> str:
-    entries = sorted(ctx.constraints, key=lambda c: (c[1], str(c[0])))
-    inner = ", ".join(f"{print_perm(p)} fix {x.name}" for p, x in entries)
     return "{" + inner + "}"

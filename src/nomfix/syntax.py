@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 
@@ -12,8 +11,10 @@ class NomfixError(Exception):
     """Base class for errors raised by this package."""
 
 
-class IllFormedTermError(NomfixError):
-    pass
+class IllFormedTermError(NomfixError, ValueError):
+    """A term or problem outside what a signature or a solver accepts.  It is
+    also a ValueError, the error unify and c_unify document for input they
+    reject."""
 
 
 class UndeclaredSymbolError(NomfixError):
@@ -184,9 +185,6 @@ class Signature:
         return any(th is not Theory.NONE for th in self.symbols.values())
 
 
-EMPTY_SIGNATURE = Signature(permissive=True)
-
-
 class Term:
     """Base class of the term grammar."""
 
@@ -237,6 +235,11 @@ def var(name: str, perm: Permutation | None = None) -> Susp:
 
 def pair(*items: Term) -> Tup:
     return Tup(tuple(items))
+
+
+def is_pair(t: Term) -> bool:
+    """Whether t is a tuple of two terms, the argument a C symbol needs."""
+    return isinstance(t, Tup) and len(t.items) == 2
 
 
 def act(perm: Permutation, t: Term) -> Term:
@@ -378,21 +381,24 @@ def equational_args(sig: Signature, t: App) -> list[Term]:
     return _collect_args(sig, t.symbol, t.arg)
 
 
-def check_well_formed(sig: Signature, t: Term) -> None:
-    """Raise if t uses undeclared symbols or applies a C symbol to a non-pair."""
+def check_well_formed(sig: Signature, t: Term, theories=None) -> None:
+    """Raise if t uses undeclared symbols, applies a C symbol to a non-pair,
+    or, when theories is given, uses a symbol whose theory is not in it."""
     match t:
         case AtomTerm() | Susp():
             return
         case Abs(_, body):
-            check_well_formed(sig, body)
+            check_well_formed(sig, body, theories)
         case Tup(items):
             for s in items:
-                check_well_formed(sig, s)
+                check_well_formed(sig, s, theories)
         case App(f, arg):
             th = sig.theory(f)
-            if th is Theory.C and not (isinstance(arg, Tup) and len(arg.items) == 2):
+            if theories is not None and th not in theories:
+                raise IllFormedTermError(f"symbol {f} has unsupported theory {th.value} here")
+            if th is Theory.C and not is_pair(arg):
                 raise IllFormedTermError(f"commutative symbol {f} needs a pair argument")
-            check_well_formed(sig, arg)
+            check_well_formed(sig, arg, theories)
         case _:
             raise TypeError(f"not a term: {t!r}")
 
@@ -450,17 +456,15 @@ class NameGenerator:
 
     Generated atoms are identified by (prefix, index), so two generators with
     the same prefix must not overlap; use generator_avoiding to start past
-    every generated atom already present in the inputs.
+    every atom already present in the inputs.
     """
 
     def __init__(self, prefix: str = GENERATED_PREFIX, start: int = 0):
         self.prefix = prefix
         self._counter = itertools.count(start)
-        self._lock = threading.Lock()
 
     def fresh(self) -> Atom:
-        with self._lock:
-            k = next(self._counter)
+        k = next(self._counter)
         return Atom(f"{self.prefix}{k}", gen_index=k)
 
     def fresh_pair(self) -> tuple[Atom, Atom]:
@@ -485,9 +489,12 @@ class FreshnessContext:
     def atoms(self) -> set[Atom]:
         return {a for a, _ in self.constraints}
 
+    def entries(self) -> list[tuple[Atom, Var]]:
+        """The assumptions in print order."""
+        return sorted(self.constraints)
+
     def __str__(self) -> str:
-        inner = ", ".join(f"{a} fresh {x}" for a, x in sorted(self.constraints))
-        return "{" + inner + "}"
+        return "{" + ", ".join(f"{a} fresh {x}" for a, x in self.entries()) + "}"
 
 
 @dataclass(frozen=True)
@@ -522,11 +529,34 @@ class FixpointContext:
             out |= p.mentioned_atoms()
         return out
 
+    def entries(self) -> list[tuple[Permutation, Var]]:
+        """The assumptions in print order: by variable, then by permutation."""
+        return sorted(self.constraints, key=lambda c: (c[1], str(c[0])))
+
     def __str__(self) -> str:
-        inner = ", ".join(f"{p} fix {x}" for p, x in sorted(self.constraints, key=lambda c: (c[1], str(c[0]))))
-        return "{" + inner + "}"
+        return "{" + ", ".join(f"{p} fix {x}" for p, x in self.entries()) + "}"
+
+
+def atoms_in(*parts) -> set[Atom]:
+    """Every atom mentioned by the given atoms, permutations, terms, and
+    contexts or constraints (anything else with an atoms() method)."""
+    out: set[Atom] = set()
+    for x in parts:
+        if isinstance(x, Atom):
+            out.add(x)
+        elif isinstance(x, Permutation):
+            out |= x.mentioned_atoms()
+        elif isinstance(x, Term):
+            out |= atoms_of(x)
+        else:
+            out |= x.atoms()
+    return out
 
 
 def generator_avoiding(atoms: set[Atom] | frozenset[Atom], prefix: str = GENERATED_PREFIX) -> NameGenerator:
-    top = max((a.gen_index for a in atoms if a.generated), default=-1)
-    return NameGenerator(prefix=prefix, start=top + 1)
+    """A generator whose atoms are new for the given ones: it starts past
+    every generated atom and every atom named prefix followed by digits."""
+    taken = [a.gen_index for a in atoms if a.generated]
+    numbered = [a.name[len(prefix) :] for a in atoms if a.name.startswith(prefix)]
+    taken += [int(digits) for digits in numbered if digits.isascii() and digits.isdigit()]
+    return NameGenerator(prefix=prefix, start=max(taken, default=-1) + 1)

@@ -19,7 +19,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    atoms_of,
+    atoms_in,
     free_vars,
     generator_avoiding,
 )
@@ -40,9 +40,9 @@ def fresh_to_fixp(
     records: list[TranslationRecord] | None = None,
 ) -> FixpointContext:
     if gen is None:
-        gen = NameGenerator()
+        gen = generator_avoiding(ctx.atoms())
     pairs = []
-    for a, x in sorted(ctx.constraints):
+    for a, x in ctx.entries():
         c = gen.fresh()
         pairs.append((Permutation.swap(a, c), x))
         if records is not None:
@@ -56,7 +56,7 @@ def fixp_to_fresh(
     ctx: FixpointContext, records: list[TranslationRecord] | None = None
 ) -> FreshnessContext:
     pairs: set[tuple[Atom, Var]] = set()
-    for p, x in sorted(ctx.constraints, key=lambda c: (c[1], str(c[0]))):
+    for p, x in ctx.entries():
         supp = sorted(p.support())
         pairs.update((a, x) for a in supp)
         if records is not None:
@@ -77,7 +77,7 @@ def fresh_judgement_via_fixp(
     entries plus newness constraints (c c') fix Y for the variables of t, and
     the engine checks (a c) fix t."""
     if gen is None:
-        gen = generator_avoiding(ctx.atoms() | atoms_of(t) | {a})
+        gen = generator_avoiding(atoms_in(ctx, t, a))
     fctx = fresh_to_fixp(ctx, gen)
     c, c2 = gen.fresh_pair()
     fctx = fctx.extend((Permutation.swap(c, c2), y) for y in free_vars(t))

@@ -5,9 +5,9 @@ requests pi fix? t.  Simplification rewrites the queue until no rule applies;
 a normal form with only consistent primitive fixed-point constraints yields a
 solution (a fixed-point context together with a substitution).
 
-The same rule set runs in two modes: plain mode treats every function symbol
-as syntactic, and branching mode splits in two at applications of commutative
-symbols (used by nomfix.cunify).
+Given a signature, simplification splits in two at applications of
+commutative symbols (used by nomfix.cunify); without one, it treats every
+function symbol as syntactic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fixpoint import check_alpha_fixp, check_fixp
-from .printer import print_fixp_context, print_perm, print_subst, print_term
+from .printer import print_perm, print_subst, print_term
 from .syntax import (
     Abs,
     App,
@@ -31,10 +31,12 @@ from .syntax import (
     Tup,
     Var,
     act,
-    atoms_of,
+    atoms_in,
+    check_well_formed,
     flatten,
     free_vars,
     generator_avoiding,
+    is_pair,
     term_height,
     term_size,
 )
@@ -45,6 +47,9 @@ class Eq:
     lhs: Term
     rhs: Term
 
+    def atoms(self) -> set:
+        return atoms_in(self.lhs, self.rhs)
+
     def __str__(self) -> str:
         return f"{print_term(self.lhs)} =? {print_term(self.rhs)}"
 
@@ -53,6 +58,9 @@ class Eq:
 class Fix:
     perm: Permutation
     target: Term
+
+    def atoms(self) -> set:
+        return atoms_in(self.perm, self.target)
 
     def __str__(self) -> str:
         return f"{print_perm(self.perm)} fix? {print_term(self.target)}"
@@ -88,7 +96,7 @@ class Solution:
     subst: Substitution
 
     def key(self) -> str:
-        return print_fixp_context(self.context) + " |- " + print_subst(self.subst)
+        return f"{self.context} |- {print_subst(self.subst)}"
 
     def __str__(self) -> str:
         return self.key()
@@ -125,21 +133,11 @@ def problem_vars(pr: Problem) -> set[Var]:
     return out
 
 
-def problem_atoms(pr: Problem) -> set:
-    out: set = set()
-    for c in pr:
-        if isinstance(c, Eq):
-            out |= atoms_of(c.lhs) | atoms_of(c.rhs)
-        else:
-            out |= c.perm.mentioned_atoms() | atoms_of(c.target)
-    return out
-
-
 def problem_measure(pr: Problem, by_height: bool = False):
     """Termination measure: number of distinct variables, then the multiset
     of weights of equations and non-primitive fixed-point constraints.
 
-    Plain mode weighs constraints by term size, branching mode by height.
+    unify weighs constraints by term size; c_unify, which branches, by height.
     The multiset is encoded as a descending sequence compared lexicographically,
     which coincides with the multiset extension of < on naturals.
     """
@@ -187,7 +185,7 @@ def _newness(gen: NameGenerator, variables) -> tuple[list[Fix], object, object]:
     return cons, c1, c2
 
 
-def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None, branching: bool):
+def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
     """Return (rule, [children]) where each child is a constraint list, or
     None when no non-instantiating rule applies."""
     p, t = c.perm, c.target
@@ -197,13 +195,7 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None, branching: bool
                 return "fix-atom", [[]]
             return None
         case App(f, arg):
-            if (
-                branching
-                and sig is not None
-                and sig.theory(f) is Theory.C
-                and isinstance(arg, Tup)
-                and len(arg.items) == 2
-            ):
+            if sig is not None and sig.theory(f) is Theory.C and is_pair(arg):
                 t0, t1 = arg.items
                 return "fix-app-C", [
                     [Eq(act(p, t0), t0), Eq(act(p, t1), t1)],
@@ -222,7 +214,7 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None, branching: bool
     raise TypeError(f"not a term: {t!r}")
 
 
-def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None, branching: bool):
+def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
     s, t = c.lhs, c.rhs
     match (s, t):
         case (AtomTerm(a), AtomTerm(b)):
@@ -230,14 +222,7 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None, branching: bool):
                 return "eq-atom", [[]]
             return None
         case (App(f, sarg), App(g, targ)) if f == g:
-            if (
-                branching
-                and sig is not None
-                and sig.theory(f) is Theory.C
-                and isinstance(sarg, Tup)
-                and isinstance(targ, Tup)
-                and len(sarg.items) == len(targ.items) == 2
-            ):
+            if sig is not None and sig.theory(f) is Theory.C and is_pair(sarg) and is_pair(targ):
                 s0, s1 = sarg.items
                 t0, t1 = targ.items
                 return "eq-app-C", [
@@ -264,19 +249,19 @@ def expand(
     gen: NameGenerator,
     sig: Signature | None = None,
     rigid: frozenset = frozenset(),
-    branching: bool = False,
 ):
     """One simplification step on the first reducible constraint.
 
     Returns a list of (child problem, step) pairs: empty for a normal form,
-    one entry for deterministic rules, two for commutative branching.
+    one entry for deterministic rules, two for commutative branching, which
+    happens only when sig is given.
     Non-instantiating rules are preferred over instantiation.
     """
     for i, c in enumerate(pr):
         if isinstance(c, Fix):
-            got = _fix_rule(c, gen, sig, branching)
+            got = _fix_rule(c, gen, sig)
         else:
-            got = _eq_rule(c, gen, sig, branching)
+            got = _eq_rule(c, gen, sig)
         if got is None:
             continue
         rule, children = got
@@ -333,37 +318,6 @@ def extract_solution(pr: Problem, steps: list[SimplStep]) -> Solution:
     return Solution(FixpointContext(frozenset(pairs)), sigma)
 
 
-def _default_gen(pr: Problem) -> NameGenerator:
-    return generator_avoiding(problem_atoms(pr))
-
-
-def _validate(pr: Problem, sig: Signature | None, allow: tuple):
-    if sig is None:
-        return
-    for c in pr:
-        terms = (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,)
-        for t in terms:
-            _validate_term(t, sig, allow)
-
-
-def _validate_term(t: Term, sig: Signature, allow: tuple):
-    match t:
-        case AtomTerm() | Susp():
-            return
-        case Abs(_, body):
-            _validate_term(body, sig, allow)
-        case Tup(items):
-            for s in items:
-                _validate_term(s, sig, allow)
-        case App(f, arg):
-            th = sig.theory(f)
-            if th not in allow:
-                raise ValueError(f"symbol {f} has unsupported theory {th.value} here")
-            if th is Theory.C and not (isinstance(arg, Tup) and len(arg.items) == 2):
-                raise ValueError(f"commutative symbol {f} needs a pair argument")
-            _validate_term(arg, sig, allow)
-
-
 def _run(pr: Problem, gen: NameGenerator, rigid: frozenset) -> tuple[Problem, list[SimplStep]]:
     """Deterministic simplification to normal form, asserting that the
     termination measure strictly decreases at every step."""
@@ -387,9 +341,11 @@ def unify(
     """Solve a syntactic unification problem (a sequence of constraints)."""
     pr = tuple(pr)
     if sig is not None:
-        _validate(pr, sig, (Theory.NONE,))
+        for c in pr:
+            for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,):
+                check_well_formed(sig, t, theories=(Theory.NONE,))
     if gen is None:
-        gen = _default_gen(pr)
+        gen = generator_avoiding(atoms_in(*pr))
     nf, steps = _run(pr, gen, rigid)
     failure = classify_normal_form(nf, rigid)
     if failure is None:
@@ -411,12 +367,12 @@ def match(pr, rigid, sig: Signature | None = None, gen: NameGenerator | None = N
     return unify(pr, sig=sig, gen=gen, rigid=rigid)
 
 
-def _solve_all(pr, sig, gen, rigid, branching) -> list[Solution]:
+def _solve_all(pr, sig, gen, rigid) -> list[Solution]:
     """All solutions of a problem, following every branch (internal)."""
     out: list[Solution] = []
 
     def walk(problem, steps):
-        children = expand(problem, gen, sig=sig, rigid=rigid, branching=branching)
+        children = expand(problem, gen, sig=sig, rigid=rigid)
         if not children:
             if classify_normal_form(problem, rigid) is None:
                 out.append(extract_solution(problem, steps))
@@ -450,10 +406,8 @@ def is_more_general(
         rhs = [flatten(sig, t) for t in rhs]
     rigid = frozenset().union(*(free_vars(t) for t in rhs)) if rhs else frozenset()
     problem = tuple(Eq(s, t) for s, t in zip(lhs, rhs))
-    atoms = problem_atoms(problem) | sol1.context.atoms() | sol2.context.atoms()
-    gen = generator_avoiding(atoms)
-    branching = any(sig.theory(f) is Theory.C for f in _symbols_of(lhs + rhs))
-    for cand in _solve_all(problem, sig, gen, rigid, branching):
+    gen = generator_avoiding(atoms_in(*problem, sol1.context, sol2.context))
+    for cand in _solve_all(problem, sig, gen, rigid):
         sigma1p = sol1.subst.compose(cand.subst)
         ok = all(
             check_alpha_fixp(sig, sol2.context, sigma1p(Susp(Permutation.identity(), x)), t)
@@ -468,23 +422,3 @@ def is_more_general(
             return True
     return False
 
-
-def _symbols_of(terms) -> set[str]:
-    out: set[str] = set()
-
-    def walk(t):
-        match t:
-            case App(f, arg):
-                out.add(f)
-                walk(arg)
-            case Abs(_, body):
-                walk(body)
-            case Tup(items):
-                for s in items:
-                    walk(s)
-            case _:
-                pass
-
-    for t in terms:
-        walk(t)
-    return out

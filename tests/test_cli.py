@@ -1,4 +1,6 @@
+import io
 import json
+import re
 
 import pytest
 
@@ -108,24 +110,29 @@ class TestOptions:
         assert all("%n" in e["perm"] for e in payload["context"])
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("[a] a =? [b] b"))
         code, out, _ = run(capsys, "alpha", "-")
         assert code == 0 and "derivable" in out
 
-    def test_jobs_and_dedup(self, capsys, data_dir):
+    def test_fresh_prefix_avoids_user_atoms(self, capsys, monkeypatch):
+        # c0 is a user atom.  Names with the default prefix never collide,
+        # so with prefix c the output must show as many distinct names.
+        names = []
+        for prefix in ("#c", "c"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("context: c0 fresh X ; [c0] X =? [a] Y"))
+            code, out, _ = run(capsys, "unify", "-", "--fresh-prefix", prefix)
+            assert code == 0
+            names.append(set(re.findall(r"#?\w+", out)))
+        default, custom = names
+        assert {"#c0", "#c1", "#c2", "a", "c0"} <= default
+        assert len(custom) == len(default)
+
+    def test_dedup(self, capsys, data_dir):
         base, out1, _ = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), "--json")
-        para, out2, _ = run(
-            capsys,
-            "cunify",
-            str(data_dir / "cunify_two_mgu.nom"),
-            "--json",
-            "--jobs",
-            "2",
-            "--dedup",
+        dedup, out2, _ = run(
+            capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), "--json", "--dedup"
         )
-        assert base == para == 0
+        assert base == dedup == 0
         assert json.loads(out1)["solutions"] == json.loads(out2)["solutions"]
 
     def test_trace_lines(self, capsys, data_dir):
@@ -140,3 +147,11 @@ class TestSelfcheck:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
         assert "0 disagreements" in out
+
+    def test_unverified_unifier_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("nomfix.cli.verify_solution", lambda *args: False)
+        code, out, _ = run(capsys, "selfcheck", "--json")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["unverified"] > 0 and payload["solutions_verified"] == 0

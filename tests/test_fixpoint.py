@@ -1,3 +1,5 @@
+import pytest
+
 from nomfix import (
     Atom,
     FixpointContext,
@@ -147,3 +149,25 @@ class TestProperties:
         trace = []
         check_fixp(SIG0, EMPTY, parse_perm("(a b)"), parse_term("[a] a"), trace=trace)
         assert trace[0].ok and trace[0].rule == "fix-abs"
+
+
+@pytest.mark.skipif(not __debug__, reason="the measure is asserted only with asserts on")
+class TestMeasure:
+    """The engine asserts a lexicographic termination measure, (term size,
+    judgement kind), on every fix and alpha step."""
+
+    def test_non_decreasing_measure_raises(self, monkeypatch):
+        # with every term of size 1 no premise can be below its conclusion
+        monkeypatch.setattr("nomfix.fixpoint.term_size", lambda t: 1)
+        with pytest.raises(AssertionError, match="did not decrease"):
+            check_alpha_fixp(SIG0, EMPTY, parse_term("(a, b)"), parse_term("(a, b)"))
+        with pytest.raises(AssertionError, match="did not decrease"):
+            check_fixp(SIG0, EMPTY, parse_perm("(a b)"), parse_term("(c, c)"))
+
+    def test_random_sweep_raises_nothing(self, rng):
+        for _ in range(300):
+            context = random_fixp_context(rng)
+            s = random_term(rng, SIG_FULL)
+            t = act(random_perm(rng), s) if rng.random() < 0.5 else random_term(rng, SIG_FULL)
+            check_alpha_fixp(SIG_FULL, context, s, t)
+            check_fixp(SIG_FULL, context, random_perm(rng), s)

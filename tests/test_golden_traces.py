@@ -1,0 +1,94 @@
+"""Derivation traces of both checking engines, compared exactly with a
+recorded copy, so that a change to the engines cannot change a trace unseen.
+
+The goals below use every rule of both engines between them: atom, var,
+tuple, abs, abs-rename, app, A, both C alignments, AC pick/rest, clash,
+#abs-same, fix-abs and fix-app-C/fix-app-AC, failing and succeeding.
+Regenerate the expected file only for an intended change of trace format:
+
+    PYTHONPATH=src python tests/test_golden_traces.py > tests/data/golden_traces.json
+"""
+
+import json
+import pathlib
+import sys
+
+from nomfix import (
+    FixpointContext,
+    FreshnessContext,
+    check_alpha_fixp,
+    check_alpha_fresh,
+    check_fixp,
+    check_fresh,
+    parse_problem_file,
+)
+
+SYMS = "sym f : none ; sym + : C ; sym * : AC ; sym cat : A ;\n"
+
+# (engine, problem text); each problem's context suits its engine.
+GOALS = [
+    ("fresh", "context: a fresh X ;\na fresh? b,\na fresh? a"),
+    ("fresh", "context: a fresh X ;\na fresh? (b c).X,\na fresh? (a b).X"),
+    ("fresh", "context: a fresh X ;\na fresh? f((b, [a] a, [b] X))"),
+    ("fresh", "a fresh? (a, b),\na fresh? [b] (b, c)"),
+    ("alpha-fresh", "context: a fresh X, b fresh X ;\na =? a,\n(a b).X =? X,\nb =? a"),
+    ("alpha-fresh", "context: a fresh X ;\n[a] X =? [b] (a b).X,\n[a] a =? [a] a,\n[a] a =? [b] a"),
+    ("alpha-fresh", "[a] c =? [b] c,\n[a] (a, b) =? [b] (b, a),\nf((a, b)) =? f((a, b)),\nf((a, b)) =? f((b, b))"),
+    ("alpha-fresh", "cat(a, cat(b, c)) =? cat(cat(a, b), c),\ncat(a, b) =? cat(a, b, c)"),
+    ("alpha-fresh", "+(a, b) =? +(b, a),\n+(a, b) =? +(c, a),\n+(a, b) =? +(a, b)"),
+    ("alpha-fresh", "*(a, b, c) =? *(c, a, b),\n*(a, b) =? *(a, c),\n*(a, *(b, c)) =? *(b, c)"),
+    ("alpha-fresh", "a =? f(a),\n(a, b) =? (a, b, c),\nX =? Y"),
+    ("alpha-fresh", "context: c fresh X ;\n[a] +(a, X) =? [b] +(X, b),\n[a] *([c] (a, c), X) =? [b] *(X, [d] (b, d))"),
+    ("fixp", "context: (a b) fix X ;\n(a b) fix? c,\n(a b) fix? a,\n(a b) fix? X,\n(a c) fix? X"),
+    ("fixp", "context: (a b) fix X ;\n(a b) fix? f((c, X)),\n(a b) fix? [a] a,\n(a b) fix? [c] X"),
+    ("fixp", "(a b) fix? +(a, b),\n(a b) fix? +(a, c),\n(a b) fix? *(a, b, c),\n(a b)(b c) fix? *(*(f(a), f(b)), f(c))"),
+    ("fixp", "(a b) fix? cat(a, b),\n(a b) fix? cat(c, c),\nId fix? [a] (b, a)"),
+    ("alpha-fixp", "context: (a b) fix X ;\na =? a,\n(a b).X =? X,\n(a c).X =? X,\nb =? a"),
+    ("alpha-fixp", "context: (a b) fix X ;\n[a] X =? [b] (a b).X,\n[a] a =? [a] a,\n[a] a =? [b] a"),
+    ("alpha-fixp", "[a] c =? [b] c,\n[a] (a, b) =? [b] (b, a),\nf((a, b)) =? f((a, b)),\nf((a, b)) =? f((b, b))"),
+    ("alpha-fixp", "cat(a, cat(b, c)) =? cat(cat(a, b), c),\ncat(a, b) =? cat(a, b, c)"),
+    ("alpha-fixp", "+(a, b) =? +(b, a),\n+(a, b) =? +(c, a),\n+(a, b) =? +(a, b)"),
+    ("alpha-fixp", "*(a, b, c) =? *(c, a, b),\n*(a, b) =? *(a, c),\n*(a, *(b, c)) =? *(b, c)"),
+    ("alpha-fixp", "a =? f(a),\n(a, b) =? (a, b, c),\nX =? Y"),
+    ("alpha-fixp", "context: (c d) fix X ;\n[a] +(a, X) =? [b] +(X, b),\n[a] *([c] (a, c), X) =? [b] *(X, [d] (b, d))"),
+    ("alpha-fixp", "[a] +(a, c) =? [b] +(c, b),\n[a] [b] *(a, b) =? [b] [a] *(a, b)"),
+]
+
+
+def traces(engine: str, text: str) -> list:
+    pf = parse_problem_file(SYMS + text)
+    sig = pf.signature
+    fresh_ctx = pf.fresh_context or FreshnessContext()
+    fixp_ctx = pf.fixp_context or FixpointContext()
+    out = []
+    for c in pf.constraints:
+        trace = []
+        if engine == "fresh":
+            check_fresh(fresh_ctx, c.atom, c.term, trace=trace)
+        elif engine == "alpha-fresh":
+            check_alpha_fresh(sig, fresh_ctx, c.lhs, c.rhs, trace=trace)
+        elif engine == "fixp":
+            check_fixp(sig, fixp_ctx, c.perm, c.target, trace=trace)
+        else:
+            check_alpha_fixp(sig, fixp_ctx, c.lhs, c.rhs, trace=trace)
+        (node,) = trace
+        out.append({"render": node.render(), "dict": node.to_dict()})
+    return out
+
+
+def record() -> dict:
+    return {f"{engine}: {text}": traces(engine, text) for engine, text in GOALS}
+
+
+def test_traces_match_recording():
+    path = pathlib.Path(__file__).parent / "data" / "golden_traces.json"
+    want = json.loads(path.read_text())
+    got = record()
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+if __name__ == "__main__":
+    json.dump(record(), sys.stdout, indent=1, ensure_ascii=False)
+    print()

@@ -36,6 +36,11 @@ class TestContextTranslation:
         assert len(gen_atoms) == 3
         assert len(records) == 3 and all(r.generated for r in records)
 
+    def test_fresh_to_fixp_default_generator_avoids_generated_atoms(self):
+        c0 = Atom("#c0", gen_index=0)
+        ((p, x),) = fresh_to_fixp(FreshnessContext(frozenset({(c0, X)}))).constraints
+        assert x == X and len(p.support()) == 2 and c0 in p.support()
+
     def test_fixp_to_fresh_takes_supports(self):
         ctx = FixpointContext(
             frozenset({(parse_perm("(a b)(b c)"), X), (parse_perm("(a b)"), Y)})
