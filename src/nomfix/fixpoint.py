@@ -25,7 +25,6 @@ from .syntax import (
     act,
     atoms_in,
     flatten,
-    free_vars,
     generator_avoiding,
     term_size,
 )
@@ -110,19 +109,12 @@ def _fixp(
                 node.ok = alpha(_RULES, sig, ctx, gen, moved, t, node.child("", moved, "=?", t), bound)
         case Abs(a, body):
             node.rule = "fix-abs"
-            c1, ctx2 = _new_atom(ctx, gen, body)
+            c1, new = gen.newness(body)
             moved = act(Permutation.swap(a, c1), body)
-            node.ok = _fixp(sig, ctx2, perm, moved, gen, node.child("", perm, "fix?", moved), bound)
+            node.ok = _fixp(sig, ctx.extend(new), perm, moved, gen, node.child("", perm, "fix?", moved), bound)
         case _:
             raise TypeError(f"not a term: {t!r}")
     return node.ok
-
-
-def _new_atom(ctx: FixpointContext, gen: NameGenerator, t: Term) -> tuple[Atom, FixpointContext]:
-    """A new atom c1 and the context extended with (c1 c2) fix Y, for a
-    second new atom c2 and every variable Y of t."""
-    c1, c2 = gen.fresh_pair()
-    return c1, ctx.extend((Permutation.swap(c1, c2), y) for y in free_vars(t))
 
 
 def _var(ctx: FixpointContext, p: Permutation, q: Permutation, x) -> bool:
@@ -131,9 +123,9 @@ def _var(ctx: FixpointContext, p: Permutation, q: Permutation, x) -> bool:
 
 def _rename(sig, ctx: FixpointContext, gen: NameGenerator, a: Atom, t: Term, node: TraceNode, bound) -> bool:
     # [a] s ~ [b] t needs (a c1) fix t for a new atom c1
-    c1, ctx2 = _new_atom(ctx, gen, t)
+    c1, new = gen.newness(t)
     p = Permutation.swap(a, c1)
-    return _fixp(sig, ctx2, p, t, gen, node.child("", p, "fix?", t), bound)
+    return _fixp(sig, ctx.extend(new), p, t, gen, node.child("", p, "fix?", t), bound)
 
 
 _RULES = AlphaRules("eq-", _var, _rename, _measure)

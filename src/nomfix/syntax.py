@@ -470,6 +470,13 @@ class NameGenerator:
     def fresh_pair(self) -> tuple[Atom, Atom]:
         return self.fresh(), self.fresh()
 
+    def newness(self, t: Term) -> tuple[Atom, list[tuple[Permutation, Var]]]:
+        """A fresh pair c1, c2: c1 and the entries (c1 c2) fix Y, for every
+        variable Y of t in order, recording that both atoms are new for t."""
+        c1, c2 = self.fresh_pair()
+        sw = Permutation.swap(c1, c2)
+        return c1, [(sw, y) for y in sorted(free_vars(t))]
+
 
 @dataclass(frozen=True)
 class FreshnessContext:

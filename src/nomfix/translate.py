@@ -20,7 +20,6 @@ from .syntax import (
     Term,
     Var,
     atoms_in,
-    free_vars,
     generator_avoiding,
 )
 
@@ -79,6 +78,5 @@ def fresh_judgement_via_fixp(
     if gen is None:
         gen = generator_avoiding(atoms_in(ctx, t, a))
     fctx = fresh_to_fixp(ctx, gen)
-    c, c2 = gen.fresh_pair()
-    fctx = fctx.extend((Permutation.swap(c, c2), y) for y in free_vars(t))
-    return check_fixp(sig, fctx, Permutation.swap(a, c), t, gen=gen)
+    c, new = gen.newness(t)
+    return check_fixp(sig, fctx.extend(new), Permutation.swap(a, c), t, gen=gen)

@@ -6,13 +6,16 @@ a normal form with only consistent primitive fixed-point constraints yields a
 solution (a fixed-point context together with a substitution).
 
 Given a signature, simplification splits in two at applications of
-commutative symbols (used by nomfix.cunify); without one, it treats every
-function symbol as syntactic.
+commutative symbols; without one, it treats every function symbol as
+syntactic.  One depth-first search over these steps serves every solver:
+unify and match follow its single path, is_more_general and nomfix.cunify
+every branch.  It asserts the termination measure on every step and reads
+each solution off its leaf's path of steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fixpoint import check_alpha_fixp, check_fixp
 from .printer import print_perm, print_subst, print_term
@@ -37,7 +40,6 @@ from .syntax import (
     free_vars,
     generator_avoiding,
     is_pair,
-    term_height,
     term_size,
 )
 
@@ -133,21 +135,25 @@ def problem_vars(pr: Problem) -> set[Var]:
     return out
 
 
-def problem_measure(pr: Problem, by_height: bool = False):
+def problem_measure(pr: Problem):
     """Termination measure: number of distinct variables, then the multiset
-    of weights of equations and non-primitive fixed-point constraints.
+    of term sizes of equations (the larger side) and of non-primitive
+    fixed-point constraints.
 
-    unify weighs constraints by term size; c_unify, which branches, by height.
+    Instantiation removes a variable; every other rule replaces one weight by
+    smaller ones.  That includes both branches of the commutative rules:
+    f(s0, s1) =? f(t0, t1) becomes two equations between arguments, and
+    pi fix? f(t0, t1) becomes pi.ti =? ti, where pi.ti is as large as ti and
+    smaller than f(t0, t1).  So one measure serves unify and c_unify.
     The multiset is encoded as a descending sequence compared lexicographically,
     which coincides with the multiset extension of < on naturals.
     """
-    size = term_height if by_height else term_size
     weights = []
     for c in pr:
         if isinstance(c, Eq):
-            weights.append(max(size(c.lhs), size(c.rhs)))
+            weights.append(max(term_size(c.lhs), term_size(c.rhs)))
         elif not is_primitive(c):
-            weights.append(size(c.target))
+            weights.append(term_size(c.target))
     return (len(problem_vars(pr)), tuple(sorted(weights, reverse=True)))
 
 
@@ -177,12 +183,8 @@ def _apply_binding(pr: Problem, x: Var, t: Term) -> Problem:
     return tuple(out)
 
 
-def _newness(gen: NameGenerator, variables) -> tuple[list[Fix], object, object]:
-    """Fresh atoms c1, c2 plus constraints (c1 c2) fix Y for each variable."""
-    c1, c2 = gen.fresh_pair()
-    sw = Permutation.swap(c1, c2)
-    cons = [Fix(sw, Susp(Permutation.identity(), y)) for y in sorted(variables)]
-    return cons, c1, c2
+def _fixes(entries) -> list[Fix]:
+    return [Fix(p, Susp(Permutation.identity(), y)) for p, y in entries]
 
 
 def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
@@ -205,8 +207,8 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
         case Tup(items):
             return "fix-tuple", [[Fix(p, s) for s in items]]
         case Abs(a, body):
-            cons, c1, _ = _newness(gen, free_vars(body))
-            return "fix-abs", [[Fix(p, act(Permutation.swap(a, c1), body))] + cons]
+            c1, new = gen.newness(body)
+            return "fix-abs", [[Fix(p, act(Permutation.swap(a, c1), body))] + _fixes(new)]
         case Susp(q, x):
             if q.swappings:
                 return "fix-var", [[Fix(p.conjugate(q.inverse()), Susp(Permutation.identity(), x))]]
@@ -235,9 +237,9 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
         case (Abs(a, s1), Abs(b, t1)):
             if a == b:
                 return "eq-abs", [[Eq(s1, t1)]]
-            cons, c1, _ = _newness(gen, free_vars(t1))
+            c1, new = gen.newness(t1)
             return "eq-abs-rename", [
-                [Eq(s1, act(Permutation.swap(a, b), t1)), Fix(Permutation.swap(a, c1), t1)] + cons
+                [Eq(s1, act(Permutation.swap(a, b), t1)), Fix(Permutation.swap(a, c1), t1)] + _fixes(new)
             ]
         case (Susp(p, x), Susp(q, y)) if x == y:
             return "eq-var", [[Fix(q.inverse().compose(p), Susp(Permutation.identity(), x))]]
@@ -304,52 +306,118 @@ def classify_normal_form(pr: Problem, rigid: frozenset = frozenset()):
     return None
 
 
-def extract_solution(pr: Problem, steps: list[SimplStep]) -> Solution:
+def extract_solution(pr: Problem, path) -> Solution:
+    """The solution at a successful normal form pr, reached by path, a linked
+    chain (step, parent path) back to the root.  The bindings are resolved
+    in one pass from the leaf back to the root: a binding never mentions a
+    variable bound before it, so it is final once the later ones are
+    applied to it."""
     pairs = []
     for c in pr:
         p = c.perm.normalize()
         if p.swappings:
             pairs.append((p, c.target.var))
     sigma = Substitution()
-    for step in steps:
+    while path is not None:
+        step, path = path
         if step.binding is not None:
             x, t = step.binding
-            sigma = sigma.compose(Substitution({x: t}))
+            sigma.bindings[x] = sigma(t)
     return Solution(FixpointContext(frozenset(pairs)), sigma)
 
 
-def _run(pr: Problem, gen: NameGenerator, rigid: frozenset) -> tuple[Problem, list[SimplStep]]:
-    """Deterministic simplification to normal form, asserting that the
-    termination measure strictly decreases at every step."""
-    steps: list[SimplStep] = []
-    while True:
-        if __debug__:
-            before = problem_measure(pr)
-        children = expand(pr, gen, rigid=rigid)
+@dataclass
+class DerivationNode:
+    """A node of the derivation tree: the problem at this point, the rule
+    that produced the children, and for leaves the outcome."""
+
+    problem: tuple
+    rule: str | None = None
+    children: list["DerivationNode"] = field(default_factory=list)
+    leaf_kind: str | None = None  # "success" or a failure kind
+    solution: Solution | None = None
+
+    def to_dict(self) -> dict:
+        out: dict = {"constraints": [str(c) for c in self.problem]}
+        if self.rule:
+            out["rule"] = self.rule
+        if self.leaf_kind:
+            out["leaf"] = self.leaf_kind
+        if self.solution is not None:
+            out["solution"] = self.solution.key()
+        if self.children:
+            out["children"] = [c.to_dict() for c in self.children]
+        return out
+
+    def render(self, indent: int = 0) -> str:
+        head = "; ".join(str(c) for c in self.problem) or "(empty)"
+        tag = f" [{self.rule}]" if self.rule else ""
+        tag += f" <{self.leaf_kind}>" if self.leaf_kind else ""
+        lines = ["  " * indent + head + tag]
+        for c in self.children:
+            lines.append(c.render(indent + 1))
+        return "\n".join(lines)
+
+
+def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset, root: DerivationNode | None = None):
+    """Depth-first search of the derivations of pr, last child first.
+
+    Yields (normal form, path, failure, solution) for each leaf; path is the
+    linked chain (step, parent path) back to the root, and failure is
+    classify_normal_form's answer.  Each node's measure is computed once and
+    its decrease asserted once per step.  Given a root node for pr, the search
+    fills it in as the derivation tree.
+    """
+    stack = [(pr, None, problem_measure(pr) if __debug__ else None, root)]
+    while stack:
+        pr, path, measure, node = stack.pop()
+        children = expand(pr, gen, sig, rigid)
         if not children:
-            return pr, steps
-        assert len(children) == 1
-        pr, step = children[0]
-        steps.append(step)
-        if __debug__:
-            assert measure_decreases(before, problem_measure(pr)), str(step)
+            failure = classify_normal_form(pr, rigid)
+            solution = None if failure else extract_solution(pr, path)
+            if node is not None:
+                node.leaf_kind = failure[0] if failure else "success"
+                node.solution = solution
+            yield pr, path, failure, solution
+        for child, step in children:
+            after = problem_measure(child) if __debug__ else None
+            assert measure_decreases(measure, after), str(step)
+            sub = None
+            if node is not None:
+                node.rule = step.rule
+                sub = DerivationNode(child)
+                node.children.append(sub)
+            stack.append((child, (step, path), after, sub))
+
+
+def _derive(pr, sig: Signature | None, gen: NameGenerator | None, theories, rigid=frozenset(), tree=False):
+    """Check that pr uses only symbols of the given theories, then search
+    it: returns the root of its derivation tree (None unless tree) and the
+    leaves."""
+    pr = tuple(pr)
+    if sig is not None:
+        for c in pr:
+            for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,):
+                check_well_formed(sig, t, theories=theories)
+    if gen is None:
+        gen = generator_avoiding(atoms_in(*pr))
+    root = DerivationNode(pr) if tree else None
+    return root, _search(pr, sig, gen, rigid, root)
 
 
 def unify(
     pr, sig: Signature | None = None, gen: NameGenerator | None = None, rigid: frozenset = frozenset()
 ) -> UnifyResult:
     """Solve a syntactic unification problem (a sequence of constraints)."""
-    pr = tuple(pr)
-    if sig is not None:
-        for c in pr:
-            for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,):
-                check_well_formed(sig, t, theories=(Theory.NONE,))
-    if gen is None:
-        gen = generator_avoiding(atoms_in(*pr))
-    nf, steps = _run(pr, gen, rigid)
-    failure = classify_normal_form(nf, rigid)
+    _, leaves = _derive(pr, sig, gen, (Theory.NONE,), rigid)
+    ((nf, path, failure, solution),) = leaves
+    steps = []
+    while path is not None:
+        step, path = path
+        steps.append(step)
+    steps.reverse()
     if failure is None:
-        return UnifyResult("solved", extract_solution(nf, steps), None, None, steps, nf)
+        return UnifyResult("solved", solution, None, None, steps, nf)
     kind, witness = failure
     return UnifyResult("unsolvable", None, witness, kind, steps, nf)
 
@@ -365,23 +433,6 @@ def match(pr, rigid, sig: Signature | None = None, gen: NameGenerator | None = N
             if free_vars(c.lhs) & rigid or free_vars(c.rhs) - rigid:
                 raise ValueError(f"equation violates the matching variable split: {c}")
     return unify(pr, sig=sig, gen=gen, rigid=rigid)
-
-
-def _solve_all(pr, sig, gen, rigid) -> list[Solution]:
-    """All solutions of a problem, following every branch (internal)."""
-    out: list[Solution] = []
-
-    def walk(problem, steps):
-        children = expand(problem, gen, sig=sig, rigid=rigid)
-        if not children:
-            if classify_normal_form(problem, rigid) is None:
-                out.append(extract_solution(problem, steps))
-            return
-        for child, step in children:
-            walk(child, steps + [step])
-
-    walk(tuple(pr), [])
-    return out
 
 
 def is_more_general(
@@ -407,7 +458,9 @@ def is_more_general(
     rigid = frozenset().union(*(free_vars(t) for t in rhs)) if rhs else frozenset()
     problem = tuple(Eq(s, t) for s, t in zip(lhs, rhs))
     gen = generator_avoiding(atoms_in(*problem, sol1.context, sol2.context))
-    for cand in _solve_all(problem, sig, gen, rigid):
+    for _, _, _, cand in _search(problem, sig, gen, rigid):
+        if cand is None:
+            continue
         sigma1p = sol1.subst.compose(cand.subst)
         ok = all(
             check_alpha_fixp(sig, sol2.context, sigma1p(Susp(Permutation.identity(), x)), t)

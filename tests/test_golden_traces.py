@@ -1,9 +1,13 @@
-"""Derivation traces of both checking engines, compared exactly with a
-recorded copy, so that a change to the engines cannot change a trace unseen.
+"""Derivation traces of both checking engines and derivations of unify,
+match and c_unify, compared exactly with a recorded copy, so that a change
+to the engines or the solvers cannot change a trace unseen.
 
 The goals below use every rule of both engines between them: atom, var,
 tuple, abs, abs-rename, app, A, both C alignments, AC pick/rest, clash,
-#abs-same, fix-abs and fix-app-C/fix-app-AC, failing and succeeding.
+#abs-same, fix-abs and fix-app-C/fix-app-AC, failing and succeeding.  The
+problems use every eq-*/fix-* simplification rule, both eq-app-C and
+fix-app-C branches, and every witness kind: clash, occurs, rigid (by
+match) and fixpoint-inconsistency.
 Regenerate the expected file only for an intended change of trace format:
 
     PYTHONPATH=src python tests/test_golden_traces.py > tests/data/golden_traces.json
@@ -14,13 +18,18 @@ import pathlib
 import sys
 
 from nomfix import (
+    Eq,
     FixpointContext,
     FreshnessContext,
+    c_unify,
     check_alpha_fixp,
     check_alpha_fresh,
     check_fixp,
     check_fresh,
+    free_vars,
+    match,
     parse_problem_file,
+    unify,
 )
 
 SYMS = "sym f : none ; sym + : C ; sym * : AC ; sym cat : A ;\n"
@@ -54,6 +63,24 @@ GOALS = [
     ("alpha-fixp", "[a] +(a, c) =? [b] +(c, b),\n[a] [b] *(a, b) =? [b] [a] *(a, b)"),
 ]
 
+# (solver, problem text); match takes the right-hand sides' variables as rigid.
+PROBLEMS = [
+    ("unify", "[a] f((X, a)) =? [b] f(((b c).W, (a c).Y))"),
+    ("unify", "[a] X =? [a] f(b),\n(a b).Z =? Z,\nf(a) =? W,\na =? a"),
+    ("unify", "(a b) fix? (c, f(X), [a] Y, [c] (a c).Z)"),
+    ("unify", "f(a) =? g(a)"),
+    ("unify", "X =? f((a b).X)"),
+    ("unify", "(a b) fix? [c] (c, a)"),
+    ("match", "X =? f(Y),\n[a] Z =? [b] (a b).Y"),
+    ("match", "f(a) =? Y"),
+    ("cunify", "+((a b).X, a) =? +(Y, X)"),
+    ("cunify", "+(X, Y) =? +(a, b),\n(a b) fix? +(a, b)"),
+    ("cunify", "+(X, X) =? +(a, a)"),
+    ("cunify", "+(X, a) =? +(f(X), b)"),
+    ("cunify", "(a b) fix? [c] +(c, X)"),
+    ("cunify", "+(X, Y) =? +(a, b),\n(a c) fix? X"),
+]
+
 
 def traces(engine: str, text: str) -> list:
     pf = parse_problem_file(SYMS + text)
@@ -76,8 +103,36 @@ def traces(engine: str, text: str) -> list:
     return out
 
 
+def derivation(solver: str, text: str) -> dict:
+    pf = parse_problem_file(SYMS + text)
+    pr = tuple(pf.constraints)
+    if solver == "cunify":
+        out = {}
+        for dedup in (False, True):
+            res = c_unify(pr, pf.signature, dedup=dedup)
+            out["dedup" if dedup else "all"] = {
+                "render": res.tree.render(),
+                "dict": res.tree.to_dict(),
+                "leaves": res.leaves,
+                "solutions": [s.key() for s in res.solutions],
+            }
+        return out
+    if solver == "match":
+        rigid = set().union(*(free_vars(c.rhs) for c in pr if isinstance(c, Eq)))
+        res = match(pr, rigid, sig=pf.signature)
+    else:
+        res = unify(pr)
+    return {
+        "steps": [str(s) for s in res.steps],
+        "outcome": res.solution.key() if res.solved else f"{res.witness_kind}: {res.witness}",
+        "normal_form": [str(c) for c in res.normal_form],
+    }
+
+
 def record() -> dict:
-    return {f"{engine}: {text}": traces(engine, text) for engine, text in GOALS}
+    out = {f"{engine}: {text}": traces(engine, text) for engine, text in GOALS}
+    out.update({f"{solver}: {text}": derivation(solver, text) for solver, text in PROBLEMS})
+    return out
 
 
 def test_traces_match_recording():

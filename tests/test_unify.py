@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from nomfix import (
+    App,
     Atom,
     Eq,
     FixpointContext,
@@ -9,7 +12,9 @@ from nomfix import (
     Substitution,
     Susp,
     Theory,
+    Tup,
     Var,
+    c_unify,
     free_vars,
     is_more_general,
     match,
@@ -143,6 +148,26 @@ class TestMeasure:
             )
             unify(pr)  # raises AssertionError on any violation
 
+    @pytest.fixture
+    def constant_measure(self, monkeypatch):
+        assert __debug__
+        monkeypatch.setattr(sys.modules["nomfix.unify"], "problem_measure", lambda pr: (0, ()))
+
+    def test_unify_asserts_the_measure(self, constant_measure):
+        with pytest.raises(AssertionError):
+            unify((parse_constraint("f(X) =? f(a)"),))
+
+    def test_c_unify_asserts_the_measure(self, constant_measure):
+        sig = Signature({"+": Theory.C})
+        with pytest.raises(AssertionError):
+            c_unify((parse_constraint("+(X, a) =? +(a, b)", sig),), sig)
+
+    def test_is_more_general_asserts_the_measure(self, constant_measure):
+        gen = Solution(FixpointContext(), Substitution({X: parse_term("f(Y)")}))
+        inst = Solution(FixpointContext(), Substitution({X: parse_term("f(a)")}))
+        with pytest.raises(AssertionError):
+            is_more_general(gen, inst, [X])
+
     def test_multiset_ordering(self):
         assert measure_decreases((1, (3,)), (1, (2, 2, 2)))
         assert measure_decreases((1, (2, 1)), (1, (2,)))
@@ -174,6 +199,25 @@ class TestSoundness:
                 for x in sigma.domain():
                     once = sigma(Susp(idp, x))
                     assert same_term(once, sigma(once))
+
+
+class TestDeepChain:
+    def test_two_hundred_equation_chain(self):
+        n = 200
+        xs = [Var(f"X{i}") for i in range(n + 1)]
+        pr = tuple(
+            Eq(Susp(idp, xs[i]), App("f", Tup((Susp(idp, xs[i + 1]), parse_term("a")))))
+            for i in range(n)
+        )
+        res = unify(pr)
+        assert res.solved
+        t = res.solution.subst(Susp(idp, xs[0]))
+        for _ in range(n):
+            assert isinstance(t, App) and t.symbol == "f"
+            inner, last = t.arg.items
+            assert same_term(last, parse_term("a"))
+            t = inner
+        assert isinstance(t, Susp) and t.var == xs[n]
 
 
 class TestMatch:
