@@ -32,7 +32,6 @@ from .syntax import (
     is_ground,
     pair,
     same_term,
-    term_height,
     term_size,
     var,
 )

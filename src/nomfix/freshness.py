@@ -69,7 +69,7 @@ def check_alpha_fresh(
 
 def _var(ctx: FreshnessContext, p, q, x) -> bool:
     # p.X ~ q.X when X is fresh for every atom on which p and q disagree
-    return all(ctx.holds(a, x) for a in p.disagreement_set(q))
+    return all(ctx.holds(a, x) for a in q.inverse().compose(p).support())
 
 
 def _rename(sig, ctx: FreshnessContext, gen, a: Atom, t: Term, node: TraceNode, bound) -> bool:

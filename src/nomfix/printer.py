@@ -3,6 +3,8 @@ themselves with str().
 
 Output parses back with nomfix.parser, except for generated atoms, which are
 printed with the reserved "#c" prefix and never accepted in input.
+Permutations print in their canonical form (see Permutation), so terms equal
+under == print alike.
 """
 
 from __future__ import annotations
@@ -20,22 +22,35 @@ from .syntax import (
 
 
 def print_term(t: Term) -> str:
-    match t:
-        case AtomTerm(a):
-            return a.name
-        case Susp(p, x):
-            if not p.swappings:
-                return x.name
-            return f"{print_perm(p)}.{x.name}"
-        case Abs(b, body):
-            return f"[{b.name}] {print_term(body)}"
-        case Tup(items):
-            return "(" + ", ".join(print_term(s) for s in items) + ")"
-        case App(f, arg):
-            if isinstance(arg, Tup):
-                return f + "(" + ", ".join(print_term(s) for s in arg.items) + ")"
-            return f + "(" + print_term(arg) + ")"
-    raise TypeError(f"not a term: {t!r}")
+    """The text of t.  It walks an explicit stack of terms and text, so a
+    term nested deeper than Python's recursion limit prints too."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        # isinstance tests: on the small terms most calls print, class patterns cost about twice as much
+        if type(t) is str:
+            out.append(t)
+        elif isinstance(t, AtomTerm):
+            out.append(t.atom.name)
+        elif isinstance(t, Susp):
+            out.append(f"{print_perm(t.perm)}.{t.var.name}" if t.perm.swappings else t.var.name)
+        elif isinstance(t, Abs):
+            stack += (t.body, f"[{t.binder.name}] ")
+        elif isinstance(t, Tup):
+            stack += _listed("(", t.items)
+        elif isinstance(t, App):
+            stack += _listed(t.symbol + "(", t.arg.items if isinstance(t.arg, Tup) else (t.arg,))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
+
+
+def _listed(opening: str, items) -> list:
+    """Stack entries that print opening, the items separated by commas, and ")"."""
+    text = [opening] + [x for s in items for x in (s, ", ")]
+    text[-1] = ")"
+    return text[::-1]
 
 
 def print_perm(p: Permutation) -> str:

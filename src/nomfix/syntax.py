@@ -76,12 +76,20 @@ class Swapping:
 class Permutation:
     """A finite permutation of atoms, stored as a list of swappings.
 
-    The rightmost swapping acts first: (a b)(b c) sends c to a.
-    Structural equality compares swapping lists; use same_action for
-    extensional equality.
+    The rightmost swapping acts first: (a b)(b c) sends c to a.  The
+    constructor takes any list and keeps the canonical one for its action:
+    each cycle c0 -> c1 -> ... -> ck, written from its least atom c0, becomes
+    (c0 c1)(c1 c2)...(ck-1 ck), and the cycles follow the order of their
+    least atoms.  So == and hash compare permutations, and every term,
+    constraint and context holding one, by action, and str prints one text
+    per permutation: (b a) prints (a b), (a b)(a b) prints Id.
     """
 
     swappings: tuple[Swapping, ...] = ()
+
+    def __post_init__(self):
+        if self.swappings:
+            object.__setattr__(self, "swappings", _canonical(self.swappings))
 
     @staticmethod
     def identity() -> Permutation:
@@ -101,55 +109,51 @@ class Permutation:
 
     def compose(self, other: Permutation) -> Permutation:
         """self after other: (self.compose(other))(a) == self(other(a))."""
+        if not self.swappings or not other.swappings:
+            return self if not other.swappings else other
         return Permutation(self.swappings + other.swappings)
 
     def conjugate(self, rho: Permutation) -> Permutation:
         """rho o self o rho^-1."""
-        return rho.compose(self).compose(rho.inverse())
-
-    def mentioned_atoms(self) -> set[Atom]:
-        out = set()
-        for sw in self.swappings:
-            out.add(sw.left)
-            out.add(sw.right)
-        return out
+        return Permutation(rho.swappings + self.swappings + tuple(reversed(rho.swappings)))
 
     def support(self) -> frozenset[Atom]:
-        return frozenset(a for a in self.mentioned_atoms() if self(a) != a)
+        """The atoms the permutation moves: those of its canonical list."""
+        return frozenset(a for sw in self.swappings for a in (sw.left, sw.right))
 
     def is_identity(self) -> bool:
-        return not self.support()
+        return not self.swappings
 
     def same_action(self, other: Permutation) -> bool:
-        return not self.disagreement_set(other)
-
-    def disagreement_set(self, other: Permutation) -> frozenset[Atom]:
-        atoms = self.mentioned_atoms() | other.mentioned_atoms()
-        return frozenset(a for a in atoms if self(a) != other(a))
-
-    def normalize(self) -> Permutation:
-        """Canonical swapping list built from the cycle decomposition, cycles
-        ordered by their least atom."""
-        seen: set[Atom] = set()
-        swaps: list[Swapping] = []
-        for a in sorted(self.support()):
-            if a in seen:
-                continue
-            cycle = [a]
-            seen.add(a)
-            b = self(a)
-            while b != a:
-                cycle.append(b)
-                seen.add(b)
-                b = self(b)
-            for x, y in zip(cycle, cycle[1:]):
-                swaps.append(Swapping(x, y))
-        return Permutation(tuple(swaps))
+        """Alias of ==, kept as a public name: == compares permutations by action."""
+        return self == other
 
     def __str__(self) -> str:
         if not self.swappings:
             return "Id"
         return "".join(str(sw) for sw in self.swappings)
+
+
+def _canonical(swappings: tuple[Swapping, ...]) -> tuple[Swapping, ...]:
+    """The canonical swapping list of the permutation a list denotes."""
+    if len(swappings) == 1:
+        (sw,) = swappings
+        return swappings if sw.left < sw.right else (Swapping(sw.right, sw.left),)
+    image: dict[Atom, Atom] = {}
+    for sw in swappings:
+        # composing with (a b) on the right swaps the images of a and b
+        a, b = sw.left, sw.right
+        image[a], image[b] = image.get(b, b), image.get(a, a)
+    moved = {a: b for a, b in image.items() if a != b}
+    out: list[Swapping] = []
+    for least in sorted(moved):
+        a = least
+        while a in moved:
+            b = moved.pop(a)
+            if b != least:
+                out.append(Swapping(a, b))
+            a = b
+    return tuple(out)
 
 
 class Theory(enum.Enum):
@@ -293,7 +297,7 @@ def atoms_of(t: Term) -> set[Atom]:
         case App(_, arg):
             return atoms_of(arg)
         case Susp(p, _):
-            return p.mentioned_atoms()
+            return set(p.support())
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -314,33 +318,9 @@ def term_size(t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def term_height(t: Term) -> int:
-    match t:
-        case AtomTerm() | Susp():
-            return 1
-        case Abs(_, body):
-            return 1 + term_height(body)
-        case App(_, arg):
-            return 1 + term_height(arg)
-        case Tup(items):
-            return 1 + max(term_height(s) for s in items)
-    raise TypeError(f"not a term: {t!r}")
-
-
 def same_term(s: Term, t: Term) -> bool:
-    """Structural equality, comparing suspension permutations by action."""
-    match (s, t):
-        case (AtomTerm(a), AtomTerm(b)):
-            return a == b
-        case (Abs(a, s1), Abs(b, t1)):
-            return a == b and same_term(s1, t1)
-        case (Tup(xs), Tup(ys)):
-            return len(xs) == len(ys) and all(same_term(x, y) for x, y in zip(xs, ys))
-        case (App(f, s1), App(g, t1)):
-            return f == g and same_term(s1, t1)
-        case (Susp(p, x), Susp(q, y)):
-            return x == y and p.same_action(q)
-    return False
+    """Alias of ==, kept as a public name: == compares suspension permutations by action."""
+    return s == t
 
 
 def flatten(sig: Signature, t: Term) -> Term:
@@ -444,7 +424,7 @@ class Substitution:
         if not isinstance(other, Substitution):
             return NotImplemented
         dom = self.domain() | other.domain()
-        return all(same_term(self(var(x.name)), other(var(x.name))) for x in dom)
+        return all(self(var(x.name)) == other(var(x.name)) for x in dom)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{x} -> {t}" for x, t in sorted(self.bindings.items(), key=lambda kv: kv[0]))
@@ -460,6 +440,10 @@ class NameGenerator:
     """
 
     def __init__(self, prefix: str = GENERATED_PREFIX, start: int = 0):
+        # prefix + digits must print as an atom: not as a variable, a number or several tokens
+        bad_start = not prefix or prefix[0].isupper() or prefix[0].isdigit()
+        if bad_start or any(c.isspace() or c in "()[],.;:?=" for c in prefix):
+            raise IllFormedTermError(f"generated atoms with prefix {prefix!r} would not print as atoms")
         self.prefix = prefix
         self._counter = itertools.count(start)
 
@@ -489,9 +473,6 @@ class FreshnessContext:
 
     def extend(self, pairs) -> FreshnessContext:
         return FreshnessContext(self.constraints | frozenset(pairs))
-
-    def variables(self) -> set[Var]:
-        return {x for _, x in self.constraints}
 
     def atoms(self) -> set[Atom]:
         return {a for a, _ in self.constraints}
@@ -527,13 +508,10 @@ class FixpointContext:
     def extend(self, pairs) -> FixpointContext:
         return FixpointContext(self.constraints | frozenset(pairs))
 
-    def variables(self) -> set[Var]:
-        return {x for _, x in self.constraints}
-
     def atoms(self) -> set[Atom]:
         out: set[Atom] = set()
         for p, _ in self.constraints:
-            out |= p.mentioned_atoms()
+            out |= p.support()
         return out
 
     def entries(self) -> list[tuple[Permutation, Var]]:
@@ -552,7 +530,7 @@ def atoms_in(*parts) -> set[Atom]:
         if isinstance(x, Atom):
             out.add(x)
         elif isinstance(x, Permutation):
-            out |= x.mentioned_atoms()
+            out |= x.support()
         elif isinstance(x, Term):
             out |= atoms_of(x)
         else:

@@ -43,11 +43,10 @@ def fresh_to_fixp(
     pairs = []
     for a, x in ctx.entries():
         c = gen.fresh()
-        pairs.append((Permutation.swap(a, c), x))
+        p = Permutation.swap(a, c)
+        pairs.append((p, x))
         if records is not None:
-            records.append(
-                TranslationRecord(f"{a} fresh {x}", f"({a} {c}) fix {x}", (c,))
-            )
+            records.append(TranslationRecord(f"{a} fresh {x}", f"{p} fix {x}", (c,)))
     return FixpointContext(frozenset(pairs))
 
 

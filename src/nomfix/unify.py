@@ -312,11 +312,7 @@ def extract_solution(pr: Problem, path) -> Solution:
     in one pass from the leaf back to the root: a binding never mentions a
     variable bound before it, so it is final once the later ones are
     applied to it."""
-    pairs = []
-    for c in pr:
-        p = c.perm.normalize()
-        if p.swappings:
-            pairs.append((p, c.target.var))
+    pairs = [(c.perm, c.target.var) for c in pr if c.perm.swappings]
     sigma = Substitution()
     while path is not None:
         step, path = path

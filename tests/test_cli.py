@@ -109,6 +109,13 @@ class TestOptions:
         payload = json.loads(out)
         assert all("%n" in e["perm"] for e in payload["context"])
 
+    @pytest.mark.parametrize("prefix", ["X", ""])
+    def test_fresh_prefix_not_printing_as_atoms_rejected(self, capsys, data_dir, prefix):
+        code, out, err = run(
+            capsys, "translate", str(data_dir / "translate_fresh.nom"), "--fresh-prefix", prefix
+        )
+        assert code == 2 and err.startswith("error:") and not out
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[a] a =? [b] b"))
         code, out, _ = run(capsys, "alpha", "-")
@@ -139,6 +146,17 @@ class TestOptions:
         code, out, _ = run(capsys, "unify", str(data_dir / "unify_abs.nom"), "--trace")
         assert code == 0
         assert "eq-abs-rename" in out
+
+
+class TestDeepChain:
+    def test_four_hundred_equation_chain_prints(self, capsys, monkeypatch):
+        n = 400
+        text = ",\n".join(f"X{i} =? f((X{i + 1}, a))" for i in range(n))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "unify", "-", "--json")
+        assert code == 0
+        (x0,) = [e["term"] for e in json.loads(out)["subst"] if e["var"] == "X0"]
+        assert x0 == "f(" * n + f"X{n}" + ", a)" * n
 
 
 class TestSelfcheck:

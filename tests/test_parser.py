@@ -20,7 +20,6 @@ from nomfix import (
     parse_term,
     print_perm,
     print_term,
-    same_term,
 )
 from nomfix.parser import FreshRequest, ParseError
 from gen import SIG_FULL, random_perm, random_term
@@ -139,9 +138,9 @@ class TestRoundTrip:
     def test_terms(self, rng):
         for _ in range(400):
             t = random_term(rng, SIG_FULL, depth=4)
-            assert same_term(parse_term(print_term(t), SIG_FULL), t)
+            assert parse_term(print_term(t), SIG_FULL) == t
 
     def test_permutations(self, rng):
         for _ in range(200):
             p = random_perm(rng)
-            assert parse_perm(print_perm(p)).same_action(p)
+            assert parse_perm(print_perm(p)) == p
