@@ -190,23 +190,25 @@ class Signature:
 
 
 class Term:
-    """Base class of the term grammar."""
+    """Base class of the term grammar.  Terms are immutable, so a node keeps
+    its size and its free variables in two memo slots, filled by term_size
+    and free_vars the first time they are asked for, or copied by act."""
 
-    __slots__ = ()
+    __slots__ = ("_size", "_vars")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomTerm(Term):
     atom: Atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     binder: Atom
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tup(Term):
     items: tuple[Term, ...]
 
@@ -215,13 +217,13 @@ class Tup(Term):
             raise IllFormedTermError("tuples need at least two components")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     symbol: str
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Susp(Term):
     """A moderated variable pi.X."""
 
@@ -254,32 +256,51 @@ def act(perm: Permutation, t: Term) -> Term:
         case AtomTerm(a):
             return AtomTerm(perm(a))
         case Abs(b, body):
-            return Abs(perm(b), act(perm, body))
+            out = Abs(perm(b), act(perm, body))
         case Tup(items):
-            return Tup(tuple(act(perm, s) for s in items))
+            out = Tup(tuple(act(perm, s) for s in items))
         case App(f, arg):
-            return App(f, act(perm, arg))
+            out = App(f, act(perm, arg))
         case Susp(p, x):
-            return Susp(perm.compose(p), x)
-    raise TypeError(f"not a term: {t!r}")
+            out = Susp(perm.compose(p), x)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    # the action renames atoms only, so t's size and variables are out's
+    for slot in Term.__slots__:
+        memo = getattr(t, slot, None)
+        if memo is not None:
+            object.__setattr__(out, slot, memo)
+    return out
 
 
-def free_vars(t: Term) -> set[Var]:
+_NO_VARS: frozenset[Var] = frozenset()
+
+
+def free_vars(t: Term) -> frozenset[Var]:
+    """The variables of t.  Memoised on the immutable term: each node
+    computes its set once, from its children's, and every later call
+    returns that same shared frozenset."""
+    out = getattr(t, "_vars", None)
+    if out is not None:
+        return out
     match t:
         case AtomTerm():
-            return set()
+            out = _NO_VARS
         case Abs(_, body):
-            return free_vars(body)
-        case Tup(items):
-            out: set[Var] = set()
-            for s in items:
-                out |= free_vars(s)
-            return out
+            out = free_vars(body)
         case App(_, arg):
-            return free_vars(arg)
+            out = free_vars(arg)
         case Susp(_, x):
-            return {x}
-    raise TypeError(f"not a term: {t!r}")
+            out = frozenset((x,))
+        case Tup(items):
+            parts = [free_vars(s) for s in items]
+            out = max(parts, key=len)
+            if not all(p <= out for p in parts):
+                out = out.union(*parts)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_vars", out)
+    return out
 
 
 def atoms_of(t: Term) -> set[Atom]:
@@ -306,16 +327,24 @@ def is_ground(t: Term) -> bool:
 
 
 def term_size(t: Term) -> int:
+    """The number of nodes of t.  Memoised on the immutable term: each node
+    computes its size once, from its children's, so later calls cost O(1)."""
+    n = getattr(t, "_size", None)
+    if n is not None:
+        return n
     match t:
         case AtomTerm() | Susp():
-            return 1
+            n = 1
         case Abs(_, body):
-            return 1 + term_size(body)
+            n = 1 + term_size(body)
         case App(_, arg):
-            return 1 + term_size(arg)
+            n = 1 + term_size(arg)
         case Tup(items):
-            return 1 + sum(term_size(s) for s in items)
-    raise TypeError(f"not a term: {t!r}")
+            n = 1 + sum(term_size(s) for s in items)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_size", n)
+    return n
 
 
 def same_term(s: Term, t: Term) -> bool:
@@ -385,15 +414,16 @@ def check_well_formed(sig: Signature, t: Term, theories=None) -> None:
 
 class Substitution:
     """A finite map from variables to terms, applied homomorphically and
-    possibly capturing: (pi.X)[X := s] is pi acting on s."""
+    possibly capturing: (pi.X)[X := s] is pi acting on s.  Subterms without
+    a bound variable are shared with the input, not rebuilt."""
 
     def __init__(self, bindings: dict[Var, Term] | None = None):
         self.bindings: dict[Var, Term] = dict(bindings or {})
 
     def __call__(self, t: Term) -> Term:
+        if self.bindings.keys().isdisjoint(free_vars(t)):
+            return t
         match t:
-            case AtomTerm():
-                return t
             case Abs(b, body):
                 return Abs(b, self(body))
             case Tup(items):
@@ -401,9 +431,7 @@ class Substitution:
             case App(f, arg):
                 return App(f, self(arg))
             case Susp(p, x):
-                if x in self.bindings:
-                    return act(p, self.bindings[x])
-                return t
+                return act(p, self.bindings[x])
         raise TypeError(f"not a term: {t!r}")
 
     def compose(self, other: Substitution) -> Substitution:

@@ -122,17 +122,14 @@ def is_primitive(c: Constraint) -> bool:
     return isinstance(c, Fix) and isinstance(c.target, Susp) and not c.target.perm.swappings
 
 
-def constraint_vars(c: Constraint) -> set[Var]:
+def constraint_vars(c: Constraint) -> frozenset[Var]:
     if isinstance(c, Eq):
         return free_vars(c.lhs) | free_vars(c.rhs)
     return free_vars(c.target)
 
 
-def problem_vars(pr: Problem) -> set[Var]:
-    out: set[Var] = set()
-    for c in pr:
-        out |= constraint_vars(c)
-    return out
+def problem_vars(pr: Problem) -> frozenset[Var]:
+    return frozenset().union(*map(constraint_vars, pr))
 
 
 def problem_measure(pr: Problem):

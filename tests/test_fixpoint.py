@@ -13,6 +13,7 @@ from nomfix import (
     flatten,
     parse_perm,
     parse_term,
+    term_size,
 )
 from gen import SIG_FULL, random_fixp_context, random_perm, random_term
 
@@ -157,12 +158,15 @@ class TestMeasure:
     judgement kind), on every fix and alpha step."""
 
     def test_non_decreasing_measure_raises(self, monkeypatch):
+        s, t = parse_term("(a, b)"), parse_term("(c, c)")
+        # sized first, so an engine reading the memo past term_size would not raise
+        assert term_size(s) == term_size(t) == 3
         # with every term of size 1 no premise can be below its conclusion
-        monkeypatch.setattr("nomfix.fixpoint.term_size", lambda t: 1)
+        monkeypatch.setattr("nomfix.fixpoint.term_size", lambda _: 1)
         with pytest.raises(AssertionError, match="did not decrease"):
-            check_alpha_fixp(SIG0, EMPTY, parse_term("(a, b)"), parse_term("(a, b)"))
+            check_alpha_fixp(SIG0, EMPTY, s, s)
         with pytest.raises(AssertionError, match="did not decrease"):
-            check_fixp(SIG0, EMPTY, parse_perm("(a b)"), parse_term("(c, c)"))
+            check_fixp(SIG0, EMPTY, parse_perm("(a b)"), t)
 
     def test_random_sweep_raises_nothing(self, rng):
         for _ in range(300):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from nomfix import (
     Abs,
@@ -10,6 +11,7 @@ from nomfix import (
     Permutation,
     Signature,
     Susp,
+    Swapping,
     Theory,
     Tup,
     Var,
@@ -144,3 +146,27 @@ class TestRoundTrip:
         for _ in range(200):
             p = random_perm(rng)
             assert parse_perm(print_perm(p)) == p
+
+
+# short user atom and variable names, except the signature's symbols (an
+# atom named f would parse as an application) and the reserved Id
+user_atoms = st.from_regex(r"[a-z][a-z0-9_']{0,2}", fullmatch=True).filter(lambda n: n not in SIG_FULL.symbols)
+user_perms = st.lists(st.lists(user_atoms, min_size=2, max_size=2, unique=True), max_size=3).map(
+    lambda pairs: Permutation(tuple(Swapping(Atom(x), Atom(y)) for x, y in pairs))
+)
+user_vars = st.from_regex(r"[A-Z][a-z0-9_']{0,2}", fullmatch=True).filter(lambda n: n != "Id").map(Var)
+user_terms = st.recursive(
+    st.one_of(user_atoms.map(lambda n: AtomTerm(Atom(n))), st.builds(Susp, user_perms, user_vars)),
+    lambda sub: st.one_of(
+        st.builds(Abs, user_atoms.map(Atom), sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda items: Tup(tuple(items))),
+        st.builds(App, st.just("f"), sub),
+        st.builds(lambda f, s, t: App(f, Tup((s, t))), st.sampled_from(["cat", "+", "*"]), sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+@given(user_terms)
+def test_parse_inverts_print_on_user_atom_terms(t):
+    assert parse_term(print_term(t), SIG_FULL) == t

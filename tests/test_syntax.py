@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,7 @@ from nomfix import (
     pair,
     parse_perm,
     parse_term,
+    print_term,
     same_term,
     term_size,
     var,
@@ -268,3 +271,56 @@ def test_canonical_form_is_equality_of_action(l1, l2, respell):
 def test_atom_ordering_total(k):
     xs = [Atom("a"), Atom("b"), Atom("#c0", gen_index=0), Atom(f"#c{k}", gen_index=k)]
     assert sorted(xs) == sorted(xs, key=lambda x: (x.name, x.gen_index))
+
+
+def reference_size(t) -> int:
+    """The number of nodes of t, folded afresh on every call."""
+    match t:
+        case Abs(_, s) | App(_, s):
+            return 1 + reference_size(s)
+        case Tup(items):
+            return 1 + sum(map(reference_size, items))
+    return 1
+
+
+def reference_vars(t) -> set:
+    """The variables of t, folded afresh on every call."""
+    match t:
+        case Susp(_, x):
+            return {x}
+        case Abs(_, s) | App(_, s):
+            return reference_vars(s)
+        case Tup(items):
+            return set().union(*map(reference_vars, items))
+    return set()
+
+
+def subterms(t):
+    yield t
+    match t:
+        case Abs(_, s) | App(_, s):
+            yield from subterms(s)
+        case Tup(items):
+            for s in items:
+                yield from subterms(s)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_memoised_size_and_vars_match_a_fresh_fold(seed):
+    rng = random.Random(seed)
+    t = random_term(rng, SIG_FULL, depth=4)
+    p = random_perm(rng)
+    sigma = Substitution({x: random_term(rng, SIG_FULL, depth=2) for x in VARS if rng.random() < 0.6})
+    shown = (repr(t), print_term(t), hash(t))
+    # derived before t's memo is filled, and after, when act carries it over
+    derived = [act(p, t), sigma(t), flatten(SIG_FULL, t)]
+    assert (term_size(t), free_vars(t)) == (reference_size(t), reference_vars(t))
+    derived += [act(p, t), sigma(t), flatten(SIG_FULL, t), act(p, sigma(t))]
+    for u in [t, *derived]:
+        for v in subterms(u):
+            assert isinstance(free_vars(v), frozenset)
+            assert (term_size(v), free_vars(v)) == (reference_size(v), reference_vars(v))
+    # filling the memo changes nothing the term shows: twin is t built again, memo empty
+    twin = random_term(random.Random(seed), SIG_FULL, depth=4)
+    assert (repr(t), print_term(t), hash(t)) == shown == (repr(twin), print_term(twin), hash(twin))
+    assert t == twin and twin == t
