@@ -13,28 +13,33 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .printer import print_term
-from .syntax import Abs, App, AtomTerm, Permutation, Susp, Term, Theory, Tup, act, equational_args, is_pair
+from .syntax import Abs, App, AtomTerm, Renaming, Susp, Term, Theory, Tup, act, equational_args, is_pair
 
 
 @dataclass(slots=True)
 class TraceNode:
     """One judgement of a derivation: the rule that decided it, the goal's
     parts (atoms, permutations, terms and keywords, printed only when read),
-    whether it holds, and its premises."""
+    whether it holds, and its premises.  A part may be a (permutation, term)
+    pair, which stands for the permutation acting on the term."""
 
     rule: str
     parts: tuple
     ok: bool = False
     children: list[TraceNode] = field(default_factory=list)
 
-    def child(self, rule: str, *parts) -> TraceNode:
+    def child(self, rule: str, rho: Renaming | None, *parts) -> TraceNode:
+        """A premise whose last part, a term, stands for rho acting on it.
+        rho changes afterwards, so the pair keeps it as a Permutation."""
+        if rho is not None and rho.image:
+            parts = (*parts[:-1], (rho.permutation(), parts[-1]))
         node = TraceNode(rule, parts)
         self.children.append(node)
         return node
 
     @property
     def goal(self) -> str:
-        return " ".join(print_term(p) if isinstance(p, Term) else str(p) for p in self.parts)
+        return " ".join(map(_show, self.parts))
 
     def to_dict(self) -> dict:
         return {
@@ -59,8 +64,14 @@ class _Untraced(TraceNode):
 
     __slots__ = ()
 
-    def child(self, rule: str, *parts) -> TraceNode:
+    def child(self, rule: str, rho: Renaming | None, *parts) -> TraceNode:
         return self
+
+
+def _show(part) -> str:
+    if isinstance(part, tuple):
+        part = act(*part)
+    return print_term(part) if isinstance(part, Term) else str(part)
 
 
 def trace_root(trace: list[TraceNode] | None, *parts) -> TraceNode:
@@ -78,37 +89,41 @@ class AlphaRules(NamedTuple):
 
     prefix: str  # of the rule names, "~" or "eq-"
     var: Callable  # (ctx, p, q, x): does ctx derive p.X ~ q.X?
-    rename: Callable  # (sig, ctx, gen, a, t, node, bound): side condition of [a] s ~ [b] t
+    rename: Callable  # (sig, ctx, gen, a, t, rho, node, bound): side condition of [a] s ~ [b] rho.t
     measure: Callable | None = None  # (bound, s, t): this step's measure, asserted below bound
 
 
-def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, node: TraceNode, bound=None) -> bool:
-    """Decide ctx |- s ~ t modulo the theories in sig, recording the
-    derivation in node.  Premises recurse straight into alpha, so every
+def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, node: TraceNode, bound=None) -> bool:
+    """Decide ctx |- s ~ rho.t modulo the theories in sig, recording the
+    derivation in node.  rho is carried down t, not applied: atoms of t are
+    read through it, and renaming a binder composes one swapping onto it and
+    undoes it on return.  Premises recurse straight into alpha, so every
     level of nesting costs one Python frame."""
     if __debug__ and rules.measure is not None:
-        bound = rules.measure(bound, s, t)
+        bound = rules.measure(bound, s, t)  # rho.t has t's size
     pre = rules.prefix
     ok, premises = True, ()
     match (s, t):
         case (AtomTerm(a), AtomTerm(b)):
             node.rule = pre + "atom"
-            ok = a == b
+            ok = a == rho.image.get(b, b)
         case (Susp(p, x), Susp(q, y)) if x == y:
             node.rule = pre + "var"
-            ok = rules.var(ctx, p, q, x)
+            ok = rules.var(ctx, p, rho.compose(q), x)
         case (Tup(xs), Tup(ys)) if len(xs) == len(ys):
             node.rule = pre + "tuple"
             premises = zip(xs, ys)
-        case (Abs(a, s1), Abs(b, t1)) if a == b:
+        case (Abs(a, s1), Abs(b, t1)) if a == rho.image.get(b, b):
             node.rule = pre + "abs"
             premises = ((s1, t1),)
         case (Abs(a, s1), Abs(b, t1)):
+            # s1 ~ (a b').rho.t1 for b' = rho(b), then the side condition on rho.t1
             node.rule = pre + "abs-rename"
-            t2 = act(Permutation.swap(a, b), t1)
-            ok = alpha(rules, sig, ctx, gen, s1, t2, node.child("", s1, "=?", t2), bound) and rules.rename(
-                sig, ctx, gen, a, t1, node, bound
-            )
+            b = rho.image.get(b, b)
+            rho.swap(a, b)
+            ok = alpha(rules, sig, ctx, gen, s1, t1, rho, node.child("", rho, s1, "=?", t1), bound)
+            rho.swap(a, b)
+            ok = ok and rules.rename(sig, ctx, gen, a, t1, rho, node, bound)
         case (App(f, sarg), App(g, targ)) if f == g:
             th = sig.theory(f)
             if th is Theory.C and is_pair(sarg) and is_pair(targ):
@@ -116,15 +131,15 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, node: TraceNode, b
                 (s0, s1), (t0, t1) = sarg.items, targ.items
                 ok = False
                 for i, (u0, u1) in enumerate(((t0, t1), (t1, t0))):
-                    attempt = node.child(f"align-{i}", s, "=?", t)
-                    if alpha(rules, sig, ctx, gen, s0, u0, attempt.child("", s0, "=?", u0), bound) and alpha(
-                        rules, sig, ctx, gen, s1, u1, attempt.child("", s1, "=?", u1), bound
+                    attempt = node.child(f"align-{i}", rho, s, "=?", t)
+                    if alpha(rules, sig, ctx, gen, s0, u0, rho, attempt.child("", rho, s0, "=?", u0), bound) and alpha(
+                        rules, sig, ctx, gen, s1, u1, rho, attempt.child("", rho, s1, "=?", u1), bound
                     ):
                         attempt.ok = ok = True
                         break
             elif th is Theory.AC:
                 node.rule = pre + "app-AC"
-                ok = _ac(rules, sig, ctx, gen, f, equational_args(sig, s), equational_args(sig, t), node, bound)
+                ok = _ac(rules, sig, ctx, gen, f, equational_args(sig, s), equational_args(sig, t), rho, node, bound)
             elif th is Theory.A:
                 node.rule = pre + "app-A"
                 ss, ts = equational_args(sig, s), equational_args(sig, t)
@@ -137,25 +152,25 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, node: TraceNode, b
             ok = False
     if ok:
         for x, y in premises:
-            if not alpha(rules, sig, ctx, gen, x, y, node.child("", x, "=?", y), bound):
+            if not alpha(rules, sig, ctx, gen, x, y, rho, node.child("", rho, x, "=?", y), bound):
                 ok = False
                 break
     node.ok = ok
     return ok
 
 
-def _ac(rules, sig, ctx, gen, f: str, ss: list[Term], ts: list[Term], node: TraceNode, bound) -> bool:
-    """Match the arguments ss against a permutation of ts: pick a partner
-    for the head, then match the rest ("f remainder")."""
+def _ac(rules, sig, ctx, gen, f: str, ss: list[Term], ts: list[Term], rho: Renaming, node: TraceNode, bound) -> bool:
+    """Match the arguments ss against a permutation of rho.ts: pick a
+    partner for the head, then match the rest ("f remainder")."""
     if len(ss) != len(ts):
         return False
     if len(ss) == 1:
-        return alpha(rules, sig, ctx, gen, ss[0], ts[0], node.child("", ss[0], "=?", ts[0]), bound)
+        return alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, node.child("", rho, ss[0], "=?", ts[0]), bound)
     head = ss[0]
     for i, cand in enumerate(ts):
-        if alpha(rules, sig, ctx, gen, head, cand, node.child("", head, "=?", cand), bound):
-            rest = node.child(f"rest-{i}", f, "remainder")
-            if _ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rest, bound):
+        if alpha(rules, sig, ctx, gen, head, cand, rho, node.child("", rho, head, "=?", cand), bound):
+            rest = node.child(f"rest-{i}", None, f, "remainder")
+            if _ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rho, rest, bound):
                 rest.ok = True
                 return True
     return False

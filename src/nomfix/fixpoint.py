@@ -17,6 +17,7 @@ from .syntax import (
     FixpointContext,
     NameGenerator,
     Permutation,
+    Renaming,
     Signature,
     Susp,
     Term,
@@ -48,7 +49,7 @@ def check_fixp(
         t = flatten(sig, t)
     if gen is None:
         gen = generator_avoiding(atoms_in(ctx, t, perm))
-    return _fixp(sig, ctx, perm, t, gen, trace_root(trace, perm, "fix?", t), None)
+    return _fixp(sig, ctx, perm, t, Renaming(), gen, trace_root(trace, perm, "fix?", t), None)
 
 
 def check_alpha_fixp(
@@ -65,7 +66,7 @@ def check_alpha_fixp(
         t = flatten(sig, t)
     if gen is None:
         gen = generator_avoiding(atoms_in(ctx, s, t))
-    return alpha(_RULES, sig, ctx, gen, s, t, trace_root(trace, s, "=?", t))
+    return alpha(_RULES, sig, ctx, gen, s, t, Renaming(), trace_root(trace, s, "=?", t))
 
 
 def _measure(bound, *terms: Term, kind: int = _EQ) -> tuple[int, int]:
@@ -81,37 +82,47 @@ def _fixp(
     ctx: FixpointContext,
     perm: Permutation,
     t: Term,
+    rho: Renaming,
     gen: NameGenerator,
     node: TraceNode,
     bound,
 ) -> bool:
+    """Decide ctx |- perm fix rho.t, carrying rho down t as alpha does."""
     if __debug__:
-        bound = _measure(bound, t, kind=_FIX)
+        bound = _measure(bound, t, kind=_FIX)  # rho.t has t's size
     match t:
         case AtomTerm(a):
             node.rule = "fix-atom"
+            a = rho.image.get(a, a)
             node.ok = perm(a) == a
         case Susp(q, x):
             node.rule = "fix-var"
-            node.ok = perm.conjugate(q.inverse()).support() <= ctx.supp_of(x)
+            node.ok = perm.conjugate(rho.compose(q).inverse()).support() <= ctx.supp_of(x)
         case Tup(items):
             node.rule = "fix-tuple"
-            node.ok = all(_fixp(sig, ctx, perm, s, gen, node.child("", perm, "fix?", s), bound) for s in items)
+            node.ok = all(
+                _fixp(sig, ctx, perm, s, rho, gen, node.child("", rho, perm, "fix?", s), bound) for s in items
+            )
         case App(f, arg):
             th = sig.theory(f)
             if th in (Theory.NONE, Theory.A):
                 node.rule = "fix-app"
-                node.ok = _fixp(sig, ctx, perm, arg, gen, node.child("", perm, "fix?", arg), bound)
+                node.ok = _fixp(sig, ctx, perm, arg, rho, gen, node.child("", rho, perm, "fix?", arg), bound)
             else:
-                # commutative theories: pi fixes t when pi.t ~ t
+                # commutative theories: pi fixes t when pi.t ~ t; rho is acted out here, once
                 node.rule = f"fix-app-{th.value}"
+                t = act(rho.permutation(), t)
                 moved = act(perm, t)
-                node.ok = alpha(_RULES, sig, ctx, gen, moved, t, node.child("", moved, "=?", t), bound)
+                inner = node.child("", None, moved, "=?", t)
+                node.ok = alpha(_RULES, sig, ctx, gen, moved, t, Renaming(), inner, bound)
         case Abs(a, body):
+            # pi fix [a'] rho.body, a' = rho(a), needs pi fix (a' c1).rho.body
             node.rule = "fix-abs"
             c1, new = gen.newness(body)
-            moved = act(Permutation.swap(a, c1), body)
-            node.ok = _fixp(sig, ctx.extend(new), perm, moved, gen, node.child("", perm, "fix?", moved), bound)
+            a = rho.image.get(a, a)
+            rho.swap(a, c1)
+            node.ok = _fixp(sig, ctx.extend(new), perm, body, rho, gen, node.child("", rho, perm, "fix?", body), bound)
+            rho.swap(a, c1)
         case _:
             raise TypeError(f"not a term: {t!r}")
     return node.ok
@@ -121,11 +132,13 @@ def _var(ctx: FixpointContext, p: Permutation, q: Permutation, x) -> bool:
     return q.inverse().compose(p).support() <= ctx.supp_of(x)
 
 
-def _rename(sig, ctx: FixpointContext, gen: NameGenerator, a: Atom, t: Term, node: TraceNode, bound) -> bool:
-    # [a] s ~ [b] t needs (a c1) fix t for a new atom c1
+def _rename(
+    sig, ctx: FixpointContext, gen: NameGenerator, a: Atom, t: Term, rho: Renaming, node: TraceNode, bound
+) -> bool:
+    # [a] s ~ [b] rho.t needs (a c1) fix rho.t for a new atom c1
     c1, new = gen.newness(t)
     p = Permutation.swap(a, c1)
-    return _fixp(sig, ctx.extend(new), p, t, gen, node.child("", p, "fix?", t), bound)
+    return _fixp(sig, ctx.extend(new), p, t, rho, gen, node.child("", rho, p, "fix?", t), bound)
 
 
 _RULES = AlphaRules("eq-", _var, _rename, _measure)

@@ -11,6 +11,7 @@ from .syntax import (
     AtomTerm,
     Atom,
     FreshnessContext,
+    Renaming,
     Signature,
     Susp,
     Term,
@@ -23,30 +24,32 @@ def check_fresh(
     ctx: FreshnessContext, a: Atom, t: Term, trace: list[TraceNode] | None = None
 ) -> bool:
     """Decide ctx |- a # t.  Freshness does not look at equational theories."""
-    return _fresh(ctx, a, t, trace_root(trace, a, "fresh?", t))
+    return _fresh(ctx, a, t, Renaming(), trace_root(trace, a, "fresh?", t))
 
 
-def _fresh(ctx: FreshnessContext, a: Atom, t: Term, node: TraceNode) -> bool:
+def _fresh(ctx: FreshnessContext, a: Atom, t: Term, rho: Renaming, node: TraceNode) -> bool:
+    """Decide ctx |- a # rho.t, reading the atoms of t through rho."""
     match t:
         case AtomTerm(b):
             node.rule = "#atom"
-            node.ok = a != b
+            node.ok = a != rho.image.get(b, b)
         case Susp(p, x):
+            # a # rho.p.X when p^-1(rho^-1(a)) # X
             node.rule = "#var"
-            node.ok = ctx.holds(p.inverse()(a), x)
+            node.ok = ctx.holds(p.inverse()(rho.preimage.get(a, a)), x)
         case App(_, arg):
             node.rule = "#app"
-            node.ok = _fresh(ctx, a, arg, node.child("", a, "fresh?", arg))
+            node.ok = _fresh(ctx, a, arg, rho, node.child("", rho, a, "fresh?", arg))
         case Tup(items):
             node.rule = "#tuple"
-            node.ok = all(_fresh(ctx, a, s, node.child("", a, "fresh?", s)) for s in items)
+            node.ok = all(_fresh(ctx, a, s, rho, node.child("", rho, a, "fresh?", s)) for s in items)
         case Abs(b, body):
-            if a == b:
+            if a == rho.image.get(b, b):
                 node.rule = "#abs-same"
                 node.ok = True
             else:
                 node.rule = "#abs"
-                node.ok = _fresh(ctx, a, body, node.child("", a, "fresh?", body))
+                node.ok = _fresh(ctx, a, body, rho, node.child("", rho, a, "fresh?", body))
         case _:
             raise TypeError(f"not a term: {t!r}")
     return node.ok
@@ -64,7 +67,7 @@ def check_alpha_fresh(
     if sig.has_equational_symbols():
         s = flatten(sig, s)
         t = flatten(sig, t)
-    return alpha(_RULES, sig, ctx, None, s, t, trace_root(trace, s, "=?", t))
+    return alpha(_RULES, sig, ctx, None, s, t, Renaming(), trace_root(trace, s, "=?", t))
 
 
 def _var(ctx: FreshnessContext, p, q, x) -> bool:
@@ -72,9 +75,9 @@ def _var(ctx: FreshnessContext, p, q, x) -> bool:
     return all(ctx.holds(a, x) for a in q.inverse().compose(p).support())
 
 
-def _rename(sig, ctx: FreshnessContext, gen, a: Atom, t: Term, node: TraceNode, bound) -> bool:
-    # [a] s ~ [b] t needs a # t
-    return _fresh(ctx, a, t, node.child("", a, "fresh?", t))
+def _rename(sig, ctx: FreshnessContext, gen, a: Atom, t: Term, rho: Renaming, node: TraceNode, bound) -> bool:
+    # [a] s ~ [b] rho.t needs a # rho.t
+    return _fresh(ctx, a, t, rho, node.child("", rho, a, "fresh?", t))
 
 
 _RULES = AlphaRules("~", _var, _rename)

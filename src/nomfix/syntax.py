@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -24,17 +26,61 @@ class UndeclaredSymbolError(NomfixError):
 GENERATED_PREFIX = "#c"
 
 
-@dataclass(frozen=True, order=True)
+# (name, gen_index) -> a weak reference to the live atom of that name; the
+# table is swept of dead references whenever it has doubled since the last
+# sweep, so it stays within about twice the number of live atoms
+_INTERNED: dict[tuple[str, int], weakref.ref] = {}
+
+
+@functools.total_ordering
 class Atom:
     """An object-level name.  Generated atoms come from a NameGenerator and
-    carry the reserved prefix in their printed name."""
+    carry the reserved prefix in their printed name.
 
-    name: str
-    gen_index: int = -1
+    Atoms are interned: Atom(name, gen_index) returns the one live atom with
+    that name and index, so == is identity and the hash is the object's own.
+    Atoms are ordered by (name, gen_index).
+    """
+
+    __slots__ = ("name", "gen_index", "__weakref__")
+    __match_args__ = ("name", "gen_index")
+    _sweep_at = 1024
+
+    def __new__(cls, name: str, gen_index: int = -1) -> Atom:
+        key = (name, gen_index)
+        ref = _INTERNED.get(key)
+        self = ref() if ref is not None else None
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+            object.__setattr__(self, "gen_index", gen_index)
+            _INTERNED[key] = weakref.ref(self)
+            if len(_INTERNED) > Atom._sweep_at:
+                for k in [k for k, r in _INTERNED.items() if r() is None]:
+                    del _INTERNED[k]
+                Atom._sweep_at = 2 * len(_INTERNED) + 1024
+        return self
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"atoms are immutable: cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"atoms are immutable: cannot delete {attr}")
+
+    def __reduce__(self):
+        return Atom, (self.name, self.gen_index)
+
+    def __lt__(self, other: Atom) -> bool:
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return (self.name, self.gen_index) < (other.name, other.gen_index)
 
     @property
     def generated(self) -> bool:
         return self.gen_index >= 0
+
+    def __repr__(self) -> str:
+        return f"Atom(name={self.name!r}, gen_index={self.gen_index!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -144,7 +190,12 @@ def _canonical(swappings: tuple[Swapping, ...]) -> tuple[Swapping, ...]:
         # composing with (a b) on the right swaps the images of a and b
         a, b = sw.left, sw.right
         image[a], image[b] = image.get(b, b), image.get(a, a)
-    moved = {a: b for a, b in image.items() if a != b}
+    return _cycles({a: b for a, b in image.items() if a != b})
+
+
+def _cycles(moved: dict[Atom, Atom]) -> tuple[Swapping, ...]:
+    """The canonical swapping list of the permutation sending each key of
+    moved to its value; moved lists only atoms that move, and is emptied."""
     out: list[Swapping] = []
     for least in sorted(moved):
         a = least
@@ -154,6 +205,48 @@ def _canonical(swappings: tuple[Swapping, ...]) -> tuple[Swapping, ...]:
                 out.append(Swapping(a, b))
             a = b
     return tuple(out)
+
+
+class Renaming:
+    """A pending permutation rho, kept as its image and preimage maps of the
+    atoms it moves, for the checking engines to carry down a term instead of
+    applying it: a term argument t then stands for rho.t.
+
+    swap(a, b) composes (a b) on the left in O(1); composing it again
+    undoes it, and leaves both maps as they were.
+    """
+
+    __slots__ = ("image", "preimage")
+
+    def __init__(self):
+        self.image: dict[Atom, Atom] = {}
+        self.preimage: dict[Atom, Atom] = {}
+
+    def __call__(self, a: Atom) -> Atom:
+        return self.image.get(a, a)
+
+    def inverse(self, a: Atom) -> Atom:
+        return self.preimage.get(a, a)
+
+    def swap(self, a: Atom, b: Atom) -> None:
+        """rho := (a b) o rho: the atoms rho sent to a now go to b, and back."""
+        image, preimage = self.image, self.preimage
+        for x, y in ((preimage.get(a, a), b), (preimage.get(b, b), a)):
+            if x == y:
+                del image[x], preimage[y]
+            else:
+                image[x], preimage[y] = y, x
+
+    def permutation(self) -> Permutation:
+        """rho as a Permutation, its canonical list written from the image
+        map directly."""
+        p = Permutation()
+        object.__setattr__(p, "swappings", _cycles(dict(self.image)))
+        return p
+
+    def compose(self, other: Permutation) -> Permutation:
+        """rho after other, as a Permutation."""
+        return self.permutation().compose(other) if self.image else other
 
 
 class Theory(enum.Enum):
@@ -486,8 +579,9 @@ class NameGenerator:
         """A fresh pair c1, c2: c1 and the entries (c1 c2) fix Y, for every
         variable Y of t in order, recording that both atoms are new for t."""
         c1, c2 = self.fresh_pair()
-        sw = Permutation.swap(c1, c2)
-        return c1, [(sw, y) for y in sorted(free_vars(t))]
+        ys = sorted(free_vars(t))
+        sw = Permutation.swap(c1, c2) if ys else None
+        return c1, [(sw, y) for y in ys]
 
 
 @dataclass(frozen=True)
@@ -534,7 +628,7 @@ class FixpointContext:
         return frozenset(out)
 
     def extend(self, pairs) -> FixpointContext:
-        return FixpointContext(self.constraints | frozenset(pairs))
+        return FixpointContext(self.constraints | frozenset(pairs)) if pairs else self
 
     def atoms(self) -> set[Atom]:
         out: set[Atom] = set()

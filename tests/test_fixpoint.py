@@ -1,21 +1,35 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from nomfix import (
+    Abs,
     Atom,
+    AtomTerm,
     FixpointContext,
+    FreshnessContext,
+    NameGenerator,
     Permutation,
     Signature,
+    Swapping,
     Theory,
+    Tup,
     Var,
     act,
     check_alpha_fixp,
+    check_alpha_fresh,
     check_fixp,
     flatten,
+    ground_alpha_oracle,
     parse_perm,
     parse_term,
     term_size,
 )
-from gen import SIG_FULL, random_fixp_context, random_perm, random_term
+from nomfix import fixpoint, freshness
+from nomfix.alpha import alpha, trace_root
+from nomfix.syntax import Renaming
+from gen import ATOMS, SIG_FULL, random_fixp_context, random_fresh_context, random_perm, random_term
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Y = Var("X"), Var("Y")
@@ -150,6 +164,99 @@ class TestProperties:
         trace = []
         check_fixp(SIG0, EMPTY, parse_perm("(a b)"), parse_term("[a] a"), trace=trace)
         assert trace[0].ok and trace[0].rule == "fix-abs"
+
+
+def abstract(binders, body):
+    for x in reversed(binders):
+        body = Abs(x, body)
+    return body
+
+
+class TestPendingRenaming:
+    """The engines carry the renaming of a binder down the other side's body
+    instead of rebuilding that body."""
+
+    def test_renamed_binders_rebuild_no_term(self, monkeypatch):
+        # [x0]...[x29](x_o0, ..., x_o29, z) against the same term over other binders
+        rng = random.Random(7)
+        xs, ys = [Atom(f"x{i}") for i in range(30)], [Atom(f"y{i}") for i in range(30)]
+        order = rng.sample(range(30), 30)
+        s = abstract(xs, Tup(tuple(AtomTerm(xs[i]) for i in order) + (AtomTerm(Atom("z")),)))
+        t = abstract(ys, Tup(tuple(AtomTerm(ys[i]) for i in order) + (AtomTerm(Atom("z")),)))
+        leaves = [AtomTerm(ys[i]) for i in order]
+        leaves[3], leaves[11] = leaves[11], leaves[3]
+        bad = abstract(ys, Tup(tuple(leaves) + (AtomTerm(Atom("z")),)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return act(*args)
+
+        monkeypatch.setattr("nomfix.alpha.act", counted)
+        monkeypatch.setattr("nomfix.fixpoint.act", counted)
+        for rhs, want in ((t, True), (bad, False)):
+            assert ground_alpha_oracle(SIG0, s, rhs) == want
+            assert check_alpha_fixp(SIG0, EMPTY, s, rhs) == want
+            assert check_alpha_fresh(SIG0, FreshnessContext(), s, rhs) == want
+        assert calls == []
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_binder_chains_agree_with_the_oracle(self, seed):
+        # a ground body under k distinct binders, against the body renamed
+        # consistently to other binders, or perturbed
+        rng = random.Random(seed)
+        k = rng.randint(1, 8)
+        xs = rng.sample(ATOMS + tuple(Atom(f"p{i}") for i in range(8)), k)
+        ys = rng.sample([Atom(f"q{i}") for i in range(8)] + [x for x in ATOMS if x not in xs], k)
+        body = flatten(SIG_FULL, random_term(rng, SIG_FULL, depth=4, ground=True))
+        renaming = Permutation(tuple(Swapping(x, y) for x, y in zip(xs, ys)))
+        other = act(renaming, body)
+        match rng.randrange(4):
+            case 1:
+                ys = ys[1:] + ys[:1]
+            case 2:
+                other = act(random_perm(rng), other)
+            case 3:
+                other = flatten(SIG_FULL, random_term(rng, SIG_FULL, depth=4, ground=True))
+        s, t = abstract(xs, body), abstract(ys, other)
+        want = ground_alpha_oracle(SIG_FULL, s, t)
+        assert check_alpha_fixp(SIG_FULL, EMPTY, s, t) == want
+        assert check_alpha_fresh(SIG_FULL, FreshnessContext(), s, t) == want
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_pending_renaming_reads_as_its_action(self, seed):
+        # each engine, started with a pending renaming rho on the right-hand
+        # term, derives what it derives on rho acted out, rule for rule and
+        # with the same generated atoms, and leaves rho as it found it
+        rng = random.Random(seed)
+        rho = Renaming()
+        for _ in range(rng.randint(1, 4)):
+            rho.swap(*rng.sample(ATOMS, 2))
+        image = dict(rho.image)
+        fixp_ctx, fresh_ctx = random_fixp_context(rng), random_fresh_context(rng)
+        s = flatten(SIG_FULL, random_term(rng, SIG_FULL))
+        for _ in range(rng.randrange(3)):
+            s = Abs(rng.choice(ATOMS), s)
+        t = act(random_perm(rng), s) if rng.random() < 0.6 else flatten(SIG_FULL, random_term(rng, SIG_FULL))
+        p, x = random_perm(rng), rng.choice(ATOMS)
+        moved = act(rho.permutation(), t)
+
+        def derive(engine, head, judgement, lazy):
+            trace = []
+            node = trace_root(trace, head, judgement, moved)
+            # the inputs hold no generated atoms, so a new generator avoids them
+            ok = engine(NameGenerator(), t if lazy else moved, rho if lazy else Renaming(), node)
+            return ok, trace[0].to_dict()
+
+        engines = [
+            (lambda gen, u, r, n: fixpoint._fixp(SIG_FULL, fixp_ctx, p, u, r, gen, n, None), p, "fix?"),
+            (lambda gen, u, r, n: alpha(fixpoint._RULES, SIG_FULL, fixp_ctx, gen, s, u, r, n), s, "=?"),
+            (lambda gen, u, r, n: alpha(freshness._RULES, SIG_FULL, fresh_ctx, None, s, u, r, n), s, "=?"),
+            (lambda gen, u, r, n: freshness._fresh(fresh_ctx, x, u, r, n), x, "fresh?"),
+        ]
+        for engine, head, judgement in engines:
+            assert derive(engine, head, judgement, True) == derive(engine, head, judgement, False)
+            assert rho.image == image and rho.preimage == {y: z for z, y in image.items()}
 
 
 @pytest.mark.skipif(not __debug__, reason="the measure is asserted only with asserts on")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -33,6 +35,7 @@ from nomfix import (
     term_size,
     var,
 )
+from nomfix.syntax import Renaming
 from gen import ATOMS, SIG_FULL, VARS, random_perm, random_term
 
 a, b, c, d = (Atom(n) for n in "abcd")
@@ -273,6 +276,38 @@ def test_atom_ordering_total(k):
     assert sorted(xs) == sorted(xs, key=lambda x: (x.name, x.gen_index))
 
 
+class TestInternedAtom:
+    def test_one_object_per_name_and_index(self):
+        assert Atom("a") is a and Atom(name="a", gen_index=-1) is a
+        assert Atom("#c3", gen_index=3) is Atom("#c3", 3)
+        assert Atom("#c3") is not Atom("#c3", gen_index=3)
+        assert Atom("#c3") != Atom("#c3", gen_index=3)
+
+    def test_pickle_and_copy_return_the_interned_atom(self):
+        g = Atom("#c7", gen_index=7)
+        for x in (a, g):
+            assert pickle.loads(pickle.dumps(x)) is x
+            assert copy.copy(x) is x and copy.deepcopy(x) is x
+        t = parse_term("[a] (a, (a b).X)")
+        assert pickle.loads(pickle.dumps(t)) == t
+
+    def test_immutable_with_dataclass_repr(self):
+        with pytest.raises(AttributeError):
+            a.name = "b"
+        with pytest.raises(AttributeError):
+            del a.gen_index
+        assert repr(a) == "Atom(name='a', gen_index=-1)"
+        assert str(Atom("#c0", gen_index=0)) == "#c0"
+
+    def test_table_does_not_keep_dead_atoms(self):
+        import nomfix.syntax
+
+        gen = NameGenerator(prefix="table")
+        for _ in range(20_000):
+            gen.fresh()
+        assert len(nomfix.syntax._INTERNED) < 10_000
+
+
 def reference_size(t) -> int:
     """The number of nodes of t, folded afresh on every call."""
     match t:
@@ -324,3 +359,20 @@ def test_memoised_size_and_vars_match_a_fresh_fold(seed):
     twin = random_term(random.Random(seed), SIG_FULL, depth=4)
     assert (repr(t), print_term(t), hash(t)) == shown == (repr(twin), print_term(twin), hash(twin))
     assert t == twin and twin == t
+
+
+@given(swapping_lists, swapping_lists)
+def test_renaming_composes_swappings_on_the_left(pairs, more):
+    rho = Renaming()
+    for x, y in pairs:
+        rho.swap(x, y)
+    # the last swapping composed is the leftmost, so it acts last
+    p = swaps(*reversed(pairs))
+    assert rho.permutation() == p
+    for x in FIVE:
+        assert rho(x) == p(x) and rho.inverse(x) == p.inverse()(x)
+    q = swaps(*more)
+    assert rho.compose(q) == p.compose(q)
+    for x, y in reversed(pairs):
+        rho.swap(x, y)
+    assert rho.image == {} and rho.preimage == {}

@@ -1,10 +1,18 @@
+import random
+
+from hypothesis import given, strategies as st
+
 from nomfix import (
+    Abs,
     Atom,
     FixpointContext,
     FreshnessContext,
     NameGenerator,
     Signature,
     Var,
+    act,
+    check_alpha_fixp,
+    check_alpha_fresh,
     check_fresh,
     check_fixp,
     fixp_to_fresh,
@@ -13,7 +21,7 @@ from nomfix import (
     parse_perm,
     parse_term,
 )
-from gen import ATOMS, SIG_PLAIN, random_fixp_context, random_fresh_context, random_perm, random_term
+from gen import ATOMS, SIG_FULL, SIG_PLAIN, random_fixp_context, random_fresh_context, random_perm, random_term
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Y = Var("X"), Var("Y")
@@ -79,3 +87,25 @@ class TestJudgementTranslation:
             translated = fixp_to_fresh(ctx)
             rhs = all(check_fresh(translated, x, t) for x in sorted(p.support()))
             assert lhs == rhs
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_round_trip_of_contexts_preserves_alpha_derivability(seed):
+    # freshness from fixed points: Delta, its fixed-point translation and
+    # that translated back derive the same s ~ t
+    rng = random.Random(seed)
+    delta = random_fresh_context(rng)
+    s = random_term(rng, SIG_FULL)
+    match rng.randrange(3):
+        case 0:
+            t = act(random_perm(rng), s)
+        case 1:
+            # the same under a renamed binder
+            x, y = rng.sample(ATOMS, 2)
+            s, t = Abs(x, s), Abs(y, act(random_perm(rng), s))
+        case _:
+            t = random_term(rng, SIG_FULL)
+    fixp = fresh_to_fixp(delta)
+    want = check_alpha_fresh(SIG_FULL, delta, s, t)
+    assert check_alpha_fixp(SIG_FULL, fixp, s, t) == want
+    assert check_alpha_fresh(SIG_FULL, fixp_to_fresh(fixp), s, t) == want
