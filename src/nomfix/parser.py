@@ -6,12 +6,13 @@ Grammar summary:
     suspension  := swapping+ '.' VAR            e.g.  (a b)(b c).X
     tuple       := '(' term (',' term)* ')'     a one-element tuple is its element
     application := sym term | sym '(' term (',' term)* ')'
-    swapping    := '(' atom atom ')'
+    swapping    := '(' atom atom ')'            of two distinct atoms
     perm        := 'Id' | swapping+
 
 Atoms are lowercase identifiers, variables start uppercase.  'Id' is
 reserved.  Names with the generated-atom prefix '#c' are rejected; such atoms
-only appear in output.
+only appear in output.  Terms are read with one explicit stack, not by
+recursion, so input may nest to any depth.
 
 A problem file holds optional 'sym NAME : none|A|C|AC ;' declarations, an
 optional 'context: ... ;' section (either all 'a fresh X' or all 'pi fix X'
@@ -76,11 +77,13 @@ class ProblemFile:
     constraints: list  # Eq | Fix | FreshRequest
 
 
+_OPERATORS = "+-*/&|@$%^~!"
+
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+|//[^\n]*)
+    rf"""(?P<ws>\s+|//[^\n]*)
       | (?P<eqq>=\?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<op>[+\-*/&|@$%^~!])
+      | (?P<op>[{re.escape(_OPERATORS)}])
       | (?P<punct>[()\[\],.;:?])
     """,
     re.VERBOSE,
@@ -126,8 +129,8 @@ class _Parser:
         self.pos = 0
         self.sig = sig
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -145,24 +148,19 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def at_ident(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and (text is None or tok.text == text)
+    def accept(self, text: str) -> bool:
+        """Skip the next token if it reads text."""
+        if self.peek().text != text:
+            return False
+        self.next()
+        return True
 
     # ---- names ----
 
-    def _is_symbol(self, name: str) -> bool:
-        if name in self.sig.symbols:
-            return True
-        applicable = name[0].islower() or name[0] in "+-*/&|@$%^~!"
-        return applicable and self.peek().kind == "("
-
     def atom_name(self) -> Atom:
         tok = self.expect("ident")
-        if not tok.text[0].islower() and not tok.text[0] in "+-*/&|@$%^~!":
+        if not _atom_like(tok.text):
             raise ParseError(f"expected an atom, found {tok.text!r}", tok.line, tok.col)
-        if tok.text == "Id":
-            raise ParseError("'Id' is reserved", tok.line, tok.col)
         return Atom(tok.text)
 
     def var_name(self) -> Var:
@@ -173,96 +171,92 @@ class _Parser:
 
     # ---- permutations ----
 
-    def try_perm(self) -> Permutation | None:
-        """Parse 'Id' or a swapping sequence, or return None untouched."""
-        mark = self.pos
-        if self.at_ident("Id"):
-            self.next()
-            return Permutation.identity()
-        swaps: list[Swapping] = []
-        while self.peek().kind == "(":
-            save = self.pos
-            self.next()
-            if self.peek().kind != "ident" or self.peek(1).kind != "ident" or self.peek(2).kind != ")":
-                self.pos = save
-                break
-            a = self.atom_name()
-            b = self.atom_name()
-            self.expect(")")
-            if a == b:
-                self.pos = mark
-                return None
-            swaps.append(Swapping(a, b))
-        if not swaps:
-            self.pos = mark
-            return None
-        return Permutation(tuple(swaps))
+    def _perm_then(self, follow: str) -> bool:
+        """Whether 'Id', or a run of '(' ident ident ')', starts here and the
+        token after it reads follow; the tokens are only looked at."""
+        i = self.pos
+        if self.peek().text == "Id":
+            i += 1
+        else:
+            while [t.kind for t in self.tokens[i : i + 4]] == ["(", "ident", "ident", ")"]:
+                i += 4
+        return i > self.pos and self.tokens[i].text == follow
 
     def perm(self) -> Permutation:
-        p = self.try_perm()
-        if p is None:
+        if self.accept("Id"):
+            return Permutation.identity()
+        if self.peek().kind != "(":
             self.fail("expected a permutation")
-        return p
+        swaps: list[Swapping] = []
+        while self.peek().kind == "(":
+            opening = self.next()
+            a, b = self.atom_name(), self.atom_name()
+            self.expect(")")
+            if a == b:
+                raise ParseError(f"swapping of an atom with itself: ({a} {b})", opening.line, opening.col)
+            swaps.append(Swapping(a, b))
+        return Permutation(tuple(swaps))
 
     # ---- terms ----
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "[":
-            self.next()
-            binder = self.atom_name()
-            self.expect("]")
-            return Abs(binder, self.term())
-        if tok.kind == "(":
-            return self.susp_or_tuple()
-        if tok.kind == "ident":
+        """Read prefixes (binders, symbols, open parentheses) onto a stack of
+        open constructors up to a leaf, then close all that the leaf completes."""
+        stack: list = []  # (Abs, binder), (App, symbol), or the list of a tuple's items so far
+        while True:
+            tok = self.peek()
             if tok.text == "Id":
                 self.fail("'Id' is reserved")
-            if tok.text[0].isupper():
+            if self.accept("["):
+                stack.append((Abs, self.atom_name()))
+                self.expect("]")
+                continue
+            if tok.kind == "(" and self._perm_then("."):
+                p = self.perm()
                 self.next()
-                return Susp(Permutation.identity(), Var(tok.text))
-            self.next()
-            if self._is_symbol(tok.text):
-                return App(tok.text, self.term())
-            return AtomTerm(Atom(tok.text))
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-
-    def susp_or_tuple(self) -> Term:
-        mark = self.pos
-        p = self.try_perm()
-        if p is not None and self.peek().kind == ".":
-            self.next()
-            return Susp(p, self.var_name())
-        self.pos = mark
-        self.expect("(")
-        items = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            items.append(self.term())
-        self.expect(")")
-        if len(items) == 1:
-            return items[0]
-        return Tup(tuple(items))
+                t = Susp(p, self.var_name())
+            elif self.accept("("):
+                stack.append([])
+                continue
+            elif tok.kind == "ident":
+                self.next()
+                if tok.text[0].isupper():
+                    t = Susp(Permutation.identity(), Var(tok.text))
+                elif tok.text in self.sig.symbols or (_atom_like(tok.text) and self.peek().kind == "("):
+                    stack.append((App, tok.text))
+                    continue
+                else:
+                    t = AtomTerm(Atom(tok.text))
+            else:
+                self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+            while stack:
+                top = stack[-1]
+                if type(top) is list:
+                    top.append(t)
+                    if self.accept(","):
+                        break
+                    self.expect(")")
+                    t = top[0] if len(top) == 1 else Tup(tuple(top))
+                else:
+                    t = top[0](top[1], t)
+                stack.pop()
+            else:
+                return t
 
     # ---- constraints and files ----
 
     def constraint(self):
-        mark = self.pos
-        p = self.try_perm()
-        if p is not None and self.at_ident("fix"):
+        if self._perm_then("fix"):
+            p = self.perm()
             self.next()
-            if self.peek().kind == "?":
-                self.next()
+            self.accept("?")
             return Fix(p, self.term())
-        self.pos = mark
         lhs = self.term()
-        if self.peek().kind == "eqq":
-            self.next()
+        if self.accept("=?"):
             return Eq(lhs, self.term())
-        if self.at_ident("fresh"):
-            tok = self.next()
-            if self.peek().kind == "?":
-                self.next()
+        tok = self.peek()
+        if self.accept("fresh"):
+            self.accept("?")
             if not isinstance(lhs, AtomTerm):
                 raise ParseError("freshness needs an atom on the left", tok.line, tok.col)
             return FreshRequest(lhs.atom, self.term())
@@ -272,22 +266,17 @@ class _Parser:
         fresh_pairs: list[tuple[Atom, Var]] = []
         fixp_pairs: list[tuple[Permutation, Var]] = []
         while True:
-            mark = self.pos
-            p = self.try_perm()
-            if p is not None and self.at_ident("fix"):
+            if self._perm_then("fix"):
+                p = self.perm()
                 self.next()
                 fixp_pairs.append((p, self.var_name()))
             else:
-                self.pos = mark
                 a = self.atom_name()
-                if not self.at_ident("fresh"):
+                if not self.accept("fresh"):
                     self.fail("expected 'fresh' or 'fix' in context entry")
-                self.next()
                 fresh_pairs.append((a, self.var_name()))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect(";")
         if fresh_pairs and fixp_pairs:
             self.fail("a context must be all 'fresh' or all 'fix' entries")
@@ -295,9 +284,8 @@ class _Parser:
             return None, FixpointContext(frozenset(fixp_pairs))
         return FreshnessContext(frozenset(fresh_pairs)), None
 
-    def signature_decls(self) -> None:
-        while self.at_ident("sym"):
-            self.next()
+    def signature_decls(self) -> Signature:
+        while self.accept("sym"):
             name = self.expect("ident").text
             self.expect(":")
             tok = self.expect("ident")
@@ -307,59 +295,50 @@ class _Parser:
                 raise ParseError(f"unknown theory {tok.text!r}", tok.line, tok.col) from None
             self.sig.declare(name, theory)
             self.expect(";")
+        return self.sig
 
     def problem_file(self) -> ProblemFile:
         self.signature_decls()
         fresh_ctx = fixp_ctx = None
-        if self.at_ident("context"):
-            self.next()
+        if self.accept("context"):
             self.expect(":")
             fresh_ctx, fixp_ctx = self.context_section()
         constraints = []
         if self.peek().kind != "eof":
             constraints.append(self.constraint())
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 constraints.append(self.constraint())
-            if self.peek().kind == ";":
-                self.next()
-        self.expect("eof")
+            self.accept(";")
         return ProblemFile(self.sig, fresh_ctx, fixp_ctx, constraints)
 
 
-def _fresh_sig(sig: Signature | None) -> Signature:
-    if sig is None:
-        return Signature(permissive=True)
-    return sig
+def _atom_like(name: str) -> bool:
+    return name[0].islower() or name[0] in _OPERATORS
 
 
-def parse_term(text: str, sig: Signature | None = None) -> Term:
-    p = _Parser(text, _fresh_sig(sig))
-    t = p.term()
-    p.expect("eof")
-    return t
-
-
-def parse_perm(text: str) -> Permutation:
-    p = _Parser(text, _fresh_sig(None))
-    out = p.perm()
+def _parse(text: str, sig: Signature | None, rule):
+    """rule's result on the whole of text; without sig, any symbol is plain."""
+    p = _Parser(text, Signature(permissive=True) if sig is None else sig)
+    out = rule(p)
     p.expect("eof")
     return out
 
 
+def parse_term(text: str, sig: Signature | None = None) -> Term:
+    return _parse(text, sig, _Parser.term)
+
+
+def parse_perm(text: str) -> Permutation:
+    return _parse(text, None, _Parser.perm)
+
+
 def parse_constraint(text: str, sig: Signature | None = None):
-    p = _Parser(text, _fresh_sig(sig))
-    c = p.constraint()
-    p.expect("eof")
-    return c
+    return _parse(text, sig, _Parser.constraint)
 
 
 def parse_signature(text: str, sig: Signature | None = None) -> Signature:
-    p = _Parser(text, _fresh_sig(sig))
-    p.signature_decls()
-    p.expect("eof")
-    return p.sig
+    return _parse(text, sig, _Parser.signature_decls)
 
 
 def parse_problem_file(text: str, sig: Signature | None = None) -> ProblemFile:
-    return _Parser(text, _fresh_sig(sig)).problem_file()
+    return _parse(text, sig, _Parser.problem_file)

@@ -158,6 +158,13 @@ class TestDeepChain:
         (x0,) = [e["term"] for e in json.loads(out)["subst"] if e["var"] == "X0"]
         assert x0 == "f(" * n + f"X{n}" + ", a)" * n
 
+    def test_six_hundred_nested_applications_answer(self, capsys, monkeypatch):
+        t = "f(" * 600 + "a" + ")" * 600
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{t} =? {t}"))
+        code, out, _ = run(capsys, "alpha", "-", "--json")
+        assert code == 0
+        assert json.loads(out)["derivable"] is True
+
 
 class TestSelfcheck:
     def test_passes_with_seeded_rng(self, capsys, monkeypatch):

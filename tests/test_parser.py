@@ -65,6 +65,58 @@ class TestTerms:
             parse_term("a b")
 
 
+def same_term(s, t) -> bool:
+    """s == t, compared along an explicit stack: == recurses once per level."""
+    pairs = [(s, t)]
+    while pairs:
+        s, t = pairs.pop()
+        if type(s) is not type(t):
+            return False
+        if isinstance(s, Abs):
+            pairs.append((s.body, t.body))
+            s, t = s.binder, t.binder
+        elif isinstance(s, App):
+            pairs.append((s.arg, t.arg))
+            s, t = s.symbol, t.symbol
+        elif isinstance(s, Tup):
+            pairs += zip(s.items, t.items)
+            s, t = len(s.items), len(t.items)
+        if s != t:
+            return False
+    return True
+
+
+class TestDeepInput:
+    """Terms nested far deeper than Python's recursion limit parse back."""
+
+    DEPTH = 5000
+
+    def nest(self, build):
+        t = AtomTerm(a)
+        for _ in range(self.DEPTH):
+            t = build(t)
+        return t
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda t: App("f", t), lambda t: Abs(a, t), lambda t: Tup((t, AtomTerm(b)))],
+        ids=["application", "abstraction", "tuple"],
+    )
+    def test_parse_inverts_print(self, build):
+        t = self.nest(build)
+        parsed = parse_term(print_term(t))
+        assert same_term(parsed, t)
+        assert not same_term(parsed, self.nest(lambda u: Abs(b, u)))
+
+    def test_nested_parentheses(self):
+        assert parse_term("(" * self.DEPTH + "a" + ")" * self.DEPTH) == AtomTerm(a)
+
+    def test_declared_unary_symbol_without_parentheses(self):
+        sig = Signature({"f": Theory.NONE})
+        t = parse_term("f " * self.DEPTH + "a", sig)
+        assert same_term(t, self.nest(lambda u: App("f", u)))
+
+
 class TestPermutations:
     def test_frozen_examples(self):
         assert parse_perm("Id") == Permutation.identity()
@@ -83,6 +135,20 @@ class TestPermutations:
         with pytest.raises(ParseError) as e:
             parse_term("#c0")
         assert e.value.line == 1 and e.value.col == 1
+
+    @pytest.mark.parametrize(
+        "parse,text,col,swapping",
+        [
+            (parse_term, "(a a).X", 1, "(a a)"),
+            (parse_term, "(a b)(c c).X", 6, "(c c)"),
+            (parse_constraint, "(b b) fix? X", 1, "(b b)"),
+        ],
+    )
+    def test_swapping_of_an_atom_with_itself(self, parse, text, col, swapping):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"1:{col}: swapping of an atom with itself: {swapping}"
+        assert (e.value.line, e.value.col) == (1, col)
 
 
 class TestConstraints:
