@@ -201,8 +201,10 @@ def _unify_command(args) -> int:
     lines = [f"{res.status}: {len(res.solutions)} solution(s)"]
     lines += [f"  {s}" for s in res.solutions]
     if getattr(args, "tree", False):
-        payload["tree"] = res.tree.to_dict()
-        lines.append(res.tree.render())
+        if args.json:
+            payload["tree"] = res.tree.to_dict()
+        else:
+            lines.append(res.tree.render())
     _emit(args, payload, lines)
     return 0 if res.solved else 1
 

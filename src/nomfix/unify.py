@@ -1,9 +1,17 @@
 """Unification of nominal terms via fixed-point constraints.
 
-A problem is a queue of constraints, either equations s =? t or fixed-point
-requests pi fix? t.  Simplification rewrites the queue until no rule applies;
-a normal form with only consistent primitive fixed-point constraints yields a
-solution (a fixed-point context together with a substitution).
+A problem is a sequence of constraints, either equations s =? t or
+fixed-point requests pi fix? t.  Simplification rewrites it until no rule
+applies; a normal form with only consistent primitive fixed-point constraints
+yields a solution (a fixed-point context together with a substitution).
+
+The search keeps each problem incrementally (Martelli and Montanari, TOPLAS
+1982): a worklist of the constraints no rule has been tried on, so a step
+finds the next reducible one without rescanning the stuck ones; an index
+from variables to constraints, so a binding rewrites only the constraints
+that mention its variable; and the termination measure as counters, updated
+by each step's delta.  Each constraint memoises its variables, its weight in
+the measure and whether it is stuck, as terms memoise their size.
 
 Given a signature, simplification splits in two at applications of
 commutative symbols; without one, it treats every function symbol as
@@ -16,6 +24,7 @@ each solution off its leaf's path of steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .fixpoint import check_alpha_fixp, check_fixp
 from .printer import print_perm, print_subst, print_term
@@ -44,8 +53,17 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Eq:
+class _Constraint:
+    """Base class of the constraints.  They are immutable, so each keeps its
+    variables (constraint_vars), its weight in the measure (_weight) and
+    whether no non-instantiating rule applies to it (expand) in memo slots,
+    filled the first time they are asked for."""
+
+    __slots__ = ("_vars", "_weight", "_stuck")
+
+
+@dataclass(frozen=True, slots=True)
+class Eq(_Constraint):
     lhs: Term
     rhs: Term
 
@@ -56,8 +74,8 @@ class Eq:
         return f"{print_term(self.lhs)} =? {print_term(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Fix:
+@dataclass(frozen=True, slots=True)
+class Fix(_Constraint):
     perm: Permutation
     target: Term
 
@@ -123,19 +141,40 @@ def is_primitive(c: Constraint) -> bool:
 
 
 def constraint_vars(c: Constraint) -> frozenset[Var]:
-    if isinstance(c, Eq):
-        return free_vars(c.lhs) | free_vars(c.rhs)
-    return free_vars(c.target)
+    out = getattr(c, "_vars", None)
+    if out is None:
+        out = free_vars(c.lhs) | free_vars(c.rhs) if isinstance(c, Eq) else free_vars(c.target)
+        object.__setattr__(c, "_vars", out)
+    return out
 
 
 def problem_vars(pr: Problem) -> frozenset[Var]:
     return frozenset().union(*map(constraint_vars, pr))
 
 
+def _weight(c: Constraint) -> int:
+    """c's weight in the measure: the larger side's size for an equation,
+    the target's size for a fixed-point constraint, and 0, no weight, for
+    a primitive one."""
+    w = getattr(c, "_weight", None)
+    if w is None:
+        if isinstance(c, Eq):
+            w = max(term_size(c.lhs), term_size(c.rhs))
+        else:
+            w = 0 if is_primitive(c) else term_size(c.target)
+        object.__setattr__(c, "_weight", w)
+    return w
+
+
+def _descending(weights) -> tuple:
+    return tuple(sorted(weights, reverse=True))
+
+
 def problem_measure(pr: Problem):
     """Termination measure: number of distinct variables, then the multiset
     of term sizes of equations (the larger side) and of non-primitive
-    fixed-point constraints.
+    fixed-point constraints.  The search keeps it by delta (_State); this
+    computes it from scratch.
 
     Instantiation removes a variable; every other rule replaces one weight by
     smaller ones.  That includes both branches of the commutative rules:
@@ -169,15 +208,93 @@ def measure_decreases(before, after) -> bool:
     return len(a) < len(b)
 
 
-def _apply_binding(pr: Problem, x: Var, t: Term) -> Problem:
-    theta = Substitution({x: t})
-    out = []
-    for c in pr:
-        if isinstance(c, Eq):
-            out.append(Eq(theta(c.lhs), theta(c.rhs)))
-        else:
-            out.append(Fix(c.perm, theta(c.target)))
-    return tuple(out)
+class _State:
+    """A problem under simplification, kept incrementally.
+
+    The constraints sit in a dict under integer keys in problem order: a
+    step's produced constraints take keys below all others, and a binding
+    rewrites a constraint under its own key.  Two heaps of keys find the
+    next step: todo holds the constraints no rule has been tried on here,
+    inst the stuck equations that instantiate a variable.  Entries go stale
+    when their constraint is consumed or rewritten; expand skips them.
+    occ indexes the keys by variable, so a binding rewrites only what
+    mentions its variable, and with the weights counter it carries the
+    measure.  A step logs its removed and added weights in gone and new.
+    """
+
+    __slots__ = ("cons", "low", "todo", "inst", "occ", "weights", "vars_before", "gone", "new")
+
+    def __init__(self, pr: Problem):
+        self.cons: dict[int, Constraint] = {}
+        self.low = 0
+        self.todo: list[int] = []
+        self.inst: list[int] = []
+        self.occ: dict[Var, set[int]] = {}
+        self.weights: dict[int, int] = {}  # weight -> how many constraints have it
+        self.vars_before, self.gone, self.new = 0, [], []
+        for k, c in enumerate(pr):
+            self._add(k, c)
+
+    def copy(self) -> _State:
+        other = object.__new__(_State)
+        other.cons, other.low, other.todo, other.inst = dict(self.cons), self.low, self.todo[:], self.inst[:]
+        other.occ = {x: set(keys) for x, keys in self.occ.items()}
+        other.weights, other.vars_before = self.weights.copy(), self.vars_before
+        other.gone, other.new = self.gone[:], self.new[:]
+        return other
+
+    def problem(self) -> Problem:
+        return tuple(self.cons[k] for k in sorted(self.cons))
+
+    def measure(self):
+        """problem_measure of problem(), read off the counters."""
+        return len(self.occ), _descending(w for w, n in self.weights.items() for _ in range(n))
+
+    def step_measures(self):
+        """The measure before and after the last step, less the weights the
+        step left alone: the multiset order compares A + C with B + C as it
+        compares A with B."""
+        return (self.vars_before, _descending(self.gone)), (len(self.occ), _descending(self.new))
+
+    def _add(self, k: int, c: Constraint) -> None:
+        self.cons[k] = c
+        w = _weight(c)
+        if w:
+            self.weights[w] = self.weights.get(w, 0) + 1
+            self.new.append(w)
+        for x in constraint_vars(c):
+            self.occ.setdefault(x, set()).add(k)
+        heappush(self.todo, k)
+
+    def consume(self, k: int) -> None:
+        """Start a step by removing the constraint under key k."""
+        self.vars_before, self.gone, self.new = len(self.occ), [], []
+        self._remove(k)
+
+    def _remove(self, k: int) -> Constraint:
+        c = self.cons.pop(k)
+        w = _weight(c)
+        if w:
+            self.weights[w] -= 1
+            self.gone.append(w)
+        for x in constraint_vars(c):
+            keys = self.occ[x]
+            keys.discard(k)
+            if not keys:
+                del self.occ[x]
+        return c
+
+    def prepend(self, produced) -> None:
+        self.low -= len(produced)
+        for k, c in enumerate(produced, self.low):
+            self._add(k, c)
+
+    def bind(self, x: Var, t: Term) -> None:
+        """Apply x -> t to the constraints that mention x."""
+        theta = Substitution({x: t})
+        for k in list(self.occ.get(x, ())):
+            c = self._remove(k)
+            self._add(k, Eq(theta(c.lhs), theta(c.rhs)) if isinstance(c, Eq) else Fix(c.perm, theta(c.target)))
 
 
 def _fixes(entries) -> list[Fix]:
@@ -243,43 +360,63 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
     return None
 
 
+def _instantiation(c: Constraint, rigid: frozenset):
+    """The instantiation step c allows, if any: (rule, suspension, other
+    side), where the suspension's variable is not rigid and does not occur
+    on the other side, the left side tried first."""
+    if isinstance(c, Eq):
+        s, t = c.lhs, c.rhs
+        if isinstance(s, Susp) and s.var not in rigid and s.var not in free_vars(t):
+            return "eq-inst1", s, t
+        if isinstance(t, Susp) and t.var not in rigid and t.var not in free_vars(s):
+            return "eq-inst2", t, s
+    return None
+
+
 def expand(
-    pr: Problem,
+    st: _State,
     gen: NameGenerator,
     sig: Signature | None = None,
     rigid: frozenset = frozenset(),
 ):
     """One simplification step on the first reducible constraint.
 
-    Returns a list of (child problem, step) pairs: empty for a normal form,
+    Returns a list of (child state, step) pairs: empty for a normal form,
     one entry for deterministic rules, two for commutative branching, which
-    happens only when sig is given.
+    happens only when sig is given.  The last child is st itself, advanced
+    in place; an earlier one is a copy.
     Non-instantiating rules are preferred over instantiation.
     """
-    for i, c in enumerate(pr):
-        if isinstance(c, Fix):
-            got = _fix_rule(c, gen, sig)
-        else:
-            got = _eq_rule(c, gen, sig)
+    while st.todo:
+        k = heappop(st.todo)
+        c = st.cons.get(k)
+        if c is None:
+            continue
+        got = None
+        if not getattr(c, "_stuck", False):
+            got = _fix_rule(c, gen, sig) if isinstance(c, Fix) else _eq_rule(c, gen, sig)
         if got is None:
+            object.__setattr__(c, "_stuck", True)
+            if _instantiation(c, rigid) is not None:
+                heappush(st.inst, k)
             continue
         rule, children = got
-        rest = pr[:i] + pr[i + 1 :]
-        out = []
-        for cons in children:
-            out.append((tuple(cons) + rest, SimplStep(rule, c, tuple(cons))))
-        return out
-    for i, c in enumerate(pr):
-        if not isinstance(c, Eq):
+        st.consume(k)
+        states = [st.copy() for _ in children[1:]] + [st]
+        for child, cons in zip(states, children):
+            child.prepend(cons)
+        return [(child, SimplStep(rule, c, tuple(cons))) for child, cons in zip(states, children)]
+    while st.inst:
+        k = heappop(st.inst)
+        c = st.cons.get(k)
+        got = None if c is None else _instantiation(c, rigid)
+        if got is None:
             continue
-        rest = pr[:i] + pr[i + 1 :]
-        s, t = c.lhs, c.rhs
-        if isinstance(s, Susp) and s.var not in rigid and s.var not in free_vars(t):
-            x, u = s.var, act(s.perm.inverse(), t)
-            return [(_apply_binding(rest, x, u), SimplStep("eq-inst1", c, (), (x, u)))]
-        if isinstance(t, Susp) and t.var not in rigid and t.var not in free_vars(s):
-            x, u = t.var, act(t.perm.inverse(), s)
-            return [(_apply_binding(rest, x, u), SimplStep("eq-inst2", c, (), (x, u)))]
+        rule, side, other = got
+        x, u = side.var, act(side.perm.inverse(), other)
+        st.consume(k)
+        st.bind(x, u)
+        return [(st, SimplStep(rule, c, (), (x, u)))]
     return []
 
 
@@ -343,12 +480,17 @@ class DerivationNode:
         return out
 
     def render(self, indent: int = 0) -> str:
-        head = "; ".join(str(c) for c in self.problem) or "(empty)"
-        tag = f" [{self.rule}]" if self.rule else ""
-        tag += f" <{self.leaf_kind}>" if self.leaf_kind else ""
-        lines = ["  " * indent + head + tag]
-        for c in self.children:
-            lines.append(c.render(indent + 1))
+        """The tree, one node per line, indented by depth; an explicit
+        stack, so any depth renders."""
+        lines = []
+        stack = [(self, indent)]
+        while stack:
+            node, depth = stack.pop()
+            head = "; ".join(str(c) for c in node.problem) or "(empty)"
+            tag = f" [{node.rule}]" if node.rule else ""
+            tag += f" <{node.leaf_kind}>" if node.leaf_kind else ""
+            lines.append("  " * depth + head + tag)
+            stack.extend((c, depth + 1) for c in reversed(node.children))
         return "\n".join(lines)
 
 
@@ -357,30 +499,30 @@ def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset, root: Deriva
 
     Yields (normal form, path, failure, solution) for each leaf; path is the
     linked chain (step, parent path) back to the root, and failure is
-    classify_normal_form's answer.  Each node's measure is computed once and
-    its decrease asserted once per step.  Given a root node for pr, the search
+    classify_normal_form's answer.  Each step's decrease of the measure is
+    asserted from the step's delta.  Given a root node for pr, the search
     fills it in as the derivation tree.
     """
-    stack = [(pr, None, problem_measure(pr) if __debug__ else None, root)]
+    stack = [(_State(pr), None, root)]
     while stack:
-        pr, path, measure, node = stack.pop()
-        children = expand(pr, gen, sig, rigid)
+        st, path, node = stack.pop()
+        children = expand(st, gen, sig, rigid)
         if not children:
-            failure = classify_normal_form(pr, rigid)
-            solution = None if failure else extract_solution(pr, path)
+            nf = st.problem()
+            failure = classify_normal_form(nf, rigid)
+            solution = None if failure else extract_solution(nf, path)
             if node is not None:
                 node.leaf_kind = failure[0] if failure else "success"
                 node.solution = solution
-            yield pr, path, failure, solution
+            yield nf, path, failure, solution
         for child, step in children:
-            after = problem_measure(child) if __debug__ else None
-            assert measure_decreases(measure, after), str(step)
+            assert measure_decreases(*child.step_measures()), str(step)
             sub = None
             if node is not None:
                 node.rule = step.rule
-                sub = DerivationNode(child)
+                sub = DerivationNode(child.problem())
                 node.children.append(sub)
-            stack.append((child, (step, path), after, sub))
+            stack.append((child, (step, path), sub))
 
 
 def _derive(pr, sig: Signature | None, gen: NameGenerator | None, theories, rigid=frozenset(), tree=False):

@@ -158,6 +158,18 @@ class TestDeepChain:
         (x0,) = [e["term"] for e in json.loads(out)["subst"] if e["var"] == "X0"]
         assert x0 == "f(" * n + f"X{n}" + ", a)" * n
 
+    def test_seven_hundred_equation_tree_renders(self, capsys, monkeypatch):
+        n = 700
+        text = "sym + : C ;\n+(Y, a) =? +(a, b),\n" + ",\n".join(f"X{i} =? f((X{i + 1}, a))" for i in range(n))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "cunify", "-", "--tree")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "solved: 1 solution(s)"
+        # the C pair branches at the root; the solved branch then takes one
+        # step for a =? a, one for Y and one per equation, a level each
+        assert lines[-1] == "  " * (n + 3) + "(empty) <success>"
+
     def test_six_hundred_nested_applications_answer(self, capsys, monkeypatch):
         t = "f(" * 600 + "a" + ")" * 600
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{t} =? {t}"))

@@ -1,11 +1,14 @@
+import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nomfix import (
     App,
     Atom,
     Eq,
+    Fix,
     FixpointContext,
     Permutation,
     Signature,
@@ -25,8 +28,10 @@ from nomfix import (
     unify,
     verify_solution,
 )
-from nomfix.unify import Solution, measure_decreases
-from gen import SIG_PLAIN, random_term
+from nomfix.unify import Solution, measure_decreases, problem_measure
+from gen import SIG_C, SIG_PLAIN, random_perm, random_term
+
+UNIFY = sys.modules["nomfix.unify"]
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Y, W = Var("X"), Var("Y"), Var("W")
@@ -150,8 +155,11 @@ class TestMeasure:
 
     @pytest.fixture
     def constant_measure(self, monkeypatch):
+        # the search keeps the measure from each constraint's variables and
+        # weight; with none of either it is (0, ()) at every node
         assert __debug__
-        monkeypatch.setattr(sys.modules["nomfix.unify"], "problem_measure", lambda pr: (0, ()))
+        monkeypatch.setattr(UNIFY, "constraint_vars", lambda c: frozenset())
+        monkeypatch.setattr(UNIFY, "_weight", lambda c: 0)
 
     def test_unify_asserts_the_measure(self, constant_measure):
         with pytest.raises(AssertionError):
@@ -174,6 +182,110 @@ class TestMeasure:
         assert measure_decreases((2, (1,)), (1, (9, 9)))
         assert not measure_decreases((1, (2,)), (1, (2,)))
         assert not measure_decreases((1, (2,)), (1, (3,)))
+
+
+def random_problem(rng, sig):
+    """One to four equations and fixed-point constraints."""
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.7:
+            out.append(Eq(random_term(rng, sig, depth=2), random_term(rng, sig, depth=2)))
+        else:
+            out.append(Fix(random_perm(rng), random_term(rng, sig, depth=2)))
+    return tuple(out)
+
+
+def chain(n, forward=True):
+    """X0 =? f(X1, a), ..., X(n-1) =? f(Xn, a); backwards, X(i+1) =? f(Xi, a),
+    where each binding rewrites the next equation."""
+    xs = [Susp(idp, Var(f"X{i}")) for i in range(n + 1)]
+    a = parse_term("a")
+    if forward:
+        return tuple(Eq(xs[i], App("f", Tup((xs[i + 1], a)))) for i in range(n))
+    return tuple(Eq(xs[i + 1], App("f", Tup((xs[i], a)))) for i in range(n))
+
+
+class TestIncrementalState:
+    """The search keeps each problem as it goes: a worklist, a variable index
+    and the measure as counters updated by each step's delta."""
+
+    @staticmethod
+    def check_every_node(mp):
+        # wraps expand, which the search calls once at every node; returns
+        # the problems it reached, in search order
+        seen = []
+        expand = UNIFY.expand
+
+        def checked(state, *args):
+            pr = state.problem()
+            before = problem_measure(pr)
+            assert state.measure() == before
+            seen.append(pr)
+            children = expand(state, *args)
+            for child, _ in children:
+                after = problem_measure(child.problem())
+                assert child.measure() == after
+                assert measure_decreases(*child.step_measures()) == measure_decreases(before, after)
+            return children
+
+        mp.setattr(UNIFY, "expand", checked)
+        return seen
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_kept_measure_is_the_measure_at_every_node(self, seed):
+        assert __debug__
+        rng = random.Random(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self.check_every_node(mp)
+            pr = random_problem(rng, SIG_PLAIN)
+            res = unify(pr)
+            assert seen[0] == pr and seen[-1] == res.normal_form
+            if res.solved:
+                vs = sorted(UNIFY.problem_vars(pr))
+                images = [res.solution.subst(Susp(idp, x)) for x in vs]
+                ground = Substitution({y: parse_term("c") for t in images for y in free_vars(t)})
+                inst = Solution(FixpointContext(), Substitution({x: ground(t) for x, t in zip(vs, images)}))
+                seen.clear()
+                is_more_general(res.solution, inst, vs)
+                is_more_general(inst, res.solution, vs)
+                assert seen or not vs
+            seen.clear()
+            cpr = random_problem(rng, SIG_C)
+            cres = c_unify(cpr, SIG_C)
+            nodes, stack = [], [cres.tree]
+            while stack:
+                node = stack.pop()
+                nodes.append(node.problem)
+                stack.extend(node.children)
+            assert nodes == seen
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_chain_work_grows_linearly(self, monkeypatch, forward):
+        # rule attempts, and substitution applications, through which a
+        # binding rewrites a constraint, at most about double when the chain
+        # doubles
+        counts = {"rules": 0, "substitutions": 0}
+
+        def count(owner, name, key):
+            fn = getattr(owner, name)
+
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(UNIFY, "_eq_rule", "rules")
+        count(UNIFY, "_fix_rule", "rules")
+        count(Substitution, "__call__", "substitutions")
+        seen = []
+        for n in (100, 200, 400):
+            counts.update(rules=0, substitutions=0)
+            assert unify(chain(n, forward)).solved
+            seen.append(dict(counts))
+        for small, large in zip(seen, seen[1:]):
+            for key in counts:
+                assert large[key] <= 2.2 * small[key], seen
 
 
 class TestSoundness:
