@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain, repeat
 
 from . import __version__
 from .cunify import c_unify
@@ -107,9 +108,61 @@ def _contexts(pf: ProblemFile, gen: NameGenerator):
     return fixp_to_fresh(fixp), fixp
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _to_json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, from an explicit stack so
+    any depth encodes.  Strings go through the stdlib's escaper, which is C,
+    and a list of strings only is joined in one call.  Dict keys must be
+    strings."""
+    out = []
+    stack = [(iter((("", value),)), "", "")]
+    while stack:
+        items, ind, close = stack[-1]
+        for prefix, v in items:
+            out.append(prefix)
+            if isinstance(v, str):
+                out.append(_escape(v))
+            elif v is None:
+                out.append("null")
+            elif v is True:
+                out.append("true")
+            elif v is False:
+                out.append("false")
+            elif isinstance(v, int):
+                out.append(int.__repr__(v))
+            elif isinstance(v, float):
+                out.append(json.dumps(v))
+            elif isinstance(v, (list, tuple, dict)):
+                if not v:
+                    out.append("{}" if isinstance(v, dict) else "[]")
+                    continue
+                inner = ind + "  "
+                sep = ",\n" + inner
+                seps = chain(("\n" + inner,), repeat(sep))  # what precedes each item
+                if isinstance(v, dict):
+                    out.append("{")
+                    sub = ((s + _escape(k) + ": ", x) for s, (k, x) in zip(seps, v.items()))
+                    stack.append((sub, inner, "\n" + ind + "}"))
+                elif all(isinstance(x, str) for x in v):
+                    out.append("[\n" + inner + sep.join(map(_escape, v)) + "\n" + ind + "]")
+                    continue
+                else:
+                    out.append("[")
+                    stack.append((zip(seps, v), inner, "\n" + ind + "]"))
+                break
+            else:
+                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        else:
+            out.append(close)
+            stack.pop()
+    return "".join(out)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_to_json(payload))
     else:
         for line in text_lines:
             print(line)

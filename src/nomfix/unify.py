@@ -18,12 +18,14 @@ commutative symbols; without one, it treats every function symbol as
 syntactic.  One depth-first search over these steps serves every solver:
 unify and match follow its single path, is_more_general and nomfix.cunify
 every branch.  It asserts the termination measure on every step and reads
-each solution off its leaf's path of steps.
+each solution off its leaf's path of steps.  The paths share their
+prefixes, and their union is the derivation tree, which nomfix.cunify
+builds from them, replaying the steps, only when it is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .fixpoint import check_alpha_fixp, check_fixp
@@ -456,79 +458,32 @@ def extract_solution(pr: Problem, path) -> Solution:
     return Solution(FixpointContext(frozenset(pairs)), sigma)
 
 
-@dataclass
-class DerivationNode:
-    """A node of the derivation tree: the problem at this point, the rule
-    that produced the children, and for leaves the outcome."""
-
-    problem: tuple
-    rule: str | None = None
-    children: list["DerivationNode"] = field(default_factory=list)
-    leaf_kind: str | None = None  # "success" or a failure kind
-    solution: Solution | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"constraints": [str(c) for c in self.problem]}
-        if self.rule:
-            out["rule"] = self.rule
-        if self.leaf_kind:
-            out["leaf"] = self.leaf_kind
-        if self.solution is not None:
-            out["solution"] = self.solution.key()
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    def render(self, indent: int = 0) -> str:
-        """The tree, one node per line, indented by depth; an explicit
-        stack, so any depth renders."""
-        lines = []
-        stack = [(self, indent)]
-        while stack:
-            node, depth = stack.pop()
-            head = "; ".join(str(c) for c in node.problem) or "(empty)"
-            tag = f" [{node.rule}]" if node.rule else ""
-            tag += f" <{node.leaf_kind}>" if node.leaf_kind else ""
-            lines.append("  " * depth + head + tag)
-            stack.extend((c, depth + 1) for c in reversed(node.children))
-        return "\n".join(lines)
-
-
-def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset, root: DerivationNode | None = None):
+def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset):
     """Depth-first search of the derivations of pr, last child first.
 
     Yields (normal form, path, failure, solution) for each leaf; path is the
     linked chain (step, parent path) back to the root, and failure is
     classify_normal_form's answer.  Each step's decrease of the measure is
-    asserted from the step's delta.  Given a root node for pr, the search
-    fills it in as the derivation tree.
+    asserted from the step's delta.  The search builds a problem only at a
+    leaf; the chains share their prefixes and together are the derivation
+    tree, which nomfix.cunify builds on demand.
     """
-    stack = [(_State(pr), None, root)]
+    stack = [(_State(pr), None)]
     while stack:
-        st, path, node = stack.pop()
+        st, path = stack.pop()
         children = expand(st, gen, sig, rigid)
         if not children:
             nf = st.problem()
             failure = classify_normal_form(nf, rigid)
-            solution = None if failure else extract_solution(nf, path)
-            if node is not None:
-                node.leaf_kind = failure[0] if failure else "success"
-                node.solution = solution
-            yield nf, path, failure, solution
+            yield nf, path, failure, None if failure else extract_solution(nf, path)
         for child, step in children:
             assert measure_decreases(*child.step_measures()), str(step)
-            sub = None
-            if node is not None:
-                node.rule = step.rule
-                sub = DerivationNode(child.problem())
-                node.children.append(sub)
-            stack.append((child, (step, path), sub))
+            stack.append((child, (step, path)))
 
 
-def _derive(pr, sig: Signature | None, gen: NameGenerator | None, theories, rigid=frozenset(), tree=False):
+def _derive(pr, sig: Signature | None, gen: NameGenerator | None, theories, rigid=frozenset()):
     """Check that pr uses only symbols of the given theories, then search
-    it: returns the root of its derivation tree (None unless tree) and the
-    leaves."""
+    it: returns the leaves."""
     pr = tuple(pr)
     if sig is not None:
         for c in pr:
@@ -536,16 +491,14 @@ def _derive(pr, sig: Signature | None, gen: NameGenerator | None, theories, rigi
                 check_well_formed(sig, t, theories=theories)
     if gen is None:
         gen = generator_avoiding(atoms_in(*pr))
-    root = DerivationNode(pr) if tree else None
-    return root, _search(pr, sig, gen, rigid, root)
+    return _search(pr, sig, gen, rigid)
 
 
 def unify(
     pr, sig: Signature | None = None, gen: NameGenerator | None = None, rigid: frozenset = frozenset()
 ) -> UnifyResult:
     """Solve a syntactic unification problem (a sequence of constraints)."""
-    _, leaves = _derive(pr, sig, gen, (Theory.NONE,), rigid)
-    ((nf, path, failure, solution),) = leaves
+    ((nf, path, failure, solution),) = _derive(pr, sig, gen, (Theory.NONE,), rigid)
     steps = []
     while path is not None:
         step, path = path

@@ -1,10 +1,12 @@
 import io
 import json
 import re
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from nomfix.cli import main
+from nomfix.cli import _to_json, main
 
 
 def run(capsys, *argv):
@@ -170,6 +172,31 @@ class TestDeepChain:
         # step for a =? a, one for Y and one per equation, a level each
         assert lines[-1] == "  " * (n + 3) + "(empty) <success>"
 
+    def test_seven_hundred_step_tree_encodes(self, capsys, monkeypatch):
+        # 700 nested applications rather than 700 chained equations: every
+        # node lists its problem, indented by depth, so the chain's --json
+        # tree would take about 500 MB; this one reaches the same depth in 22
+        n = 700
+        text = "sym + : C ;\n+(Y, a) =? +(a, b),\n" + "f(" * n + "X" + ")" * n + " =? " + "f(" * n + "a" + ")" * n
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "cunify", "-", "--json", "--tree")
+        assert code == 0
+        # the stdlib decoder recurses at every nested list and dict
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10 * n)
+        try:
+            payload = json.loads(out)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert payload["status"] == "solved" and payload["leaves"] == 2
+        node, depth = payload["tree"], 0
+        while "children" in node:
+            node, depth = node["children"][-1], depth + 1
+        # the C pair branches at the root; the crossed branch then takes one
+        # step for a =? a, one per application and one for each of X and Y
+        assert depth == n + 4
+        assert node["constraints"] == [] and node["leaf"] == "success"
+
     def test_six_hundred_nested_applications_answer(self, capsys, monkeypatch):
         t = "f(" * 600 + "a" + ")" * 600
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{t} =? {t}"))
@@ -192,3 +219,28 @@ class TestSelfcheck:
         assert code == 1
         assert payload["ok"] is False
         assert payload["unverified"] > 0 and payload["solutions_verified"] == 0
+
+
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """--json output comes from cli's own writer, which must give exactly
+    the bytes of json.dumps(v, indent=2)."""
+
+    @given(JSON_LIKE)
+    @example(["\u00e9\U0001f600", 'q"', "\\", "\x00\x1f\n\t\x7f"])
+    @example([True, False, None, 0, -1, -(2**70), 2**70])
+    @example({"t": True, "f": False, "n": None, "i": 1})
+    @example({"e": {}, "l": [], "nested": [{}, [[]], {"x": [{"y": "z"}]}]})
+    def test_matches_the_stdlib(self, value):
+        assert _to_json(value) == json.dumps(value, indent=2)

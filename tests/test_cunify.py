@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from nomfix import (
@@ -16,6 +18,9 @@ from nomfix import (
     verify_solution,
 )
 from gen import SIG_C, random_term
+
+UNIFY = sys.modules["nomfix.unify"]
+CUNIFY = sys.modules["nomfix.cunify"]
 
 X, Y = Var("X"), Var("Y")
 idp = Permutation.identity()
@@ -149,3 +154,90 @@ class TestSoundness:
                 assert verify_solution(SIG_C, pr, sol)
             solved += res.solved
         assert solved > 20
+
+
+def c_pairs(k):
+    """k independent pairs +(Xi, Yi) =? +(ai, bi); each branches in two and
+    both branches solve it, so 2^k leaves, every one a solution."""
+    return tuple(parse_constraint(f"+(X{i}, Y{i}) =? +(a{i}, b{i})", SIG) for i in range(k))
+
+
+def walk(root):
+    """The tree's nodes in search order: last child first."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestLazyTree:
+    """The search keeps the leaves' chains of steps; the tree is built from
+    them, replaying each step, only when it is read."""
+
+    def test_no_tree_work_unless_read(self, monkeypatch):
+        counts = {}
+        count_calls(monkeypatch, CUNIFY.DerivationNode, "__init__", counts)
+        count_calls(monkeypatch, UNIFY._State, "problem", counts)
+        res = c_unify(c_pairs(6), SIG)
+        assert res.leaves == 2**6 and len(res.solutions) == 2**6
+        assert counts == {"problem": res.leaves}
+        nodes = len(list(walk(res.tree)))
+        assert counts == {"problem": res.leaves, "__init__": nodes}
+        assert res.tree is res.tree and counts["__init__"] == nodes
+
+    @staticmethod
+    def searched_problems(monkeypatch):
+        # the problem at every node the search reaches, in search order
+        seen = []
+        expand = UNIFY.expand
+
+        def recording(state, *args):
+            seen.append(state.problem())
+            return expand(state, *args)
+
+        monkeypatch.setattr(UNIFY, "expand", recording)
+        return seen
+
+    def test_duplicate_constraints(self, monkeypatch):
+        # the replay removes the first constraint equal to the consumed one:
+        # one object twice, equal copies, and copies a binding rewrites
+        seen = self.searched_problems(monkeypatch)
+        branch = parse_constraint("+(X, a) =? +(b, Y)", SIG)
+        copy = parse_constraint("+(X, a) =? +(b, Y)", SIG)
+        bind = parse_constraint("X =? f(Y)", SIG)
+        later = parse_constraint("Y =? c", SIG)
+        fix = parse_constraint("(a b) fix? +(X, Y)", SIG)
+        for pr in (
+            (branch, bind, branch),
+            (branch, copy, later, branch),
+            (bind, fix, copy, bind, fix, later),
+            (later, branch, later, fix),
+        ):
+            seen.clear()
+            res = c_unify(pr, SIG)
+            assert [node.problem for node in walk(res.tree)] == seen
+            assert sum(not node.children for node in walk(res.tree)) == res.leaves
+
+    def test_random_problems_with_duplicates(self, monkeypatch, rng):
+        seen = self.searched_problems(monkeypatch)
+        for _ in range(150):
+            base = [
+                Eq(random_term(rng, SIG_C, depth=2), random_term(rng, SIG_C, depth=2))
+                for _ in range(rng.randrange(1, 3))
+            ]
+            pr = tuple(base + [rng.choice(base) for _ in range(rng.randrange(1, 3))])
+            seen.clear()
+            res = c_unify(pr, SIG_C)
+            assert [node.problem for node in walk(res.tree)] == seen
+
