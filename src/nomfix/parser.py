@@ -9,10 +9,12 @@ Grammar summary:
     swapping    := '(' atom atom ')'            of two distinct atoms
     perm        := 'Id' | swapping+
 
-Atoms are lowercase identifiers, variables start uppercase.  'Id' is
-reserved.  Names with the generated-atom prefix '#c' are rejected; such atoms
-only appear in output.  Terms are read with one explicit stack, not by
-recursion, so input may nest to any depth.
+Atoms are identifiers [a-z][A-Za-z0-9_']* (or operator characters),
+variables start uppercase.  'Id' is reserved, and so is '#', which starts the
+names of generated atoms; those only appear in output.  Text is cut into
+tokens by one regex pass; a ParseError's line and column are worked out only
+when one is raised.  Terms are read with one explicit stack, not by recursion,
+so input may nest to any depth.
 
 A problem file holds optional 'sym NAME : none|A|C|AC ;' declarations, an
 optional 'context: ... ;' section (either all 'a fresh X' or all 'pi fix X'
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .syntax import (
     Abs,
@@ -78,122 +81,107 @@ class ProblemFile:
 
 
 _OPERATORS = "+-*/&|@$%^~!"
+_ATOM_START = frozenset("abcdefghijklmnopqrstuvwxyz" + _OPERATORS)
 
-_TOKEN = re.compile(
-    rf"""(?P<ws>\s+|//[^\n]*)
-      | (?P<eqq>=\?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<op>[{re.escape(_OPERATORS)}])
-      | (?P<punct>[()\[\],.;:?])
-    """,
-    re.VERBOSE,
-)
+# skips whitespace and comments; group 1 is a token, group 2 a character that is none
+_TOKEN = re.compile(rf"\s+|//[^\n]*|(=\?|[A-Za-z_][A-Za-z0-9_']*|[{re.escape(_OPERATORS)}()\[\],.;:?])|(.)", re.S)
+_SKIPPED = ("", "")
 
+# the kinds of the tokens that are not names, as messages name them; "" ends the list
+_KIND = {p: p for p in "()[],.;:?"} | {"=?": "eqq", "": "eof"}
 
-@dataclass
-class Token:
-    kind: str  # "ident", "eqq", or the punctuation character itself
-    text: str
-    line: int
-    col: int
+_ID = Permutation.identity()
 
 
-def _tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        if text[pos] == "#":
-            raise ParseError("'#' is reserved for generated atoms", line, pos - bol + 1)
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
-        col = pos - bol + 1
-        if m.lastgroup == "ws":
-            line += m.group().count("\n")
-            if "\n" in m.group():
-                bol = m.start() + m.group().rindex("\n") + 1
-        elif m.lastgroup == "ident" or m.lastgroup == "op":
-            out.append(Token("ident", m.group(), line, col))
-        elif m.lastgroup == "eqq":
-            out.append(Token("eqq", "=?", line, col))
-        else:
-            out.append(Token(m.group(), m.group(), line, col))
-        pos = m.end()
-    out.append(Token("eof", "", line, len(text) - bol + 1))
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end, from one regex pass."""
+    found = _TOKEN.findall(text)
+    tokens = [tok for tok, _ in found if tok]
+    if len(tokens) + found.count(_SKIPPED) < len(found):
+        i, c = next((i, bad) for i, (_, bad) in enumerate(found) if bad)
+        message = "'#' is reserved for generated atoms" if c == "#" else f"unexpected character {c!r}"
+        raise _error(text, i - found[:i].count(_SKIPPED), message)
+    tokens.append("")
+    return tokens
+
+
+def _error(text: str, index: int, message: str) -> ParseError:
+    """A ParseError at the index-th token of text, or at its end, found by
+    scanning text again: positions are worked out for errors only."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m.lastindex)
+    offset = next(islice(starts, index, None), len(text))
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
     def __init__(self, text: str, sig: Signature):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
+    def expect(self, kind: str) -> str:
+        tok = self.tokens[self.pos]
+        if _KIND.get(tok, "ident") != kind:
+            self.fail(f"expected {kind!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, at: int | None = None):
+        """Raise a ParseError at token at, by default the next one."""
+        raise _error(self.text, self.pos if at is None else at, message)
 
     def accept(self, text: str) -> bool:
         """Skip the next token if it reads text."""
-        if self.peek().text != text:
+        if self.tokens[self.pos] != text:
             return False
-        self.next()
+        self.pos += 1
         return True
 
     # ---- names ----
 
     def atom_name(self) -> Atom:
-        tok = self.expect("ident")
-        if not _atom_like(tok.text):
-            raise ParseError(f"expected an atom, found {tok.text!r}", tok.line, tok.col)
-        return Atom(tok.text)
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _ATOM_START:
+            self.expect("ident")
+            self.fail(f"expected an atom, found {tok!r}", self.pos - 1)
+        self.pos += 1
+        return Atom(tok)
 
     def var_name(self) -> Var:
-        tok = self.expect("ident")
-        if not tok.text[0].isupper() or tok.text == "Id":
-            raise ParseError(f"expected a variable, found {tok.text!r}", tok.line, tok.col)
-        return Var(tok.text)
+        tok = self.tokens[self.pos]
+        if not tok[:1].isupper() or tok == "Id":
+            self.expect("ident")
+            self.fail(f"expected a variable, found {tok!r}", self.pos - 1)
+        self.pos += 1
+        return Var(tok)
 
     # ---- permutations ----
 
     def _perm_then(self, follow: str) -> bool:
         """Whether 'Id', or a run of '(' ident ident ')', starts here and the
         token after it reads follow; the tokens are only looked at."""
-        i = self.pos
-        if self.peek().text == "Id":
+        toks, i = self.tokens, self.pos
+        if toks[i] == "Id":
             i += 1
         else:
-            while [t.kind for t in self.tokens[i : i + 4]] == ["(", "ident", "ident", ")"]:
+            while toks[i] == "(" and toks[i + 1] not in _KIND and toks[i + 2] not in _KIND and toks[i + 3] == ")":
                 i += 4
-        return i > self.pos and self.tokens[i].text == follow
+        return i > self.pos and toks[i] == follow
 
     def perm(self) -> Permutation:
         if self.accept("Id"):
-            return Permutation.identity()
-        if self.peek().kind != "(":
+            return _ID
+        if self.tokens[self.pos] != "(":
             self.fail("expected a permutation")
         swaps: list[Swapping] = []
-        while self.peek().kind == "(":
-            opening = self.next()
+        while self.tokens[self.pos] == "(":
+            opening = self.pos
+            self.pos += 1
             a, b = self.atom_name(), self.atom_name()
             self.expect(")")
             if a == b:
-                raise ParseError(f"swapping of an atom with itself: ({a} {b})", opening.line, opening.col)
+                self.fail(f"swapping of an atom with itself: ({a} {b})", opening)
             swaps.append(Swapping(a, b))
         return Permutation(tuple(swaps))
 
@@ -201,46 +189,62 @@ class _Parser:
 
     def term(self) -> Term:
         """Read prefixes (binders, symbols, open parentheses) onto a stack of
-        open constructors up to a leaf, then close all that the leaf completes."""
+        open constructors up to a leaf, then close all that the leaf completes.
+        The position is kept in a local and stored back only around calls."""
+        toks, symbols = self.tokens, self.sig.symbols
+        i = self.pos
         stack: list = []  # (Abs, binder), (App, symbol), or the list of a tuple's items so far
         while True:
-            tok = self.peek()
-            if tok.text == "Id":
-                self.fail("'Id' is reserved")
-            if self.accept("["):
+            tok = toks[i]
+            if tok == "[":
+                self.pos = i + 1
                 stack.append((Abs, self.atom_name()))
-                self.expect("]")
+                i = self.pos
+                if toks[i] != "]":
+                    self.expect("]")
+                i += 1
                 continue
-            if tok.kind == "(" and self._perm_then("."):
+            if tok == "(":
+                self.pos = i
+                if not self._perm_then("."):
+                    i += 1
+                    stack.append([])
+                    continue
                 p = self.perm()
-                self.next()
+                self.pos += 1
                 t = Susp(p, self.var_name())
-            elif self.accept("("):
-                stack.append([])
-                continue
-            elif tok.kind == "ident":
-                self.next()
-                if tok.text[0].isupper():
-                    t = Susp(Permutation.identity(), Var(tok.text))
-                elif tok.text in self.sig.symbols or (_atom_like(tok.text) and self.peek().kind == "("):
-                    stack.append((App, tok.text))
+                i = self.pos
+            elif tok in _KIND:
+                self.fail(f"expected a term, found {tok or 'end of input'!r}", i)
+            elif tok == "Id":
+                self.fail("'Id' is reserved", i)
+            else:
+                i += 1
+                if tok[0].isupper():
+                    t = Susp(_ID, Var(tok))
+                elif tok in symbols or (tok[0] in _ATOM_START and toks[i] == "("):
+                    stack.append((App, tok))
                     continue
                 else:
-                    t = AtomTerm(Atom(tok.text))
-            else:
-                self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+                    self.pos = i - 1
+                    t = AtomTerm(self.atom_name())
             while stack:
                 top = stack[-1]
                 if type(top) is list:
                     top.append(t)
-                    if self.accept(","):
+                    tok = toks[i]
+                    if tok == ",":
+                        i += 1
                         break
-                    self.expect(")")
+                    if tok != ")":
+                        self.fail(f"expected ')', found {tok or 'end of input'!r}", i)
+                    i += 1
                     t = top[0] if len(top) == 1 else Tup(tuple(top))
                 else:
                     t = top[0](top[1], t)
                 stack.pop()
             else:
+                self.pos = i
                 return t
 
     # ---- constraints and files ----
@@ -248,17 +252,17 @@ class _Parser:
     def constraint(self):
         if self._perm_then("fix"):
             p = self.perm()
-            self.next()
+            self.pos += 1
             self.accept("?")
             return Fix(p, self.term())
         lhs = self.term()
         if self.accept("=?"):
             return Eq(lhs, self.term())
-        tok = self.peek()
+        at = self.pos
         if self.accept("fresh"):
             self.accept("?")
             if not isinstance(lhs, AtomTerm):
-                raise ParseError("freshness needs an atom on the left", tok.line, tok.col)
+                self.fail("freshness needs an atom on the left", at)
             return FreshRequest(lhs.atom, self.term())
         self.fail("expected '=?', 'fix?' or 'fresh?' in constraint")
 
@@ -268,7 +272,7 @@ class _Parser:
         while True:
             if self._perm_then("fix"):
                 p = self.perm()
-                self.next()
+                self.pos += 1
                 fixp_pairs.append((p, self.var_name()))
             else:
                 a = self.atom_name()
@@ -286,13 +290,13 @@ class _Parser:
 
     def signature_decls(self) -> Signature:
         while self.accept("sym"):
-            name = self.expect("ident").text
+            name = self.expect("ident")
             self.expect(":")
             tok = self.expect("ident")
             try:
-                theory = Theory(tok.text if tok.text in ("A", "C", "AC") else tok.text.lower())
+                theory = Theory(tok if tok in ("A", "C", "AC") else tok.lower())
             except ValueError:
-                raise ParseError(f"unknown theory {tok.text!r}", tok.line, tok.col) from None
+                raise _error(self.text, self.pos - 1, f"unknown theory {tok!r}") from None
             self.sig.declare(name, theory)
             self.expect(";")
         return self.sig
@@ -304,16 +308,12 @@ class _Parser:
             self.expect(":")
             fresh_ctx, fixp_ctx = self.context_section()
         constraints = []
-        if self.peek().kind != "eof":
+        if self.tokens[self.pos]:
             constraints.append(self.constraint())
             while self.accept(","):
                 constraints.append(self.constraint())
             self.accept(";")
         return ProblemFile(self.sig, fresh_ctx, fixp_ctx, constraints)
-
-
-def _atom_like(name: str) -> bool:
-    return name[0].islower() or name[0] in _OPERATORS
 
 
 def _parse(text: str, sig: Signature | None, rule):

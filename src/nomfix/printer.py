@@ -1,8 +1,9 @@
 """Text rendering of terms, permutations, and substitutions; contexts print
 themselves with str().
 
-Output parses back with nomfix.parser, except for generated atoms, which are
-printed with the reserved "#c" prefix and never accepted in input.
+Output parses back with nomfix.parser, except for generated atoms under a
+prefix starting with the reserved '#' (the default is "#c"), which input never
+accepts.
 Permutations print in their canonical form (see Permutation), so terms equal
 under == print alike.
 """

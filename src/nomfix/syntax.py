@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import re
 import weakref
 from dataclasses import dataclass, field
 
@@ -24,6 +25,9 @@ class UndeclaredSymbolError(NomfixError):
 
 
 GENERATED_PREFIX = "#c"
+# a generated atom's name: one the parser reads as an atom everywhere, or, with
+# '#' first, one that is only printed
+_GENERATED_NAME = re.compile(r"[a-z#][A-Za-z0-9_']*")
 
 
 # (name, gen_index) -> a weak reference to the live atom of that name; the
@@ -397,22 +401,27 @@ def free_vars(t: Term) -> frozenset[Var]:
 
 
 def atoms_of(t: Term) -> set[Atom]:
-    """All atoms mentioned in a term, including binders and suspension perms."""
-    match t:
-        case AtomTerm(a):
-            return {a}
-        case Abs(b, body):
-            return {b} | atoms_of(body)
-        case Tup(items):
-            out: set[Atom] = set()
-            for s in items:
-                out |= atoms_of(s)
-            return out
-        case App(_, arg):
-            return atoms_of(arg)
-        case Susp(p, _):
-            return set(p.support())
-    raise TypeError(f"not a term: {t!r}")
+    """All atoms mentioned in a term, including binders and suspension perms.
+    One loop over an explicit stack fills one set, so any depth is folded."""
+    out: set[Atom] = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is AtomTerm:
+            out.add(t.atom)
+        elif kind is Abs:
+            out.add(t.binder)
+            todo.append(t.body)
+        elif kind is App:
+            todo.append(t.arg)
+        elif kind is Tup:
+            todo += t.items
+        elif kind is Susp:
+            out |= t.perm.support()
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return out
 
 
 def is_ground(t: Term) -> bool:
@@ -561,9 +570,7 @@ class NameGenerator:
     """
 
     def __init__(self, prefix: str = GENERATED_PREFIX, start: int = 0):
-        # prefix + digits must print as an atom: not as a variable, a number or several tokens
-        bad_start = not prefix or prefix[0].isupper() or prefix[0].isdigit()
-        if bad_start or any(c.isspace() or c in "()[],.;:?=" for c in prefix):
+        if not _GENERATED_NAME.fullmatch(prefix + "0"):
             raise IllFormedTermError(f"generated atoms with prefix {prefix!r} would not print as atoms")
         self.prefix = prefix
         self._counter = itertools.count(start)

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+from nomfix import parse_constraint
 from nomfix.cli import _to_json, main
 
 
@@ -105,13 +106,13 @@ class TestOptions:
             str(data_dir / "translate_fresh.nom"),
             "--json",
             "--fresh-prefix",
-            "%n",
+            "n",
         )
         assert code == 0
         payload = json.loads(out)
-        assert all("%n" in e["perm"] for e in payload["context"])
+        assert all(re.search(r"\bn\d", e["perm"]) for e in payload["context"])
 
-    @pytest.mark.parametrize("prefix", ["X", ""])
+    @pytest.mark.parametrize("prefix", ["X", "", "%n", "_", "a-"])
     def test_fresh_prefix_not_printing_as_atoms_rejected(self, capsys, data_dir, prefix):
         code, out, err = run(
             capsys, "translate", str(data_dir / "translate_fresh.nom"), "--fresh-prefix", prefix
@@ -148,6 +149,34 @@ class TestOptions:
         code, out, _ = run(capsys, "unify", str(data_dir / "unify_abs.nom"), "--trace")
         assert code == 0
         assert "eq-abs-rename" in out
+
+
+class TestPrintedAnswersReadBack:
+    """With --fresh-prefix n, every context entry and binding that unify,
+    cunify and translate print over the corpus is a constraint the parser
+    reads back: generated atoms are named as user atoms are."""
+
+    @staticmethod
+    def constraints(payload) -> list[str]:
+        answers = payload.get("solutions", [payload])
+        out = []
+        for answer in answers:
+            for e in answer.get("context", []):
+                out.append(f"{e['perm']} fix? {e['var']}" if "perm" in e else f"{e['atom']} fresh? {e['var']}")
+            out += [f"{e['var']} =? {e['term']}" for e in answer.get("subst", [])]
+        return out
+
+    @pytest.mark.parametrize("command", ["unify", "cunify", "translate"])
+    def test_corpus(self, capsys, data_dir, command):
+        generated = 0
+        for path in sorted(data_dir.glob("*.nom")):
+            code, out, _ = run(capsys, command, str(path), "--json", "--fresh-prefix", "n")
+            if code == 2:
+                continue
+            for text in self.constraints(json.loads(out)):
+                parse_constraint(text)
+                generated += bool(re.search(r"\bn\d", text))
+        assert generated > 0
 
 
 class TestDeepChain:

@@ -9,6 +9,7 @@ from nomfix import (
     Abs,
     App,
     Atom,
+    AtomTerm,
     IllFormedTermError,
     NameGenerator,
     Permutation,
@@ -36,7 +37,7 @@ from nomfix import (
     var,
 )
 from nomfix.syntax import Renaming
-from gen import ATOMS, SIG_FULL, VARS, random_perm, random_term
+from gen import ATOMS, SIG_CLASSES, SIG_FULL, VARS, random_perm, random_term
 
 a, b, c, d = (Atom(n) for n in "abcd")
 
@@ -226,14 +227,16 @@ class TestNameGenerator:
         assert gen.fresh().name == "#c5"
 
     def test_custom_prefix(self):
-        gen = generator_avoiding(set(), prefix="%n")
-        assert gen.fresh().name == "%n0"
+        gen = generator_avoiding(set(), prefix="n")
+        assert gen.fresh().name == "n0"
 
-    @pytest.mark.parametrize("prefix", ["#c", "c", "%n"])
+    @pytest.mark.parametrize("prefix", ["#c", "c", "n"])
     def test_prefix_of_atoms_accepted(self, prefix):
         assert NameGenerator(prefix).fresh().name == prefix + "0"
 
-    @pytest.mark.parametrize("prefix", ["", "X", "Xa", "0", "a b", "c\t"] + [f"c{ch}" for ch in "()[],.;:?="])
+    @pytest.mark.parametrize(
+        "prefix", ["", "X", "Xa", "0", "a b", "c\t", "%n", "_", "a-"] + [f"c{ch}" for ch in "()[],.;:?="]
+    )
     def test_prefix_not_printing_as_atoms_rejected(self, prefix):
         with pytest.raises(IllFormedTermError):
             NameGenerator(prefix)
@@ -376,3 +379,38 @@ def test_renaming_composes_swappings_on_the_left(pairs, more):
     for x, y in reversed(pairs):
         rho.swap(x, y)
     assert rho.image == {} and rho.preimage == {}
+
+
+def reference_atoms(t) -> set:
+    """The atoms of t, binders and suspension permutations included, by recursion."""
+    match t:
+        case AtomTerm(x):
+            return {x}
+        case Abs(x, s):
+            return {x} | reference_atoms(s)
+        case App(_, s):
+            return reference_atoms(s)
+        case Tup(items):
+            return set().union(*map(reference_atoms, items))
+        case Susp(p, _):
+            return set(p.support())
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(sorted(SIG_CLASSES)))
+def test_atoms_of_matches_a_recursive_fold(seed, theory):
+    rng = random.Random(seed)
+    t = random_term(rng, SIG_CLASSES[theory], depth=4, atoms=ATOMS + (Atom("#c3", gen_index=3),))
+    assert atoms_of(t) == reference_atoms(t)
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [(lambda t: App("f", t), {a, c}), (lambda t: Abs(b, t), {a, b, c}), (lambda t: Tup((t, atom("d"))), {a, c, d})],
+    ids=["application", "abstraction", "tuple"],
+)
+def test_atoms_of_any_depth(build, expected):
+    """5,000 levels, past Python's recursion limit: the fold keeps its own stack."""
+    t = Susp(swaps((a, c)), Var("X"))
+    for _ in range(5000):
+        t = build(t)
+    assert atoms_of(t) == expected
