@@ -53,7 +53,7 @@ from .unify import (
     match,
     unify,
 )
-from .cunify import CUnifyResult, DerivationNode, c_unify
+from .cunify import CUnifyResult, c_unify
 from .oracle import (
     TermPool,
     completeness_check,

@@ -9,52 +9,43 @@ a termination-measure check, as an AlphaRules value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .printer import print_term
 from .syntax import Abs, App, AtomTerm, Renaming, Susp, Term, Theory, Tup, act, equational_args, is_pair
 
 
-@dataclass(slots=True)
 class TraceNode:
     """One judgement of a derivation: the rule that decided it, the goal's
     parts (atoms, permutations, terms and keywords, printed only when read),
-    whether it holds, and its premises.  A part may be a (permutation, term)
-    pair, which stands for the permutation acting on the term."""
+    and whether it holds.  A part may be a (permutation, term) pair, which
+    stands for the permutation acting on the term.
 
-    rule: str
-    parts: tuple
-    ok: bool = False
-    children: list[TraceNode] = field(default_factory=list)
+    Every node is appended to one flat list, the trace, when it is made;
+    the engines make a premise's node just before deriving it, so the trace
+    is in derivation pre-order.  id is the node's position in the trace and
+    parent its conclusion's, None at a goal."""
+
+    __slots__ = ("rule", "parts", "ok", "id", "parent", "trace")
+
+    def __init__(self, trace: list, parent: int | None, rule: str, parts: tuple):
+        self.rule, self.parts, self.ok = rule, parts, False
+        self.id, self.parent, self.trace = len(trace), parent, trace
+        trace.append(self)
 
     def child(self, rule: str, rho: Renaming | None, *parts) -> TraceNode:
         """A premise whose last part, a term, stands for rho acting on it.
         rho changes afterwards, so the pair keeps it as a Permutation."""
         if rho is not None and rho.image:
             parts = (*parts[:-1], (rho.permutation(), parts[-1]))
-        node = TraceNode(rule, parts)
-        self.children.append(node)
-        return node
+        return TraceNode(self.trace, self.id, rule, parts)
 
     @property
     def goal(self) -> str:
         return " ".join(map(_show, self.parts))
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "goal": self.goal,
-            "ok": self.ok,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    def render(self, indent: int = 0) -> str:
-        mark = "+" if self.ok else "-"
-        lines = ["  " * indent + f"{mark} [{self.rule}] {self.goal}"]
-        for c in self.children:
-            lines.append(c.render(indent + 1))
-        return "\n".join(lines)
+    def record(self) -> dict:
+        return {"id": self.id, "parent": self.parent, "rule": self.rule, "goal": self.goal, "ok": self.ok}
 
 
 class _Untraced(TraceNode):
@@ -64,8 +55,16 @@ class _Untraced(TraceNode):
 
     __slots__ = ()
 
+    def __init__(self):
+        self.rule, self.ok = "", False
+
     def child(self, rule: str, rho: Renaming | None, *parts) -> TraceNode:
         return self
+
+
+def trace_line(record: dict) -> str:
+    """The text of a trace record: verdict, rule and goal."""
+    return f"{'+' if record['ok'] else '-'} [{record['rule']}] {record['goal']}"
 
 
 def _show(part) -> str:
@@ -75,13 +74,11 @@ def _show(part) -> str:
 
 
 def trace_root(trace: list[TraceNode] | None, *parts) -> TraceNode:
-    """The root node of a check's derivation, appended to trace; without a
-    trace, a node that records nothing."""
+    """The node of a check's goal, appended to trace; without a trace, a
+    node that records nothing."""
     if trace is None:
-        return _Untraced("", parts)
-    node = TraceNode("", parts)
-    trace.append(node)
-    return node
+        return _Untraced()
+    return TraceNode(trace, None, "", parts)
 
 
 class AlphaRules(NamedTuple):

@@ -12,15 +12,15 @@ import json
 import os
 import random
 import sys
-from itertools import chain, repeat
 
 from . import __version__
-from .cunify import c_unify
+from .alpha import trace_line
+from .cunify import c_unify, tree_line
 from .fixpoint import check_alpha_fixp, check_fixp
 from .freshness import check_alpha_fresh, check_fresh
 from .oracle import TermPool, enumerate_terms, ground_alpha_oracle, verify_solution
 from .parser import FreshRequest, ProblemFile, parse_problem_file, parse_signature
-from .printer import print_perm, print_term
+from .printer import print_perm, print_records, print_term
 from .syntax import (
     Atom,
     FixpointContext,
@@ -51,7 +51,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         if needs_file:
             p.add_argument("file", help="problem file, or - for stdin")
         p.add_argument("--json", action="store_true", help="report in JSON")
-        p.add_argument("--trace", action="store_true", help="include derivation details")
+        p.add_argument(
+            "--trace",
+            action="store_true",
+            help="include the derivation: one line, or with --json one record, per judgement or step",
+        )
         p.add_argument("--sig", metavar="FILE", help="extra signature file")
         p.add_argument(
             "--fresh-prefix",
@@ -66,7 +70,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("unify", help="solve a syntactic unification problem"))
     cu = sub.add_parser("cunify", help="solve modulo commutative symbols")
     common(cu)
-    cu.add_argument("--tree", action="store_true", help="include the derivation tree")
+    cu.add_argument(
+        "--tree",
+        action="store_true",
+        help="include the derivation tree: the problem, then one line, or with --json one record, per step",
+    )
     cu.add_argument("--dedup", action="store_true", help="drop equivalent solutions")
     common(sub.add_parser("translate", help="translate the context section"))
     common(sub.add_parser("selfcheck", help="run the built-in agreement suite"), needs_file=False)
@@ -108,61 +116,9 @@ def _contexts(pf: ProblemFile, gen: NameGenerator):
     return fixp_to_fresh(fixp), fixp
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _to_json(value) -> str:
-    """json.dumps(value, indent=2), byte for byte, from an explicit stack so
-    any depth encodes.  Strings go through the stdlib's escaper, which is C,
-    and a list of strings only is joined in one call.  Dict keys must be
-    strings."""
-    out = []
-    stack = [(iter((("", value),)), "", "")]
-    while stack:
-        items, ind, close = stack[-1]
-        for prefix, v in items:
-            out.append(prefix)
-            if isinstance(v, str):
-                out.append(_escape(v))
-            elif v is None:
-                out.append("null")
-            elif v is True:
-                out.append("true")
-            elif v is False:
-                out.append("false")
-            elif isinstance(v, int):
-                out.append(int.__repr__(v))
-            elif isinstance(v, float):
-                out.append(json.dumps(v))
-            elif isinstance(v, (list, tuple, dict)):
-                if not v:
-                    out.append("{}" if isinstance(v, dict) else "[]")
-                    continue
-                inner = ind + "  "
-                sep = ",\n" + inner
-                seps = chain(("\n" + inner,), repeat(sep))  # what precedes each item
-                if isinstance(v, dict):
-                    out.append("{")
-                    sub = ((s + _escape(k) + ": ", x) for s, (k, x) in zip(seps, v.items()))
-                    stack.append((sub, inner, "\n" + ind + "}"))
-                elif all(isinstance(x, str) for x in v):
-                    out.append("[\n" + inner + sep.join(map(_escape, v)) + "\n" + ind + "]")
-                    continue
-                else:
-                    out.append("[")
-                    stack.append((zip(seps, v), inner, "\n" + ind + "]"))
-                break
-            else:
-                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-        else:
-            out.append(close)
-            stack.pop()
-    return "".join(out)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(_to_json(payload))
+        print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -193,8 +149,9 @@ def _check_command(args) -> int:
     all_ok = all(r["derivable"] for r in results)
     payload = {"command": args.command, "derivable": all_ok, "results": results}
     if traces is not None:
-        payload["trace"] = [t.to_dict() for t in traces]
-        lines += [t.render() for t in traces]
+        payload["trace"] = records = [node.record() for node in traces]
+        if not args.json:
+            lines += print_records(records, trace_line)
     _emit(args, payload, lines)
     return 0 if all_ok else 1
 
@@ -254,10 +211,9 @@ def _unify_command(args) -> int:
     lines = [f"{res.status}: {len(res.solutions)} solution(s)"]
     lines += [f"  {s}" for s in res.solutions]
     if getattr(args, "tree", False):
-        if args.json:
-            payload["tree"] = res.tree.to_dict()
-        else:
-            lines.append(res.tree.render())
+        payload["tree"] = res.tree
+        if not args.json:
+            lines += print_records(res.tree, tree_line)
     _emit(args, payload, lines)
     return 0 if res.solved else 1
 

@@ -1,5 +1,5 @@
-"""Text rendering of terms, permutations, and substitutions; contexts print
-themselves with str().
+"""Text rendering of terms, permutations, substitutions and derivation
+records; contexts print themselves with str().
 
 Output parses back with nomfix.parser, except for generated atoms under a
 prefix starting with the reserved '#' (the default is "#c"), which input never
@@ -63,3 +63,16 @@ def print_subst(sigma: Substitution) -> str:
         f"{x.name} -> {print_term(t)}" for x, t in sorted(sigma.bindings.items())
     )
     return "{" + inner + "}"
+
+
+def print_records(records, line) -> list[str]:
+    """One line per derivation record, line(record), indented two spaces per
+    level below its root.  Each record's id is its position in records, and
+    a parent comes before its children."""
+    depth: list[int] = []
+    lines = []
+    for r in records:
+        parent = r["parent"]
+        depth.append(0 if parent is None else depth[parent] + 1)
+        lines.append("  " * depth[-1] + line(r))
+    return lines

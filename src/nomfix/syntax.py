@@ -30,25 +30,57 @@ GENERATED_PREFIX = "#c"
 _GENERATED_NAME = re.compile(r"[a-z#][A-Za-z0-9_']*")
 
 
-# (name, gen_index) -> a weak reference to the live atom of that name; the
-# table is swept of dead references whenever it has doubled since the last
-# sweep, so it stays within about twice the number of live atoms
-_INTERNED: dict[tuple[str, int], weakref.ref] = {}
+# field values -> a weak reference to the live atom, (name, gen_index), or
+# variable, (name,), with those values; the table is swept of dead references
+# whenever it has doubled since the last sweep, so it stays within about twice
+# the number of live ones
+_INTERNED: dict[tuple, weakref.ref] = {}
+_sweep_at = 1024
+
+
+def _intern(key: tuple, obj) -> None:
+    """Record obj as the live object for key."""
+    global _sweep_at
+    _INTERNED[key] = weakref.ref(obj)
+    if len(_INTERNED) > _sweep_at:
+        for k in [k for k, r in _INTERNED.items() if r() is None]:
+            del _INTERNED[k]
+        _sweep_at = 2 * len(_INTERNED) + 1024
+
+
+class _Interned:
+    """An immutable value with one live object per field values
+    (__match_args__), kept in _INTERNED, so == is identity and the hash is
+    the object's own.  Pickle and copy return the live object."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {attr}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, attr) for attr in self.__match_args__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{attr}={getattr(self, attr)!r}" for attr in self.__match_args__)
+        return f"{type(self).__name__}({args})"
 
 
 @functools.total_ordering
-class Atom:
+class Atom(_Interned):
     """An object-level name.  Generated atoms come from a NameGenerator and
     carry the reserved prefix in their printed name.
 
     Atoms are interned: Atom(name, gen_index) returns the one live atom with
-    that name and index, so == is identity and the hash is the object's own.
-    Atoms are ordered by (name, gen_index).
+    that name and index.  Atoms are ordered by (name, gen_index).
     """
 
-    __slots__ = ("name", "gen_index", "__weakref__")
+    __slots__ = ("name", "gen_index")
     __match_args__ = ("name", "gen_index")
-    _sweep_at = 1024
 
     def __new__(cls, name: str, gen_index: int = -1) -> Atom:
         key = (name, gen_index)
@@ -58,21 +90,8 @@ class Atom:
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
             object.__setattr__(self, "gen_index", gen_index)
-            _INTERNED[key] = weakref.ref(self)
-            if len(_INTERNED) > Atom._sweep_at:
-                for k in [k for k, r in _INTERNED.items() if r() is None]:
-                    del _INTERNED[k]
-                Atom._sweep_at = 2 * len(_INTERNED) + 1024
+            _intern(key, self)
         return self
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"atoms are immutable: cannot set {attr}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"atoms are immutable: cannot delete {attr}")
-
-    def __reduce__(self):
-        return Atom, (self.name, self.gen_index)
 
     def __lt__(self, other: Atom) -> bool:
         if not isinstance(other, Atom):
@@ -83,18 +102,33 @@ class Atom:
     def generated(self) -> bool:
         return self.gen_index >= 0
 
-    def __repr__(self) -> str:
-        return f"Atom(name={self.name!r}, gen_index={self.gen_index!r})"
-
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A meta-level unknown, instantiable by substitution."""
+@functools.total_ordering
+class Var(_Interned):
+    """A meta-level unknown, instantiable by substitution.  Variables are
+    interned as atoms are: Var(name) returns the one live variable with that
+    name.  Variables are ordered by name."""
 
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> Var:
+        key = (name,)
+        ref = _INTERNED.get(key)
+        self = ref() if ref is not None else None
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+            _intern(key, self)
+        return self
+
+    def __lt__(self, other: Var) -> bool:
+        if not isinstance(other, Var):
+            return NotImplemented
+        return self.name < other.name
 
     def __str__(self) -> str:
         return self.name

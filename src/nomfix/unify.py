@@ -19,8 +19,8 @@ syntactic.  One depth-first search over these steps serves every solver:
 unify and match follow its single path, is_more_general and nomfix.cunify
 every branch.  It asserts the termination measure on every step and reads
 each solution off its leaf's path of steps.  The paths share their
-prefixes, and their union is the derivation tree, which nomfix.cunify
-builds from them, replaying the steps, only when it is asked for.
+prefixes, and their union is the derivation tree, whose records
+nomfix.cunify reads off them only when it is asked for.
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset):
     classify_normal_form's answer.  Each step's decrease of the measure is
     asserted from the step's delta.  The search builds a problem only at a
     leaf; the chains share their prefixes and together are the derivation
-    tree, which nomfix.cunify builds on demand.
+    tree, which nomfix.cunify reads on demand.
     """
     stack = [(_State(pr), None)]
     while stack:

@@ -1,13 +1,12 @@
 import io
 import json
 import re
-import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
 
-from nomfix import parse_constraint
-from nomfix.cli import _to_json, main
+from certificate import check_tree
+from nomfix import parse_constraint, parse_problem_file
+from nomfix.cli import main
 
 
 def run(capsys, *argv):
@@ -69,7 +68,34 @@ class TestJsonOutput:
         payload = json.loads(out)
         assert len(payload["solutions"]) == 2
         assert payload["leaves"] >= 2
-        assert payload["tree"]["children"]
+        tree = payload["tree"]
+        assert [r["id"] for r in tree] == list(range(len(tree)))
+        assert [r for r in tree if r["parent"] == 0]
+        leaves = [r for r in tree if "outcome" in r]
+        assert len(leaves) == payload["leaves"]
+        assert sum("solution" in r for r in leaves) == len(payload["solutions"])
+
+    @pytest.mark.parametrize("name", ["cunify_two_mgu.nom", "cunify_fix_var.nom"])
+    def test_cunify_tree_is_a_certificate(self, capsys, data_dir, name):
+        # generated atoms under a plain prefix parse back, so the printed
+        # tree replays from its root's problem
+        text = (data_dir / name).read_text()
+        code, out, _ = run(capsys, "cunify", str(data_dir / name), "--json", "--tree", "--fresh-prefix", "n")
+        assert code == 0
+        tree = json.loads(out)["tree"]
+        sig = parse_problem_file(text).signature
+        check_tree(sig, [parse_constraint(c, sig) for c in tree[0]["problem"]], tree)
+
+    def test_check_trace_records(self, capsys, data_dir):
+        code, out, _ = run(capsys, "alpha", str(data_dir / "alpha_forall.nom"), "--json", "--trace")
+        assert code == 0
+        payload = json.loads(out)
+        trace = payload["trace"]
+        assert [r["id"] for r in trace] == list(range(len(trace)))
+        roots = [r for r in trace if r["parent"] is None]
+        assert [r["ok"] for r in roots] == [r["derivable"] for r in payload["results"]]
+        assert all(r["parent"] is None or r["parent"] < r["id"] for r in trace)
+        assert set(trace[0]) == {"id", "parent", "rule", "goal", "ok"}
 
     def test_check_results(self, capsys, data_dir):
         code, out, _ = run(capsys, "fixp", str(data_dir / "fixp_xor_c.nom"), "--json")
@@ -189,42 +215,46 @@ class TestDeepChain:
         (x0,) = [e["term"] for e in json.loads(out)["subst"] if e["var"] == "X0"]
         assert x0 == "f(" * n + f"X{n}" + ", a)" * n
 
+    @staticmethod
+    def chain(n: int) -> str:
+        # a C pair, then n chained equations X0 =? f((X1, a)), X1 =? f((X2, a)), ...
+        return "sym + : C ;\n+(Y, a) =? +(a, b),\n" + ",\n".join(f"X{i} =? f((X{i + 1}, a))" for i in range(n))
+
     def test_seven_hundred_equation_tree_renders(self, capsys, monkeypatch):
         n = 700
-        text = "sym + : C ;\n+(Y, a) =? +(a, b),\n" + ",\n".join(f"X{i} =? f((X{i + 1}, a))" for i in range(n))
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.chain(n)))
         code, out, _ = run(capsys, "cunify", "-", "--tree")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "solved: 1 solution(s)"
         # the C pair branches at the root; the solved branch then takes one
         # step for a =? a, one for Y and one per equation, a level each
-        assert lines[-1] == "  " * (n + 3) + "(empty) <success>"
+        last = lines[-1]
+        assert last.startswith("  " * (n + 3) + "[eq-inst") and last.endswith(" <success>")
+        assert max(len(ln) - len(ln.lstrip(" ")) for ln in lines) == 2 * (n + 3)
 
     def test_seven_hundred_step_tree_encodes(self, capsys, monkeypatch):
-        # 700 nested applications rather than 700 chained equations: every
-        # node lists its problem, indented by depth, so the chain's --json
-        # tree would take about 500 MB; this one reaches the same depth in 22
         n = 700
-        text = "sym + : C ;\n+(Y, a) =? +(a, b),\n" + "f(" * n + "X" + ")" * n + " =? " + "f(" * n + "a" + ")" * n
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.chain(n)))
         code, out, _ = run(capsys, "cunify", "-", "--json", "--tree")
         assert code == 0
-        # the stdlib decoder recurses at every nested list and dict
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(10 * n)
-        try:
-            payload = json.loads(out)
-        finally:
-            sys.setrecursionlimit(limit)
+        # a few MB: the solution, whose X0 holds n applications, takes about
+        # 1.5 MB in solutions and again at its leaf; the other records name
+        # one step each, so they grow linearly in n
+        assert len(out) < 4_000_000
+        # flat records load at the default recursion limit
+        payload = json.loads(out)
         assert payload["status"] == "solved" and payload["leaves"] == 2
-        node, depth = payload["tree"], 0
-        while "children" in node:
-            node, depth = node["children"][-1], depth + 1
-        # the C pair branches at the root; the crossed branch then takes one
-        # step for a =? a, one per application and one for each of X and Y
-        assert depth == n + 4
-        assert node["constraints"] == [] and node["leaf"] == "success"
+        tree = payload["tree"]
+        assert sum(len(json.dumps(r)) for r in tree if "solution" not in r) < 300 * n
+        (leaf,) = [r for r in tree if r.get("outcome") == "success"]
+        path = [leaf]
+        while path[-1]["parent"] is not None:
+            path.append(tree[path[-1]["parent"]])
+        # the path holds the root, the C step on the pair, then one step for
+        # a =? a, one for Y and one per equation
+        assert len(path) == n + 4
+        assert path[-1]["problem"][0] == "+(Y, a) =? +(a, b)" and len(path[-1]["problem"]) == n + 1
 
     def test_six_hundred_nested_applications_answer(self, capsys, monkeypatch):
         t = "f(" * 600 + "a" + ")" * 600
@@ -232,6 +262,23 @@ class TestDeepChain:
         code, out, _ = run(capsys, "alpha", "-", "--json")
         assert code == 0
         assert json.loads(out)["derivable"] is True
+
+    def test_nine_hundred_nested_applications_trace(self, capsys, monkeypatch):
+        n = 900
+        t = "f(" * n + "a" + ")" * n
+        for flags in (["--json"], []):
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"{t} =? {t}"))
+            code, out, _ = run(capsys, "alpha", "-", "--trace", *flags)
+            assert code == 0
+            if flags:
+                trace = json.loads(out)["trace"]
+                # one record per level: n applications and the atom
+                assert len(trace) == n + 1 and all(r["ok"] for r in trace)
+                assert [r["parent"] for r in trace] == [None, *range(n)]
+            else:
+                lines = out.splitlines()
+                assert lines[0].endswith(": derivable") and len(lines) == n + 2
+                assert lines[-1] == "  " * n + "+ [eq-atom] a =? a"
 
 
 class TestSelfcheck:
@@ -249,27 +296,3 @@ class TestSelfcheck:
         assert payload["ok"] is False
         assert payload["unverified"] > 0 and payload["solutions_verified"] == 0
 
-
-JSON_LIKE = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats()
-    | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=25,
-)
-
-
-class TestJsonWriter:
-    """--json output comes from cli's own writer, which must give exactly
-    the bytes of json.dumps(v, indent=2)."""
-
-    @given(JSON_LIKE)
-    @example(["\u00e9\U0001f600", 'q"', "\\", "\x00\x1f\n\t\x7f"])
-    @example([True, False, None, 0, -1, -(2**70), 2**70])
-    @example({"t": True, "f": False, "n": None, "i": 1})
-    @example({"e": {}, "l": [], "nested": [{}, [[]], {"x": [{"y": "z"}]}]})
-    def test_matches_the_stdlib(self, value):
-        assert _to_json(value) == json.dumps(value, indent=2)

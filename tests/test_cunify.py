@@ -1,9 +1,14 @@
+import json
+import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+from certificate import check_tree, search_order, solve, texts
 from nomfix import (
     Eq,
+    Fix,
     Permutation,
     Signature,
     Susp,
@@ -17,7 +22,7 @@ from nomfix import (
     same_term,
     verify_solution,
 )
-from gen import SIG_C, random_term
+from gen import SIG_C, random_perm, random_term
 
 UNIFY = sys.modules["nomfix.unify"]
 CUNIFY = sys.modules["nomfix.cunify"]
@@ -121,24 +126,20 @@ class TestTree:
     def test_branching_structure(self):
         pr = (parse_constraint("+(a, X) =? +(b, Y)", SIG),)
         res = c_unify(pr, SIG)
-        assert res.tree.rule == "eq-app-C"
-        assert len(res.tree.children) == 2
+        root, *steps = res.tree
+        assert root == {"id": 0, "parent": None, "rule": None, "problem": ["+(a, X) =? +(b, Y)"]}
+        top = [r for r in steps if r["parent"] == 0]
+        assert [r["rule"] for r in top] == ["eq-app-C", "eq-app-C"]
+        assert [r["produced"] for r in top] == [["a =? b", "X =? Y"], ["a =? Y", "X =? b"]]
         assert res.leaves >= 2
-        d = res.tree.to_dict()
-        assert d["rule"] == "eq-app-C" and len(d["children"]) == 2
+        assert json.loads(json.dumps(res.tree)) == res.tree
 
     def test_unsolvable_leaves_have_kinds(self):
         pr = (parse_constraint("+(a, a) =? +(b, b)", SIG),)
         res = c_unify(pr, SIG)
         assert not res.solved and res.solutions == []
-        kinds = set()
-        stack = [res.tree]
-        while stack:
-            n = stack.pop()
-            if n.leaf_kind:
-                kinds.add(n.leaf_kind)
-            stack.extend(n.children)
-        assert kinds == {"clash"}
+        outcomes = [r["outcome"] for r in res.tree if "outcome" in r]
+        assert len(outcomes) == res.leaves and set(outcomes) == {"clash"}
 
 
 class TestSoundness:
@@ -162,15 +163,6 @@ def c_pairs(k):
     return tuple(parse_constraint(f"+(X{i}, Y{i}) =? +(a{i}, b{i})", SIG) for i in range(k))
 
 
-def walk(root):
-    """The tree's nodes in search order: last child first."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
-
-
 def count_calls(monkeypatch, owner, name, counts):
     fn = getattr(owner, name)
 
@@ -182,19 +174,20 @@ def count_calls(monkeypatch, owner, name, counts):
 
 
 class TestLazyTree:
-    """The search keeps the leaves' chains of steps; the tree is built from
-    them, replaying each step, only when it is read."""
+    """The search keeps the leaves' chains of steps; the tree's records are
+    read off them, without replaying a step, only when the tree is read."""
 
     def test_no_tree_work_unless_read(self, monkeypatch):
         counts = {}
-        count_calls(monkeypatch, CUNIFY.DerivationNode, "__init__", counts)
+        count_calls(monkeypatch, CUNIFY, "tree_records", counts)
         count_calls(monkeypatch, UNIFY._State, "problem", counts)
         res = c_unify(c_pairs(6), SIG)
         assert res.leaves == 2**6 and len(res.solutions) == 2**6
         assert counts == {"problem": res.leaves}
-        nodes = len(list(walk(res.tree)))
-        assert counts == {"problem": res.leaves, "__init__": nodes}
-        assert res.tree is res.tree and counts["__init__"] == nodes
+        records = res.tree
+        assert counts == {"problem": res.leaves, "tree_records": 1}
+        assert res.tree is records and counts["tree_records"] == 1
+        assert sum("outcome" in r for r in records) == res.leaves
 
     @staticmethod
     def searched_problems(monkeypatch):
@@ -208,6 +201,11 @@ class TestLazyTree:
 
         monkeypatch.setattr(UNIFY, "expand", recording)
         return seen
+
+    @staticmethod
+    def replayed_in_search_order(sig, pr, res):
+        problems = check_tree(sig, pr, res.tree)
+        return [texts(problems[i]) for i in search_order(res.tree)]
 
     def test_duplicate_constraints(self, monkeypatch):
         # the replay removes the first constraint equal to the consumed one:
@@ -225,9 +223,9 @@ class TestLazyTree:
             (later, branch, later, fix),
         ):
             seen.clear()
-            res = c_unify(pr, SIG)
-            assert [node.problem for node in walk(res.tree)] == seen
-            assert sum(not node.children for node in walk(res.tree)) == res.leaves
+            res = solve(SIG, pr)
+            assert self.replayed_in_search_order(SIG, pr, res) == [texts(p) for p in seen]
+            assert sum("outcome" in r for r in res.tree) == res.leaves
 
     def test_random_problems_with_duplicates(self, monkeypatch, rng):
         seen = self.searched_problems(monkeypatch)
@@ -238,6 +236,64 @@ class TestLazyTree:
             ]
             pr = tuple(base + [rng.choice(base) for _ in range(rng.randrange(1, 3))])
             seen.clear()
-            res = c_unify(pr, SIG_C)
-            assert [node.problem for node in walk(res.tree)] == seen
+            res = solve(SIG_C, pr)
+            assert self.replayed_in_search_order(SIG_C, pr, res) == [texts(p) for p in seen]
 
+
+def random_c_problem(rng):
+    """One to three equations between random terms over f and a commutative
+    +, some of them repeated, and sometimes a fixed-point constraint."""
+    base = [Eq(random_term(rng, SIG_C, depth=2), random_term(rng, SIG_C, depth=2)) for _ in range(rng.randrange(1, 3))]
+    pr = base + [rng.choice(base) for _ in range(rng.randrange(2))]
+    if rng.random() < 0.3:
+        pr.append(Fix(random_perm(rng), random_term(rng, SIG_C, depth=2)))
+    return tuple(pr)
+
+
+class TestCertificate:
+    """Every c_unify derivation tree passes the independent checker of
+    tests/certificate.py: each step consumes a constraint that is there and
+    decreases the measure, and each leaf is a normal form with its outcome
+    and, on success, a solution that verifies."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_c_problems(self, seed):
+        rng = random.Random(seed)
+        pr = random_c_problem(rng)
+        res = solve(SIG_C, pr)
+        check_tree(SIG_C, pr, res.tree)
+        leaves = [r for r in res.tree if "outcome" in r]
+        assert len(leaves) == res.leaves
+        assert sorted(r["solution"] for r in leaves if "solution" in r) == sorted(s.key() for s in res.solutions)
+
+    @pytest.mark.parametrize("text", ["", "a =? b", "(a b) fix? X"])
+    def test_root_is_the_only_leaf(self, text):
+        pr = (parse_constraint(text, SIG),) if text else ()
+        res = solve(SIG, pr)
+        (root,) = res.tree
+        assert root["parent"] is None and root["problem"] == texts(pr)
+        assert root["outcome"] == ("clash" if text == "a =? b" else "success")
+        check_tree(SIG, pr, res.tree)
+
+    # (record id, field, tampered value) in the tree of TAMPERED
+    TAMPERS = {
+        "absent consumed": (6, "consumed", "X =? d"),
+        "dropped product": (1, "produced", ["X =? c"]),
+        "no decrease": (2, "produced", ["(a b) fix? [c] +(c, X)"]),
+        "wrong binding": (6, "binding", {"var": "X", "term": "d"}),
+        "wrong outcome": (31, "outcome", "success"),
+        "wrong solution": (9, "solution", "{} |- {X -> c, Y -> f(c)}"),
+    }
+    TAMPERED = ("+(X, Y) =? +(c, f(d))", "(a b) fix? [c] +(c, X)")
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_trees_are_rejected(self, tamper):
+        pr = tuple(parse_constraint(c, SIG) for c in self.TAMPERED)
+        res = solve(SIG, pr)
+        check_tree(SIG, pr, res.tree)
+        i, key, value = self.TAMPERS[tamper]
+        records = [dict(r) for r in res.tree]
+        assert key in records[i]
+        records[i][key] = value
+        with pytest.raises(AssertionError):
+            check_tree(SIG, pr, records)

@@ -246,7 +246,7 @@ class TestPendingRenaming:
             node = trace_root(trace, head, judgement, moved)
             # the inputs hold no generated atoms, so a new generator avoids them
             ok = engine(NameGenerator(), t if lazy else moved, rho if lazy else Renaming(), node)
-            return ok, trace[0].to_dict()
+            return ok, [n.record() for n in trace]
 
         engines = [
             (lambda gen, u, r, n: fixpoint._fixp(SIG_FULL, fixp_ctx, p, u, r, gen, n, None), p, "fix?"),

@@ -31,6 +31,11 @@ from nomfix import (
     parse_problem_file,
     unify,
 )
+from nomfix.alpha import trace_line
+from nomfix.cunify import tree_line
+from nomfix.printer import print_records
+
+from certificate import check_tree, solve
 
 SYMS = "sym f : none ; sym + : C ; sym * : AC ; sym cat : A ;\n"
 
@@ -98,8 +103,8 @@ def traces(engine: str, text: str) -> list:
             check_fixp(sig, fixp_ctx, c.perm, c.target, trace=trace)
         else:
             check_alpha_fixp(sig, fixp_ctx, c.lhs, c.rhs, trace=trace)
-        (node,) = trace
-        out.append({"render": node.render(), "dict": node.to_dict()})
+        records = [node.record() for node in trace]
+        out.append({"render": "\n".join(print_records(records, trace_line)), "records": records})
     return out
 
 
@@ -111,8 +116,8 @@ def derivation(solver: str, text: str) -> dict:
         for dedup in (False, True):
             res = c_unify(pr, pf.signature, dedup=dedup)
             out["dedup" if dedup else "all"] = {
-                "render": res.tree.render(),
-                "dict": res.tree.to_dict(),
+                "render": "\n".join(print_records(res.tree, tree_line)),
+                "records": res.tree,
                 "leaves": res.leaves,
                 "solutions": [s.key() for s in res.solutions],
             }
@@ -142,6 +147,18 @@ def test_traces_match_recording():
     assert list(got) == list(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_cunify_trees_are_certificates():
+    # the independent checker of tests/certificate.py passes every golden
+    # c_unify tree, its generated atoms named so that they parse
+    for solver, text in PROBLEMS:
+        if solver == "cunify":
+            pf = parse_problem_file(SYMS + text)
+            pr = tuple(pf.constraints)
+            res = solve(pf.signature, pr)
+            check_tree(pf.signature, pr, res.tree)
+            assert sum("outcome" in r for r in res.tree) == res.leaves
 
 
 if __name__ == "__main__":

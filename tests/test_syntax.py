@@ -311,6 +311,34 @@ class TestInternedAtom:
         assert len(nomfix.syntax._INTERNED) < 10_000
 
 
+class TestInternedVar:
+    def test_one_object_per_name(self):
+        assert Var("X") is Var("X") and Var(name="X") is Var("X")
+        assert Var("X") is not Var("Y") and Var("X") != Var("Y")
+        assert Var("a") != Atom("a")
+
+    def test_pickle_and_copy_return_the_interned_variable(self):
+        x = Var("X")
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+
+    def test_immutable_ordered_and_matched_like_the_dataclass(self):
+        x = Var("X")
+        with pytest.raises(AttributeError):
+            x.name = "Y"
+        with pytest.raises(AttributeError):
+            del x.name
+        assert repr(x) == "Var(name='X')" and str(x) == "X"
+        assert sorted([Var("Y"), Var("X"), Var("X1")]) == [Var("X"), Var("X1"), Var("Y")]
+        assert Var("X") <= Var("X") < Var("Y") and Var("Y") >= Var("X")
+        with pytest.raises(TypeError):
+            Var("X") < Atom("a")
+        match x:
+            case Var(name):
+                assert name == "X"
+        assert hash(x) == object.__hash__(x)
+
+
 def reference_size(t) -> int:
     """The number of nodes of t, folded afresh on every call."""
     match t:

@@ -29,6 +29,7 @@ from nomfix import (
     verify_solution,
 )
 from nomfix.unify import Solution, measure_decreases, problem_measure
+from certificate import check_tree, search_order, solve, texts
 from gen import SIG_C, SIG_PLAIN, random_perm, random_term
 
 UNIFY = sys.modules["nomfix.unify"]
@@ -251,13 +252,9 @@ class TestIncrementalState:
                 assert seen or not vs
             seen.clear()
             cpr = random_problem(rng, SIG_C)
-            cres = c_unify(cpr, SIG_C)
-            nodes, stack = [], [cres.tree]
-            while stack:
-                node = stack.pop()
-                nodes.append(node.problem)
-                stack.extend(node.children)
-            assert nodes == seen
+            cres = solve(SIG_C, cpr)
+            problems = check_tree(SIG_C, cpr, cres.tree)
+            assert [texts(problems[i]) for i in search_order(cres.tree)] == [texts(p) for p in seen]
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_chain_work_grows_linearly(self, monkeypatch, forward):
