@@ -116,11 +116,12 @@ def _contexts(pf: ProblemFile, gen: NameGenerator):
     return fixp_to_fresh(fixp), fixp
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload, lines) -> None:
+    """Print payload() as JSON, or else each of lines(); only one is built."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
 
 
@@ -128,8 +129,7 @@ def _check_command(args) -> int:
     pf = _read_problem(args)
     gen = _gen_for(pf, args)
     fresh_ctx, fixp_ctx = _contexts(pf, gen)
-    results = []
-    lines = []
+    verdicts = []
     traces = [] if args.trace else None
     for c in pf.constraints:
         if args.command == "alpha":
@@ -144,15 +144,16 @@ def _check_command(args) -> int:
             if not isinstance(c, Fix):
                 raise ValueError(f"'fixp' expects fixed-point goals, found: {c}")
             ok = check_fixp(pf.signature, fixp_ctx, c.perm, c.target, gen=gen, trace=traces)
-        results.append({"constraint": str(c), "derivable": ok})
-        lines.append(f"{c} : {'derivable' if ok else 'underivable'}")
-    all_ok = all(r["derivable"] for r in results)
-    payload = {"command": args.command, "derivable": all_ok, "results": results}
-    if traces is not None:
-        payload["trace"] = records = [node.record() for node in traces]
-        if not args.json:
-            lines += print_records(records, trace_line)
-    _emit(args, payload, lines)
+        verdicts.append((str(c), ok))
+    all_ok = all(ok for _, ok in verdicts)
+    trace = {} if traces is None else {"trace": [node.record() for node in traces]}
+    _emit(
+        args,
+        lambda: {"command": args.command, "derivable": all_ok,
+                 "results": [{"constraint": c, "derivable": ok} for c, ok in verdicts], **trace},
+        lambda: [f"{c} : {'derivable' if ok else 'underivable'}" for c, ok in verdicts]
+        + print_records(trace.get("trace", ()), trace_line),
+    )
     return 0 if all_ok else 1
 
 
@@ -188,33 +189,30 @@ def _unify_command(args) -> int:
     pr = _initial_problem(pf, gen)
     if args.command == "unify":
         res = unify(pr, sig=pf.signature if pf.signature.symbols else None, gen=gen)
-        if res.solved:
-            payload = {"status": "solved", **_solution_payload(res.solution)}
-            lines = [f"solved: {res.solution}"]
-        else:
-            payload = {
-                "status": "unsolvable",
-                "witness": {"constraint": str(res.witness), "kind": res.witness_kind},
-            }
-            lines = [f"unsolvable ({res.witness_kind}): {res.witness}"]
-        if args.trace:
-            payload["trace"] = [str(s) for s in res.steps]
-            lines += ["  " + str(s) for s in res.steps]
+        steps = [str(s) for s in res.steps] if args.trace else None
+
+        def payload():
+            if res.solved:
+                out = {"status": "solved", **_solution_payload(res.solution)}
+            else:
+                out = {"status": "unsolvable", "witness": {"constraint": str(res.witness), "kind": res.witness_kind}}
+            return out if steps is None else {**out, "trace": steps}
+
+        def lines():
+            head = f"solved: {res.solution}" if res.solved else f"unsolvable ({res.witness_kind}): {res.witness}"
+            return [head] + ["  " + s for s in steps or ()]
+
         _emit(args, payload, lines)
         return 0 if res.solved else 1
     res = c_unify(pr, pf.signature, gen=gen, dedup=args.dedup)
-    payload = {
-        "status": res.status,
-        "solutions": [_solution_payload(s) for s in res.solutions],
-        "leaves": res.leaves,
-    }
-    lines = [f"{res.status}: {len(res.solutions)} solution(s)"]
-    lines += [f"  {s}" for s in res.solutions]
-    if getattr(args, "tree", False):
-        payload["tree"] = res.tree
-        if not args.json:
-            lines += print_records(res.tree, tree_line)
-    _emit(args, payload, lines)
+    tree = {"tree": res.tree} if getattr(args, "tree", False) else {}
+    _emit(
+        args,
+        lambda: {"status": res.status, "solutions": [_solution_payload(s) for s in res.solutions],
+                 "leaves": res.leaves, **tree},
+        lambda: [f"{res.status}: {len(res.solutions)} solution(s)", *(f"  {s}" for s in res.solutions)]
+        + print_records(tree.get("tree", ()), tree_line),
+    )
     return 0 if res.solved else 1
 
 
@@ -238,7 +236,7 @@ def _translate_command(args) -> int:
             for r in records
         ]
         lines += [f"  {r.source}  =>  {r.target}" for r in records]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -283,8 +281,8 @@ def _selfcheck_command(args) -> int:
         "unverified": unverified,
         "ok": ok,
     }
-    _emit(args, payload, [f"checked {checked} pairs, {disagreements} disagreements, "
-                          f"{verified} solutions verified, {unverified} unverified: {'ok' if ok else 'FAILED'}"])
+    _emit(args, lambda: payload, lambda: [f"checked {checked} pairs, {disagreements} disagreements, {verified} "
+                                          f"solutions verified, {unverified} unverified: {'ok' if ok else 'FAILED'}"])
     return 0 if ok else 1
 
 

@@ -90,8 +90,6 @@ _SKIPPED = ("", "")
 # the kinds of the tokens that are not names, as messages name them; "" ends the list
 _KIND = {p: p for p in "()[],.;:?"} | {"=?": "eqq", "": "eof"}
 
-_ID = Permutation.identity()
-
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of text, then "" for its end, from one regex pass."""
@@ -171,7 +169,7 @@ class _Parser:
 
     def perm(self) -> Permutation:
         if self.accept("Id"):
-            return _ID
+            return Permutation.identity()
         if self.tokens[self.pos] != "(":
             self.fail("expected a permutation")
         swaps: list[Swapping] = []
@@ -221,7 +219,7 @@ class _Parser:
             else:
                 i += 1
                 if tok[0].isupper():
-                    t = Susp(_ID, Var(tok))
+                    t = Susp(Permutation.identity(), Var(tok))
                 elif tok in symbols or (tok[0] in _ATOM_START and toks[i] == "("):
                     stack.append((App, tok))
                     continue

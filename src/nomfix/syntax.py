@@ -177,7 +177,7 @@ class Permutation:
 
     @staticmethod
     def identity() -> Permutation:
-        return Permutation()
+        return _IDENTITY
 
     @staticmethod
     def swap(a: Atom, b: Atom) -> Permutation:
@@ -189,7 +189,8 @@ class Permutation:
         return a
 
     def inverse(self) -> Permutation:
-        return Permutation(tuple(reversed(self.swappings)))
+        # the identity and a single swapping are their own inverses
+        return self if len(self.swappings) < 2 else Permutation(tuple(reversed(self.swappings)))
 
     def compose(self, other: Permutation) -> Permutation:
         """self after other: (self.compose(other))(a) == self(other(a))."""
@@ -216,6 +217,9 @@ class Permutation:
         if not self.swappings:
             return "Id"
         return "".join(str(sw) for sw in self.swappings)
+
+
+_IDENTITY = Permutation()
 
 
 def _canonical(swappings: tuple[Swapping, ...]) -> tuple[Swapping, ...]:

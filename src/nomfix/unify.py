@@ -9,9 +9,16 @@ The search keeps each problem incrementally (Martelli and Montanari, TOPLAS
 1982): a worklist of the constraints no rule has been tried on, so a step
 finds the next reducible one without rescanning the stuck ones; an index
 from variables to constraints, so a binding rewrites only the constraints
-that mention its variable; and the termination measure as counters, updated
-by each step's delta.  Each constraint memoises its variables, its weight in
-the measure and whether it is stuck, as terms memoise their size.
+that mention its variable; and the termination measure's change, logged by
+each step.  Each constraint memoises its variables, its weight in the
+measure and whether it is stuck, as terms memoise their size.
+
+So a step pays for its rule and for the constraints it consumes and
+produces: checking the measure's change sorts nothing when one weight goes,
+as on almost every step, and a binding that no other constraint mentions
+rewrites nothing.  The memo fields are built empty and filled on first read;
+filling them in the constructor would walk every constraint's terms,
+recursing through deep input, even where the search never reads them.
 
 Given a signature, simplification splits in two at applications of
 commutative symbols; without one, it treats every function symbol as
@@ -25,8 +32,9 @@ nomfix.cunify reads off them only when it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .fixpoint import check_alpha_fixp, check_fixp
 from .printer import print_perm, print_subst, print_term
@@ -55,13 +63,16 @@ from .syntax import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class _Constraint:
     """Base class of the constraints.  They are immutable, so each keeps its
     variables (constraint_vars), its weight in the measure (_weight) and
-    whether no non-instantiating rule applies to it (expand) in memo slots,
-    filled the first time they are asked for."""
+    whether no non-instantiating rule applies to it (expand) in memo fields,
+    left out of ==, hash and repr, and filled when first asked for."""
 
-    __slots__ = ("_vars", "_weight", "_stuck")
+    _vars: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    _weight: int | None = field(default=None, init=False, repr=False, compare=False)
+    _stuck: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +103,7 @@ Constraint = Eq | Fix
 Problem = tuple  # tuple[Constraint, ...]
 
 
-@dataclass(frozen=True)
-class SimplStep:
+class SimplStep(NamedTuple):
     """One simplification step: rule name, consumed constraint, produced
     constraints, and the variable binding for instantiation steps."""
 
@@ -143,7 +153,7 @@ def is_primitive(c: Constraint) -> bool:
 
 
 def constraint_vars(c: Constraint) -> frozenset[Var]:
-    out = getattr(c, "_vars", None)
+    out = c._vars
     if out is None:
         out = free_vars(c.lhs) | free_vars(c.rhs) if isinstance(c, Eq) else free_vars(c.target)
         object.__setattr__(c, "_vars", out)
@@ -158,12 +168,10 @@ def _weight(c: Constraint) -> int:
     """c's weight in the measure: the larger side's size for an equation,
     the target's size for a fixed-point constraint, and 0, no weight, for
     a primitive one."""
-    w = getattr(c, "_weight", None)
+    w = c._weight
     if w is None:
-        if isinstance(c, Eq):
-            w = max(term_size(c.lhs), term_size(c.rhs))
-        else:
-            w = 0 if is_primitive(c) else term_size(c.target)
+        sides = (c.lhs, c.rhs) if isinstance(c, Eq) else () if is_primitive(c) else (c.target,)
+        w = max(map(term_size, sides), default=0)
         object.__setattr__(c, "_weight", w)
     return w
 
@@ -217,14 +225,14 @@ class _State:
     step's produced constraints take keys below all others, and a binding
     rewrites a constraint under its own key.  Two heaps of keys find the
     next step: todo holds the constraints no rule has been tried on here,
-    inst the stuck equations that instantiate a variable.  Entries go stale
-    when their constraint is consumed or rewritten; expand skips them.
+    inst the stuck equations, which may instantiate a variable.  Entries go
+    stale when their constraint is consumed or rewritten; expand skips them.
     occ indexes the keys by variable, so a binding rewrites only what
-    mentions its variable, and with the weights counter it carries the
-    measure.  A step logs its removed and added weights in gone and new.
+    mentions its variable, and its size is the measure's variable count.
+    A step logs its removed and added weights in gone and new.
     """
 
-    __slots__ = ("cons", "low", "todo", "inst", "occ", "weights", "vars_before", "gone", "new")
+    __slots__ = ("cons", "low", "todo", "inst", "occ", "vars_before", "gone", "new")
 
     def __init__(self, pr: Problem):
         self.cons: dict[int, Constraint] = {}
@@ -232,7 +240,6 @@ class _State:
         self.todo: list[int] = []
         self.inst: list[int] = []
         self.occ: dict[Var, set[int]] = {}
-        self.weights: dict[int, int] = {}  # weight -> how many constraints have it
         self.vars_before, self.gone, self.new = 0, [], []
         for k, c in enumerate(pr):
             self._add(k, c)
@@ -241,16 +248,11 @@ class _State:
         other = object.__new__(_State)
         other.cons, other.low, other.todo, other.inst = dict(self.cons), self.low, self.todo[:], self.inst[:]
         other.occ = {x: set(keys) for x, keys in self.occ.items()}
-        other.weights, other.vars_before = self.weights.copy(), self.vars_before
-        other.gone, other.new = self.gone[:], self.new[:]
+        other.vars_before, other.gone, other.new = self.vars_before, self.gone[:], self.new[:]
         return other
 
     def problem(self) -> Problem:
         return tuple(self.cons[k] for k in sorted(self.cons))
-
-    def measure(self):
-        """problem_measure of problem(), read off the counters."""
-        return len(self.occ), _descending(w for w, n in self.weights.items() for _ in range(n))
 
     def step_measures(self):
         """The measure before and after the last step, less the weights the
@@ -258,11 +260,18 @@ class _State:
         compares A with B."""
         return (self.vars_before, _descending(self.gone)), (len(self.occ), _descending(self.new))
 
+    def decreased(self) -> bool:
+        """measure_decreases(*step_measures()); if one weight went, every new one must be below it."""
+        if len(self.occ) != self.vars_before:
+            return len(self.occ) < self.vars_before
+        if len(self.gone) == 1:
+            return not self.new or max(self.new) < self.gone[0]
+        return measure_decreases(*self.step_measures())
+
     def _add(self, k: int, c: Constraint) -> None:
         self.cons[k] = c
         w = _weight(c)
         if w:
-            self.weights[w] = self.weights.get(w, 0) + 1
             self.new.append(w)
         for x in constraint_vars(c):
             self.occ.setdefault(x, set()).add(k)
@@ -277,7 +286,6 @@ class _State:
         c = self.cons.pop(k)
         w = _weight(c)
         if w:
-            self.weights[w] -= 1
             self.gone.append(w)
         for x in constraint_vars(c):
             keys = self.occ[x]
@@ -292,9 +300,12 @@ class _State:
             self._add(k, c)
 
     def bind(self, x: Var, t: Term) -> None:
-        """Apply x -> t to the constraints that mention x."""
+        """Apply x -> t to the constraints that mention x, if any do."""
+        keys = self.occ.get(x)
+        if not keys:
+            return
         theta = Substitution({x: t})
-        for k in list(self.occ.get(x, ())):
+        for k in list(keys):
             c = self._remove(k)
             self._add(k, Eq(theta(c.lhs), theta(c.rhs)) if isinstance(c, Eq) else Fix(c.perm, theta(c.target)))
 
@@ -304,30 +315,30 @@ def _fixes(entries) -> list[Fix]:
 
 
 def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
-    """Return (rule, [children]) where each child is a constraint list, or
-    None when no non-instantiating rule applies."""
+    """Return (rule, [children]) where each child is a tuple of constraints,
+    or None when no non-instantiating rule applies."""
     p, t = c.perm, c.target
     match t:
         case AtomTerm(a):
             if p(a) == a:
-                return "fix-atom", [[]]
+                return "fix-atom", [()]
             return None
         case App(f, arg):
             if sig is not None and sig.theory(f) is Theory.C and is_pair(arg):
                 t0, t1 = arg.items
                 return "fix-app-C", [
-                    [Eq(act(p, t0), t0), Eq(act(p, t1), t1)],
-                    [Eq(act(p, t0), t1), Eq(act(p, t1), t0)],
+                    (Eq(act(p, t0), t0), Eq(act(p, t1), t1)),
+                    (Eq(act(p, t0), t1), Eq(act(p, t1), t0)),
                 ]
-            return "fix-app", [[Fix(p, arg)]]
+            return "fix-app", [(Fix(p, arg),)]
         case Tup(items):
-            return "fix-tuple", [[Fix(p, s) for s in items]]
+            return "fix-tuple", [tuple(Fix(p, s) for s in items)]
         case Abs(a, body):
             c1, new = gen.newness(body)
-            return "fix-abs", [[Fix(p, act(Permutation.swap(a, c1), body))] + _fixes(new)]
+            return "fix-abs", [(Fix(p, act(Permutation.swap(a, c1), body)), *_fixes(new))]
         case Susp(q, x):
             if q.swappings:
-                return "fix-var", [[Fix(p.conjugate(q.inverse()), Susp(Permutation.identity(), x))]]
+                return "fix-var", [(Fix(p.conjugate(q.inverse()), Susp(Permutation.identity(), x)),)]
             return None
     raise TypeError(f"not a term: {t!r}")
 
@@ -337,28 +348,28 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
     match (s, t):
         case (AtomTerm(a), AtomTerm(b)):
             if a == b:
-                return "eq-atom", [[]]
+                return "eq-atom", [()]
             return None
         case (App(f, sarg), App(g, targ)) if f == g:
             if sig is not None and sig.theory(f) is Theory.C and is_pair(sarg) and is_pair(targ):
                 s0, s1 = sarg.items
                 t0, t1 = targ.items
                 return "eq-app-C", [
-                    [Eq(s0, t0), Eq(s1, t1)],
-                    [Eq(s0, t1), Eq(s1, t0)],
+                    (Eq(s0, t0), Eq(s1, t1)),
+                    (Eq(s0, t1), Eq(s1, t0)),
                 ]
-            return "eq-app", [[Eq(sarg, targ)]]
+            return "eq-app", [(Eq(sarg, targ),)]
         case (Tup(xs), Tup(ys)) if len(xs) == len(ys):
-            return "eq-tuple", [[Eq(x, y) for x, y in zip(xs, ys)]]
+            return "eq-tuple", [tuple(Eq(x, y) for x, y in zip(xs, ys))]
         case (Abs(a, s1), Abs(b, t1)):
             if a == b:
-                return "eq-abs", [[Eq(s1, t1)]]
+                return "eq-abs", [(Eq(s1, t1),)]
             c1, new = gen.newness(t1)
             return "eq-abs-rename", [
-                [Eq(s1, act(Permutation.swap(a, b), t1)), Fix(Permutation.swap(a, c1), t1)] + _fixes(new)
+                (Eq(s1, act(Permutation.swap(a, b), t1)), Fix(Permutation.swap(a, c1), t1), *_fixes(new))
             ]
         case (Susp(p, x), Susp(q, y)) if x == y:
-            return "eq-var", [[Fix(q.inverse().compose(p), Susp(Permutation.identity(), x))]]
+            return "eq-var", [(Fix(q.inverse().compose(p), Susp(Permutation.identity(), x)),)]
     return None
 
 
@@ -395,19 +406,23 @@ def expand(
         if c is None:
             continue
         got = None
-        if not getattr(c, "_stuck", False):
+        if not c._stuck:
             got = _fix_rule(c, gen, sig) if isinstance(c, Fix) else _eq_rule(c, gen, sig)
         if got is None:
             object.__setattr__(c, "_stuck", True)
-            if _instantiation(c, rigid) is not None:
-                heappush(st.inst, k)
+            if isinstance(c, Eq):
+                heappush(st.inst, k)  # whether it instantiates is decided once, when popped
             continue
         rule, children = got
         st.consume(k)
-        states = [st.copy() for _ in children[1:]] + [st]
-        for child, cons in zip(states, children):
+        out = []
+        for cons in children[:-1]:
+            child = st.copy()
             child.prepend(cons)
-        return [(child, SimplStep(rule, c, tuple(cons))) for child, cons in zip(states, children)]
+            out.append((child, SimplStep(rule, c, cons)))
+        st.prepend(children[-1])
+        out.append((st, SimplStep(rule, c, children[-1])))
+        return out
     while st.inst:
         k = heappop(st.inst)
         c = st.cons.get(k)
@@ -415,7 +430,7 @@ def expand(
         if got is None:
             continue
         rule, side, other = got
-        x, u = side.var, act(side.perm.inverse(), other)
+        x, u = side.var, act(side.perm.inverse(), other) if side.perm.swappings else other
         st.consume(k)
         st.bind(x, u)
         return [(st, SimplStep(rule, c, (), (x, u)))]
@@ -454,7 +469,7 @@ def extract_solution(pr: Problem, path) -> Solution:
         step, path = path
         if step.binding is not None:
             x, t = step.binding
-            sigma.bindings[x] = sigma(t)
+            sigma.bindings[x] = sigma(t) if free_vars(t) else t
     return Solution(FixpointContext(frozenset(pairs)), sigma)
 
 
@@ -477,7 +492,7 @@ def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset):
             failure = classify_normal_form(nf, rigid)
             yield nf, path, failure, None if failure else extract_solution(nf, path)
         for child, step in children:
-            assert measure_decreases(*child.step_measures()), str(step)
+            assert child.decreased(), str(step)
             stack.append((child, (step, path)))
 
 

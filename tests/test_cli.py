@@ -5,8 +5,9 @@ import re
 import pytest
 
 from certificate import check_tree
-from nomfix import parse_constraint, parse_problem_file
+from nomfix import Eq, parse_constraint, parse_problem_file
 from nomfix.cli import main
+from nomfix.unify import Solution
 
 
 def run(capsys, *argv):
@@ -175,6 +176,38 @@ class TestOptions:
         code, out, _ = run(capsys, "unify", str(data_dir / "unify_abs.nom"), "--trace")
         assert code == 0
         assert "eq-abs-rename" in out
+
+
+class TestOnlyTheChosenOutputIsBuilt:
+    """Each mode builds only what it prints: --json no text lines, text
+    mode no payload."""
+
+    @staticmethod
+    def counting(monkeypatch, cls, name, counts):
+        fn = getattr(cls, name)
+        counts[name] = 0
+
+        def counted(self):
+            counts[name] += 1
+            return fn(self)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_prints(self, capsys, monkeypatch, data_dir, mode):
+        counts = {}
+        self.counting(monkeypatch, Eq, "__str__", counts)
+        self.counting(monkeypatch, Solution, "key", counts)
+        assert run(capsys, "alpha", str(data_dir / "alpha_forall.nom"), *mode)[0] == 0
+        goals = parse_problem_file((data_dir / "alpha_forall.nom").read_text()).constraints
+        assert counts == {"__str__": len(goals), "key": 0}
+        counts.update({"__str__": 0})
+        assert run(capsys, "unify", str(data_dir / "unify_abs.nom"), *mode)[0] == 0
+        assert counts == {"__str__": 0, "key": 0 if mode else 1}
+        counts.update({"key": 0})
+        code, out, _ = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), *mode)
+        # c_unify's sort reads each key once; the text lines read them again
+        assert code == 0 and counts == {"__str__": 0, "key": 2 if mode else 4}
 
 
 class TestPrintedAnswersReadBack:

@@ -163,6 +163,35 @@ def c_pairs(k):
     return tuple(parse_constraint(f"+(X{i}, Y{i}) =? +(a{i}, b{i})", SIG) for i in range(k))
 
 
+def rotation(k):
+    """k pairs whose kinds rotate: two solutions, one (the other branch
+    clashes), and two equal ones that --dedup merges."""
+    forms = ("+(X{i}, Y{i}) =? +(a{i}, b{i})", "+(X{i}, a{i}) =? +(b{i}, a{i})", "+(X{i}, X{i}) =? +(a{i}, a{i})")
+    return tuple(parse_constraint(forms[i % 3].format(i=i), SIG) for i in range(k))
+
+
+class TestSearchSize:
+    """Node, leaf and solution counts recorded before the search steps were
+    made cheaper: a faster step must come from the same search."""
+
+    PAIRS = [7, 23, 63, 159, 383, 895, 2047, 4607]  # tree records at k = 1..8
+    ROTATION = [(7, 2, 2), (21, 4, 2), (57, 8, 4), (145, 16, 8), (337, 32, 8), (785, 64, 16), (1809, 128, 32),
+                (3985, 256, 32)]  # (tree records, leaves, solutions) at k = 1..8
+    DEDUP = [2, 2, 2, 4, 4, 4]  # solutions with --dedup at k = 1..6
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_independent_pairs(self, k):
+        res = c_unify(c_pairs(k), SIG)
+        assert (len(res.tree), res.leaves, len(res.solutions)) == (self.PAIRS[k - 1], 2**k, 2**k)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rotating_pairs(self, k):
+        res = c_unify(rotation(k), SIG)
+        assert (len(res.tree), res.leaves, len(res.solutions)) == self.ROTATION[k - 1]
+        if k <= len(self.DEDUP):
+            assert len(c_unify(rotation(k), SIG, dedup=True).solutions) == self.DEDUP[k - 1]
+
+
 def count_calls(monkeypatch, owner, name, counts):
     fn = getattr(owner, name)
 

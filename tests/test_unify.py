@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nomfix import (
+    Abs,
     App,
     Atom,
     Eq,
@@ -208,10 +209,16 @@ def chain(n, forward=True):
 
 class TestIncrementalState:
     """The search keeps each problem as it goes: a worklist, a variable index
-    and the measure as counters updated by each step's delta."""
+    and the measure's change, logged by each step."""
 
     @staticmethod
-    def check_every_node(mp):
+    def kept_measure(state):
+        # the measure read off the variable index and the memoised weights
+        weights = (w for w in map(UNIFY._weight, state.cons.values()) if w)
+        return len(state.occ), tuple(sorted(weights, reverse=True))
+
+    @classmethod
+    def check_every_node(cls, mp):
         # wraps expand, which the search calls once at every node; returns
         # the problems it reached, in search order
         seen = []
@@ -220,13 +227,15 @@ class TestIncrementalState:
         def checked(state, *args):
             pr = state.problem()
             before = problem_measure(pr)
-            assert state.measure() == before
+            assert cls.kept_measure(state) == before
             seen.append(pr)
             children = expand(state, *args)
             for child, _ in children:
                 after = problem_measure(child.problem())
-                assert child.measure() == after
-                assert measure_decreases(*child.step_measures()) == measure_decreases(before, after)
+                assert cls.kept_measure(child) == after
+                decreases = measure_decreases(*child.step_measures())
+                assert decreases == measure_decreases(before, after)
+                assert child.decreased() == decreases
             return children
 
         mp.setattr(UNIFY, "expand", checked)
@@ -256,6 +265,20 @@ class TestIncrementalState:
             problems = check_tree(SIG_C, cpr, cres.tree)
             assert [texts(problems[i]) for i in search_order(cres.tree)] == [texts(p) for p in seen]
 
+    @given(
+        st.integers(0, 3),
+        st.lists(st.integers(1, 5), max_size=4),
+        st.integers(0, 3),
+        st.lists(st.integers(1, 5), max_size=4),
+    )
+    def test_step_check_is_the_multiset_order(self, vars_before, gone, vars_after, new):
+        # decreased() skips the sort when one weight went; it must decide
+        # as measure_decreases does on the sorted step measures
+        state = UNIFY._State(())
+        state.vars_before, state.gone, state.new = vars_before, gone, new
+        state.occ = {Var(f"V{i}"): {i} for i in range(vars_after)}
+        assert state.decreased() == measure_decreases(*state.step_measures())
+
     @pytest.mark.parametrize("forward", [True, False])
     def test_chain_work_grows_linearly(self, monkeypatch, forward):
         # rule attempts, and substitution applications, through which a
@@ -283,6 +306,47 @@ class TestIncrementalState:
         for small, large in zip(seen, seen[1:]):
             for key in counts:
                 assert large[key] <= 2.2 * small[key], seen
+
+
+class TestSearchSize:
+    """Step counts recorded before the search steps were made cheaper: a
+    faster step must come from the same search, not a shorter one."""
+
+    @staticmethod
+    def problems(n):
+        xs = [Susp(idp, Var(f"X{i}")) for i in range(n + 1)]
+        plain = chain(n)
+        return {
+            "plain": plain,
+            "abs": tuple(Eq(Abs(a, xs[i]), Abs(b, App("f", xs[i + 1]))) for i in range(n)),
+            "occurs": plain + (Eq(xs[n], App("f", Tup((xs[0], parse_term("a"))))),),
+        }
+
+    @pytest.mark.parametrize(
+        "n,plain,abs_,occurs", [(1, 1, 3, 1), (10, 10, 130, 10), (100, 100, 10300, 100)]
+    )
+    def test_steps_on_chains(self, n, plain, abs_, occurs):
+        got = {name: unify(pr) for name, pr in self.problems(n).items()}
+        assert got["plain"].solved and got["abs"].solved and got["occurs"].witness_kind == "occurs"
+        assert {name: len(res.steps) for name, res in got.items()} == {
+            "plain": plain, "abs": abs_, "occurs": occurs}
+
+
+class TestLazyConstraints:
+    def test_building_does_not_walk_deep_terms(self, monkeypatch):
+        # a constraint's memo is filled when the search reads it, not when
+        # it is built: the walk would recurse through all 5000 levels
+        deep, perm = parse_term("f(" * 5000 + "a" + ")" * 5000), parse_perm("(a b)")
+        shallow = Eq(parse_term("f(X)"), parse_term("a"))
+        calls = []
+        for module in (sys.modules["nomfix.syntax"], UNIFY):
+            for name in ("term_size", "free_vars"):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda t, fn=fn, name=name: calls.append(name) or fn(t))
+        Eq(deep, deep), Fix(perm, deep), Eq(deep, shallow.lhs)
+        assert calls == []
+        assert UNIFY.constraint_vars(shallow) == {X} and UNIFY._weight(shallow) == 2
+        assert sorted(set(calls)) == ["free_vars", "term_size"]
 
 
 class TestSoundness:
