@@ -85,9 +85,9 @@ class AlphaRules(NamedTuple):
     """What one engine adds to the shared rules."""
 
     prefix: str  # of the rule names, "~" or "eq-"
-    var: Callable  # (ctx, p, q, x): does ctx derive p.X ~ q.X?
+    var: Callable  # (ctx, p, q, rho, x): does ctx derive p.X ~ rho.q.X?
     rename: Callable  # (sig, ctx, gen, a, t, rho, node, bound): side condition of [a] s ~ [b] rho.t
-    measure: Callable | None = None  # (bound, s, t): this step's measure, asserted below bound
+    measure: Callable | None = None  # (bound, s, t): this step's measure, an int asserted below bound
 
 
 def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, node: TraceNode, bound=None) -> bool:
@@ -95,38 +95,40 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
     derivation in node.  rho is carried down t, not applied: atoms of t are
     read through it, and renaming a binder composes one swapping onto it and
     undoes it on return.  Premises recurse straight into alpha, so every
-    level of nesting costs one Python frame."""
+    level of nesting costs one Python frame.  It dispatches on type(s), a
+    clash unless t has the same type (see Term)."""
     if __debug__ and rules.measure is not None:
         bound = rules.measure(bound, s, t)  # rho.t has t's size
     pre = rules.prefix
-    ok, premises = True, ()
-    match (s, t):
-        case (AtomTerm(a), AtomTerm(b)):
-            node.rule = pre + "atom"
-            ok = a == rho.image.get(b, b)
-        case (Susp(p, x), Susp(q, y)) if x == y:
-            node.rule = pre + "var"
-            ok = rules.var(ctx, p, rho.compose(q), x)
-        case (Tup(xs), Tup(ys)) if len(xs) == len(ys):
-            node.rule = pre + "tuple"
-            premises = zip(xs, ys)
-        case (Abs(a, s1), Abs(b, t1)) if a == rho.image.get(b, b):
-            node.rule = pre + "abs"
-            premises = ((s1, t1),)
-        case (Abs(a, s1), Abs(b, t1)):
+    node.rule, ok, premises = "clash", False, ()  # unless a rule below applies
+    kind = type(s)
+    if kind is not type(t):
+        pass
+    elif kind is AtomTerm:
+        node.rule = pre + "atom"
+        b = t.atom
+        ok = s.atom is rho.image.get(b, b)
+    elif kind is Abs:
+        a, b, s1, t1 = s.binder, rho.image.get(t.binder, t.binder), s.body, t.body
+        if a is b:
+            node.rule, ok, premises = pre + "abs", True, ((s1, t1),)
+        else:
             # s1 ~ (a b').rho.t1 for b' = rho(b), then the side condition on rho.t1
             node.rule = pre + "abs-rename"
-            b = rho.image.get(b, b)
             rho.swap(a, b)
             ok = alpha(rules, sig, ctx, gen, s1, t1, rho, node.child("", rho, s1, "=?", t1), bound)
             rho.swap(a, b)
             ok = ok and rules.rename(sig, ctx, gen, a, t1, rho, node, bound)
-        case (App(f, sarg), App(g, targ)) if f == g:
+    elif kind is Tup:
+        if len(s.items) == len(t.items):
+            node.rule, ok, premises = pre + "tuple", True, zip(s.items, t.items)
+    elif kind is App:
+        f, sarg, targ = s.symbol, s.arg, t.arg
+        if f == t.symbol:
             th = sig.theory(f)
             if th is Theory.C and is_pair(sarg) and is_pair(targ):
                 node.rule = pre + "app-C"
                 (s0, s1), (t0, t1) = sarg.items, targ.items
-                ok = False
                 for i, (u0, u1) in enumerate(((t0, t1), (t1, t0))):
                     attempt = node.child(f"align-{i}", rho, s, "=?", t)
                     if alpha(rules, sig, ctx, gen, s0, u0, rho, attempt.child("", rho, s0, "=?", u0), bound) and alpha(
@@ -142,11 +144,13 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
                 ss, ts = equational_args(sig, s), equational_args(sig, t)
                 ok, premises = len(ss) == len(ts), zip(ss, ts)
             else:
-                node.rule = pre + "app"
-                premises = ((sarg, targ),)
-        case _:
-            node.rule = "clash"
-            ok = False
+                node.rule, ok, premises = pre + "app", True, ((sarg, targ),)
+    elif kind is Susp:
+        if s.var is t.var:
+            node.rule = pre + "var"
+            ok = rules.var(ctx, s.perm, t.perm, rho, s.var)
+    else:
+        raise TypeError(f"not a term: {s!r}")
     if ok:
         for x, y in premises:
             if not alpha(rules, sig, ctx, gen, x, y, rho, node.child("", rho, x, "=?", y), bound):

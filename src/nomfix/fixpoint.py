@@ -30,9 +30,10 @@ from .syntax import (
     term_size,
 )
 
-# Lexicographic termination measure for the mutual recursion: first the
-# maximal size of the terms in the judgement, then the judgement kind, with
-# fix-judgements above equality judgements.
+# Termination measure for the mutual recursion: first the maximal size of
+# the terms in the judgement, then the judgement kind, with fix-judgements
+# above equality judgements; kind is 0 or 1, so 2 * size + kind orders
+# judgements as the pair (size, kind) does.
 _FIX, _EQ = 1, 0
 
 
@@ -69,8 +70,14 @@ def check_alpha_fixp(
     return alpha(_RULES, sig, ctx, gen, s, t, Renaming(), trace_root(trace, s, "=?", t))
 
 
-def _measure(bound, *terms: Term, kind: int = _EQ) -> tuple[int, int]:
-    measure = (max(map(term_size, terms)), kind)
+def _measure(bound, s: Term, t: Term | None = None) -> int:
+    """The measure of an alpha step on s and t, or with t None of a fix step
+    on s, asserted below bound."""
+    if t is None:
+        measure = 2 * term_size(s) + _FIX
+    else:
+        m, n = term_size(s), term_size(t)
+        measure = 2 * (m if m > n else n) + _EQ
     assert bound is None or measure < bound, (
         f"termination measure did not decrease: {measure} not below {bound}"
     )
@@ -89,47 +96,53 @@ def _fixp(
 ) -> bool:
     """Decide ctx |- perm fix rho.t, carrying rho down t as alpha does."""
     if __debug__:
-        bound = _measure(bound, t, kind=_FIX)  # rho.t has t's size
-    match t:
-        case AtomTerm(a):
-            node.rule = "fix-atom"
-            a = rho.image.get(a, a)
-            node.ok = perm(a) == a
-        case Susp(q, x):
-            node.rule = "fix-var"
-            node.ok = perm.conjugate(rho.compose(q).inverse()).support() <= ctx.supp_of(x)
-        case Tup(items):
-            node.rule = "fix-tuple"
-            node.ok = all(
-                _fixp(sig, ctx, perm, s, rho, gen, node.child("", rho, perm, "fix?", s), bound) for s in items
-            )
-        case App(f, arg):
-            th = sig.theory(f)
-            if th in (Theory.NONE, Theory.A):
-                node.rule = "fix-app"
-                node.ok = _fixp(sig, ctx, perm, arg, rho, gen, node.child("", rho, perm, "fix?", arg), bound)
-            else:
-                # commutative theories: pi fixes t when pi.t ~ t; rho is acted out here, once
-                node.rule = f"fix-app-{th.value}"
-                t = act(rho.permutation(), t)
-                moved = act(perm, t)
-                inner = node.child("", None, moved, "=?", t)
-                node.ok = alpha(_RULES, sig, ctx, gen, moved, t, Renaming(), inner, bound)
-        case Abs(a, body):
-            # pi fix [a'] rho.body, a' = rho(a), needs pi fix (a' c1).rho.body
-            node.rule = "fix-abs"
-            c1, new = gen.newness(body)
-            a = rho.image.get(a, a)
-            rho.swap(a, c1)
-            node.ok = _fixp(sig, ctx.extend(new), perm, body, rho, gen, node.child("", rho, perm, "fix?", body), bound)
-            rho.swap(a, c1)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+        bound = _measure(bound, t)  # rho.t has t's size
+    kind = type(t)
+    if kind is AtomTerm:
+        node.rule = "fix-atom"
+        a = rho.image.get(t.atom, t.atom)
+        node.ok = perm(a) is a
+    elif kind is Abs:
+        # pi fix [a'] rho.body, a' = rho(a), needs pi fix (a' c1).rho.body
+        node.rule = "fix-abs"
+        body = t.body
+        c1, new = gen.newness(body)
+        a = rho.image.get(t.binder, t.binder)
+        rho.swap(a, c1)
+        node.ok = _fixp(sig, ctx.extend(new), perm, body, rho, gen, node.child("", rho, perm, "fix?", body), bound)
+        rho.swap(a, c1)
+    elif kind is Tup:
+        node.rule = "fix-tuple"
+        node.ok = all(
+            _fixp(sig, ctx, perm, s, rho, gen, node.child("", rho, perm, "fix?", s), bound) for s in t.items
+        )
+    elif kind is App:
+        th = sig.theory(t.symbol)
+        if th in (Theory.NONE, Theory.A):
+            node.rule = "fix-app"
+            arg = t.arg
+            node.ok = _fixp(sig, ctx, perm, arg, rho, gen, node.child("", rho, perm, "fix?", arg), bound)
+        else:
+            # commutative theories: pi fixes t when pi.t ~ t; rho is acted out here, once
+            node.rule = f"fix-app-{th.value}"
+            t = act(rho.permutation(), t)
+            moved = act(perm, t)
+            inner = node.child("", None, moved, "=?", t)
+            node.ok = alpha(_RULES, sig, ctx, gen, moved, t, Renaming(), inner, bound)
+    elif kind is Susp:
+        # pi fix rho.q.X when (rho q)^-1 pi (rho q) fixes X: its support, the
+        # atoms q^-1(rho^-1(a)) for a moved by pi, lies in what fixes X
+        node.rule = "fix-var"
+        q, fixed = t.perm, ctx.supp_of(t.var)
+        node.ok = all(q.preimage(rho.preimage.get(a, a)) in fixed for a in perm.support())
+    else:
+        raise TypeError(f"not a term: {t!r}")
     return node.ok
 
 
-def _var(ctx: FixpointContext, p: Permutation, q: Permutation, x) -> bool:
-    return q.inverse().compose(p).support() <= ctx.supp_of(x)
+def _var(ctx: FixpointContext, p: Permutation, q: Permutation, rho: Renaming, x) -> bool:
+    # p.X ~ rho.q.X when every atom on which they disagree is in what fixes X
+    return rho.differ(p, q) <= ctx.supp_of(x)
 
 
 def _rename(

@@ -29,29 +29,31 @@ def check_fresh(
 
 def _fresh(ctx: FreshnessContext, a: Atom, t: Term, rho: Renaming, node: TraceNode) -> bool:
     """Decide ctx |- a # rho.t, reading the atoms of t through rho."""
-    match t:
-        case AtomTerm(b):
-            node.rule = "#atom"
-            node.ok = a != rho.image.get(b, b)
-        case Susp(p, x):
-            # a # rho.p.X when p^-1(rho^-1(a)) # X
-            node.rule = "#var"
-            node.ok = ctx.holds(p.inverse()(rho.preimage.get(a, a)), x)
-        case App(_, arg):
-            node.rule = "#app"
-            node.ok = _fresh(ctx, a, arg, rho, node.child("", rho, a, "fresh?", arg))
-        case Tup(items):
-            node.rule = "#tuple"
-            node.ok = all(_fresh(ctx, a, s, rho, node.child("", rho, a, "fresh?", s)) for s in items)
-        case Abs(b, body):
-            if a == rho.image.get(b, b):
-                node.rule = "#abs-same"
-                node.ok = True
-            else:
-                node.rule = "#abs"
-                node.ok = _fresh(ctx, a, body, rho, node.child("", rho, a, "fresh?", body))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is AtomTerm:
+        node.rule = "#atom"
+        node.ok = a is not rho.image.get(t.atom, t.atom)
+    elif kind is Abs:
+        body = t.body
+        if a is rho.image.get(t.binder, t.binder):
+            node.rule = "#abs-same"
+            node.ok = True
+        else:
+            node.rule = "#abs"
+            node.ok = _fresh(ctx, a, body, rho, node.child("", rho, a, "fresh?", body))
+    elif kind is Tup:
+        node.rule = "#tuple"
+        node.ok = all(_fresh(ctx, a, s, rho, node.child("", rho, a, "fresh?", s)) for s in t.items)
+    elif kind is App:
+        node.rule = "#app"
+        arg = t.arg
+        node.ok = _fresh(ctx, a, arg, rho, node.child("", rho, a, "fresh?", arg))
+    elif kind is Susp:
+        # a # rho.p.X when p^-1(rho^-1(a)) # X
+        node.rule = "#var"
+        node.ok = ctx.holds(t.perm.preimage(rho.preimage.get(a, a)), t.var)
+    else:
+        raise TypeError(f"not a term: {t!r}")
     return node.ok
 
 
@@ -70,9 +72,9 @@ def check_alpha_fresh(
     return alpha(_RULES, sig, ctx, None, s, t, Renaming(), trace_root(trace, s, "=?", t))
 
 
-def _var(ctx: FreshnessContext, p, q, x) -> bool:
-    # p.X ~ q.X when X is fresh for every atom on which p and q disagree
-    return all(ctx.holds(a, x) for a in q.inverse().compose(p).support())
+def _var(ctx: FreshnessContext, p, q, rho: Renaming, x) -> bool:
+    # p.X ~ rho.q.X when X is fresh for every atom on which they disagree
+    return all(ctx.holds(a, x) for a in rho.differ(p, q))
 
 
 def _rename(sig, ctx: FreshnessContext, gen, a: Atom, t: Term, rho: Renaming, node: TraceNode, bound) -> bool:

@@ -29,19 +29,19 @@ def print_term(t: Term) -> str:
     stack: list = [t]
     while stack:
         t = stack.pop()
-        # isinstance tests: on the small terms most calls print, class patterns cost about twice as much
-        if type(t) is str:
+        kind = type(t)
+        if kind is str:
             out.append(t)
-        elif isinstance(t, AtomTerm):
+        elif kind is AtomTerm:
             out.append(t.atom.name)
-        elif isinstance(t, Susp):
+        elif kind is Susp:
             out.append(f"{print_perm(t.perm)}.{t.var.name}" if t.perm.swappings else t.var.name)
-        elif isinstance(t, Abs):
+        elif kind is Abs:
             stack += (t.body, f"[{t.binder.name}] ")
-        elif isinstance(t, Tup):
+        elif kind is Tup:
             stack += _listed("(", t.items)
-        elif isinstance(t, App):
-            stack += _listed(t.symbol + "(", t.arg.items if isinstance(t.arg, Tup) else (t.arg,))
+        elif kind is App:
+            stack += _listed(t.symbol + "(", t.arg.items if type(t.arg) is Tup else (t.arg,))
         else:
             raise TypeError(f"not a term: {t!r}")
     return "".join(out)

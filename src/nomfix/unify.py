@@ -122,13 +122,18 @@ class SimplStep(NamedTuple):
 
 @dataclass
 class Solution:
-    """A solved form: a fixed-point context paired with a substitution."""
+    """A solved form: a fixed-point context paired with a substitution.  It
+    is not changed once built, so its text is printed once, on first use,
+    and kept: c_unify sorts by it and the CLI prints it."""
 
     context: FixpointContext
     subst: Substitution
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def key(self) -> str:
-        return f"{self.context} |- {print_subst(self.subst)}"
+        if self._key is None:
+            self._key = f"{self.context} |- {print_subst(self.subst)}"
+        return self._key
 
     def __str__(self) -> str:
         return self.key()
@@ -318,59 +323,67 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
     """Return (rule, [children]) where each child is a tuple of constraints,
     or None when no non-instantiating rule applies."""
     p, t = c.perm, c.target
-    match t:
-        case AtomTerm(a):
-            if p(a) == a:
-                return "fix-atom", [()]
+    kind = type(t)
+    if kind is AtomTerm:
+        a = t.atom
+        return ("fix-atom", [()]) if p(a) is a else None
+    if kind is App:
+        arg = t.arg
+        if sig is not None and sig.theory(t.symbol) is Theory.C and is_pair(arg):
+            t0, t1 = arg.items
+            return "fix-app-C", [
+                (Eq(act(p, t0), t0), Eq(act(p, t1), t1)),
+                (Eq(act(p, t0), t1), Eq(act(p, t1), t0)),
+            ]
+        return "fix-app", [(Fix(p, arg),)]
+    if kind is Tup:
+        return "fix-tuple", [tuple(Fix(p, s) for s in t.items)]
+    if kind is Abs:
+        body = t.body
+        c1, new = gen.newness(body)
+        return "fix-abs", [(Fix(p, act(Permutation.swap(t.binder, c1), body)), *_fixes(new))]
+    if kind is Susp:
+        if not t.perm.swappings:
             return None
-        case App(f, arg):
-            if sig is not None and sig.theory(f) is Theory.C and is_pair(arg):
-                t0, t1 = arg.items
-                return "fix-app-C", [
-                    (Eq(act(p, t0), t0), Eq(act(p, t1), t1)),
-                    (Eq(act(p, t0), t1), Eq(act(p, t1), t0)),
-                ]
-            return "fix-app", [(Fix(p, arg),)]
-        case Tup(items):
-            return "fix-tuple", [tuple(Fix(p, s) for s in items)]
-        case Abs(a, body):
-            c1, new = gen.newness(body)
-            return "fix-abs", [(Fix(p, act(Permutation.swap(a, c1), body)), *_fixes(new))]
-        case Susp(q, x):
-            if q.swappings:
-                return "fix-var", [(Fix(p.conjugate(q.inverse()), Susp(Permutation.identity(), x)),)]
-            return None
+        return "fix-var", [(Fix(p.conjugate(t.perm.inverse()), Susp(Permutation.identity(), t.var)),)]
     raise TypeError(f"not a term: {t!r}")
 
 
 def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
     s, t = c.lhs, c.rhs
-    match (s, t):
-        case (AtomTerm(a), AtomTerm(b)):
-            if a == b:
-                return "eq-atom", [()]
+    kind = type(s)
+    if kind is not type(t):
+        return None
+    if kind is AtomTerm:
+        return ("eq-atom", [()]) if s.atom is t.atom else None
+    if kind is App:
+        f, sarg, targ = s.symbol, s.arg, t.arg
+        if f != t.symbol:
             return None
-        case (App(f, sarg), App(g, targ)) if f == g:
-            if sig is not None and sig.theory(f) is Theory.C and is_pair(sarg) and is_pair(targ):
-                s0, s1 = sarg.items
-                t0, t1 = targ.items
-                return "eq-app-C", [
-                    (Eq(s0, t0), Eq(s1, t1)),
-                    (Eq(s0, t1), Eq(s1, t0)),
-                ]
-            return "eq-app", [(Eq(sarg, targ),)]
-        case (Tup(xs), Tup(ys)) if len(xs) == len(ys):
-            return "eq-tuple", [tuple(Eq(x, y) for x, y in zip(xs, ys))]
-        case (Abs(a, s1), Abs(b, t1)):
-            if a == b:
-                return "eq-abs", [(Eq(s1, t1),)]
-            c1, new = gen.newness(t1)
-            return "eq-abs-rename", [
-                (Eq(s1, act(Permutation.swap(a, b), t1)), Fix(Permutation.swap(a, c1), t1), *_fixes(new))
+        if sig is not None and sig.theory(f) is Theory.C and is_pair(sarg) and is_pair(targ):
+            s0, s1 = sarg.items
+            t0, t1 = targ.items
+            return "eq-app-C", [
+                (Eq(s0, t0), Eq(s1, t1)),
+                (Eq(s0, t1), Eq(s1, t0)),
             ]
-        case (Susp(p, x), Susp(q, y)) if x == y:
-            return "eq-var", [(Fix(q.inverse().compose(p), Susp(Permutation.identity(), x)),)]
-    return None
+        return "eq-app", [(Eq(sarg, targ),)]
+    if kind is Tup:
+        xs, ys = s.items, t.items
+        return ("eq-tuple", [tuple(Eq(x, y) for x, y in zip(xs, ys))]) if len(xs) == len(ys) else None
+    if kind is Abs:
+        a, b, s1, t1 = s.binder, t.binder, s.body, t.body
+        if a is b:
+            return "eq-abs", [(Eq(s1, t1),)]
+        c1, new = gen.newness(t1)
+        return "eq-abs-rename", [
+            (Eq(s1, act(Permutation.swap(a, b), t1)), Fix(Permutation.swap(a, c1), t1), *_fixes(new))
+        ]
+    if kind is Susp:
+        if s.var is not t.var:
+            return None
+        return "eq-var", [(Fix(t.perm.inverse().compose(s.perm), Susp(Permutation.identity(), s.var)),)]
+    raise TypeError(f"not a term: {s!r}")
 
 
 def _instantiation(c: Constraint, rigid: frozenset):

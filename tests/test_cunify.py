@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -23,6 +24,7 @@ from nomfix import (
     verify_solution,
 )
 from gen import SIG_C, random_perm, random_term
+from nomfix.cli import main
 
 UNIFY = sys.modules["nomfix.unify"]
 CUNIFY = sys.modules["nomfix.cunify"]
@@ -200,6 +202,29 @@ def count_calls(monkeypatch, owner, name, counts):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+
+
+class TestKeyOnce:
+    """A solution's text is printed once: c_unify sorts by it and the CLI
+    prints it, tree included, with the output of before."""
+
+    # sha256 of `nomfix cunify` text output on c_pairs(8), without and with
+    # --tree, before the text was kept
+    OUTPUT = {
+        (): "5fd6330e614dff3777d719b53133e78e5434d5a1671b8cd490238958691f6825",
+        ("--tree",): "bf9169f59dd110f5bbf868ba98b84b1fdd786d9435811a238bb9ae2a8d9bfd43",
+    }
+
+    @pytest.mark.parametrize("flags", list(OUTPUT))
+    def test_one_print_subst_per_solution(self, monkeypatch, capsys, tmp_path, flags):
+        path = tmp_path / "pairs.nom"
+        path.write_text("sym + : C ;\n" + ",\n".join(map(str, c_pairs(8))) + "\n")
+        counts = {}
+        count_calls(monkeypatch, UNIFY, "print_subst", counts)
+        assert main(["cunify", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert counts == {"print_subst": 2**8}
+        assert hashlib.sha256(out.encode()).hexdigest() == self.OUTPUT[flags]
 
 
 class TestLazyTree:

@@ -1,0 +1,224 @@
+"""The per-node walks over terms: each dispatches on the node's type, rejects
+a non-term, costs one Python frame per level in the checking engines,
+and gives the verdicts of the canonical-permutation formulas it replaced."""
+
+import sys
+
+import pytest
+from hypothesis import given, strategies as st
+
+from nomfix import (
+    Abs,
+    App,
+    Atom,
+    AtomTerm,
+    Eq,
+    Fix,
+    FixpointContext,
+    FreshnessContext,
+    NameGenerator,
+    Permutation,
+    Substitution,
+    Susp,
+    Swapping,
+    Theory,
+    Tup,
+    Var,
+    act,
+    check_alpha_fixp,
+    check_alpha_fresh,
+    check_fixp,
+    check_fresh,
+    check_well_formed,
+    flatten,
+    free_vars,
+    print_term,
+    term_size,
+)
+from nomfix.alpha import trace_root
+from nomfix.syntax import Renaming
+from gen import SIG_C, SIG_FULL, SIG_PLAIN, random_term
+
+FIXPOINT = sys.modules["nomfix.fixpoint"]
+FRESHNESS = sys.modules["nomfix.freshness"]
+UNIFY = sys.modules["nomfix.unify"]
+
+a, b, c = Atom("a"), Atom("b"), Atom("c")
+X = Var("X")
+SWAP = Permutation.swap(b, c)
+
+
+class TestNotATerm:
+    """Every walk raises TypeError("not a term: ...") on a node of no term
+    class, at the top and, for the recursive ones, below a term."""
+
+    WALKS = {
+        "act": lambda t: act(SWAP, t),
+        "free_vars": free_vars,
+        "term_size": term_size,
+        "flatten": lambda t: flatten(SIG_FULL, t),
+        "check_well_formed": lambda t: check_well_formed(SIG_FULL, t),
+        "Substitution": lambda t: Substitution({X: AtomTerm(a)})(t),
+        "print_term": print_term,
+        "alpha, freshness": lambda t: check_alpha_fresh(SIG_PLAIN, FreshnessContext(), t, t),
+        "alpha, fixed-point": lambda t: check_alpha_fixp(SIG_PLAIN, FixpointContext(), t, t, gen=NameGenerator()),
+        "fixp": lambda t: check_fixp(SIG_PLAIN, FixpointContext(), SWAP, t, gen=NameGenerator()),
+        "fresh": lambda t: check_fresh(FreshnessContext(), b, t),
+    }
+    RULES = {
+        "eq rule": lambda t: UNIFY._eq_rule(Eq(t, t), NameGenerator(), None),
+        "fix rule": lambda t: UNIFY._fix_rule(Fix(SWAP, t), NameGenerator(), None),
+    }
+
+    @pytest.mark.parametrize("walk", sorted({**WALKS, **RULES}))
+    def test_at_the_top(self, walk):
+        with pytest.raises(TypeError, match="not a term: "):
+            {**self.WALKS, **self.RULES}[walk](object())
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    @pytest.mark.parametrize("wrap", [lambda t: Abs(a, t), lambda t: App("f", t), lambda t: Tup((AtomTerm(a), t))])
+    def test_below_a_term(self, walk, wrap):
+        with pytest.raises(TypeError, match="not a term: "):
+            self.WALKS[walk](wrap(object()))
+
+
+def abstractions(n):
+    """[a]...[a] a, n binders deep, built afresh: no memo slot filled."""
+    t = AtomTerm(a)
+    for _ in range(n):
+        t = Abs(a, t)
+    return t
+
+
+def applications(n):
+    """f(...f(a)...), n applications deep, built afresh."""
+    t = AtomTerm(a)
+    for _ in range(n):
+        t = App("f", t)
+    return t
+
+
+def stack_depth() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+CHECKS = {
+    "check_alpha_fixp": lambda t: check_alpha_fixp(SIG_PLAIN, FixpointContext(), t, t),
+    "check_alpha_fresh": lambda t: check_alpha_fresh(SIG_PLAIN, FreshnessContext(), t, t),
+    "check_fixp": lambda t: check_fixp(SIG_PLAIN, FixpointContext(), SWAP, t),
+    "check_fresh": lambda t: check_fresh(FreshnessContext(), b, t),
+}
+
+
+# (check, shape) -> the frames, below the default recursion limit, that the
+# check needed beyond one per level before the walks dispatched on type:
+# it answered n levels deep from a test at stack depth 1000 - n - headroom
+# (Python 3.11; 3.10, 3.12 and 3.13 reach as deep or deeper).
+HEADROOM = {
+    ("check_alpha_fixp", abstractions): 12,
+    ("check_alpha_fixp", applications): 12,
+    ("check_alpha_fresh", abstractions): 10,
+    ("check_alpha_fresh", applications): 10,
+    ("check_fixp", abstractions): 15,
+    ("check_fixp", applications): 13,
+    ("check_fresh", abstractions): 11,
+    ("check_fresh", applications): 11,
+}
+
+
+@pytest.mark.parametrize("check, build", list(HEADROOM), ids=[f"{c}-{b.__name__}" for c, b in HEADROOM])
+def test_deep_terms_answer_as_deep_as_before(check, build):
+    assert sys.getrecursionlimit() == 1000
+    n = sys.getrecursionlimit() - stack_depth() - HEADROOM[check, build]
+    assert n > 900
+    assert CHECKS[check](build(n)) is True
+
+
+def reference_flatten(sig, t):
+    """flatten as it was, rebuilding every node."""
+    if isinstance(t, (AtomTerm, Susp)):
+        return t
+    if isinstance(t, Abs):
+        return Abs(t.binder, reference_flatten(sig, t.body))
+    if isinstance(t, Tup):
+        return Tup(tuple(reference_flatten(sig, s) for s in t.items))
+    f = t.symbol
+    if sig.theory(f) not in (Theory.A, Theory.AC):
+        return App(f, reference_flatten(sig, t.arg))
+
+    def collected(arg):
+        parts = arg.items if isinstance(arg, Tup) else (arg,)
+        return [x for s in parts for x in (collected(s.arg) if isinstance(s, App) and s.symbol == f else (s,))]
+
+    args = [reference_flatten(sig, s) for s in collected(t.arg)]
+    return App(f, args[0] if len(args) == 1 else Tup(tuple(args)))
+
+
+def nodes(t):
+    yield t
+    for child in (t.body,) if isinstance(t, Abs) else (t.arg,) if isinstance(t, App) else getattr(t, "items", ()):
+        yield from nodes(child)
+
+
+def has_equational_app(sig, t) -> bool:
+    return any(isinstance(u, App) and sig.theory(u.symbol) in (Theory.A, Theory.AC) for u in nodes(t))
+
+
+class TestFlattenShares:
+    @pytest.mark.parametrize("sig", [SIG_PLAIN, SIG_C], ids=["plain", "C"])
+    def test_returns_the_node_itself(self, rng, sig):
+        for _ in range(200):
+            t = random_term(rng, sig, depth=4)
+            term_size(t)
+            assert flatten(sig, t) is t
+            assert t._size is not None
+
+    def test_c_nest_is_not_rebuilt(self):
+        t = AtomTerm(a)
+        for i in range(300):
+            t = App("+", Tup((AtomTerm(Atom(f"a{i}")), t)))
+        assert flatten(SIG_C, t) is t
+
+    def test_a_and_ac_results_unchanged(self, rng):
+        flattened = 0
+        for _ in range(300):
+            t = random_term(rng, SIG_FULL, depth=4)
+            out = flatten(SIG_FULL, t)
+            assert out == reference_flatten(SIG_FULL, t)
+            flattened += out is not t
+            # what has no A or AC application below it is shared, not rebuilt
+            for u in nodes(t):
+                if not has_equational_app(SIG_FULL, u):
+                    assert flatten(SIG_FULL, u) is u
+        assert flattened > 50
+
+
+SIX = tuple(Atom(n) for n in "abcdef")
+perms = st.lists(st.tuples(st.sampled_from(SIX), st.sampled_from(SIX)).filter(lambda p: p[0] != p[1]), max_size=5)
+
+
+def permutation(pairs) -> Permutation:
+    return Permutation(tuple(Swapping(x, y) for x, y in pairs))
+
+
+@given(perms, perms, perms, perms, st.sets(st.sampled_from(SIX)), st.lists(perms, max_size=3))
+def test_suspension_rules_give_the_canonical_verdicts(p, q, rho_swaps, pi, fresh, fixing):
+    """eq-var and fix-var, evaluated pointwise under a pending renaming rho,
+    against the formulas on the canonical permutation rho o q."""
+    p, q, pi = permutation(p), permutation(q), permutation(pi)
+    rho = Renaming()
+    for x, y in rho_swaps:
+        rho.swap(x, y)
+    rho_q = rho.permutation().compose(q)
+    disagree = rho_q.inverse().compose(p).support()
+    assert rho.differ(p, q) == disagree
+
+    fix_ctx = FixpointContext(frozenset((permutation(ps), X) for ps in fixing if ps))
+    fresh_ctx = FreshnessContext(frozenset((x, X) for x in fresh))
+    assert FIXPOINT._var(fix_ctx, p, q, rho, X) == (disagree <= fix_ctx.supp_of(X))
+    assert FRESHNESS._var(fresh_ctx, p, q, rho, X) == all(fresh_ctx.holds(x, X) for x in disagree)
+    fix_var = FIXPOINT._fixp(SIG_PLAIN, fix_ctx, pi, Susp(q, X), rho, NameGenerator(), trace_root(None), None)
+    assert fix_var == (pi.conjugate(rho_q.inverse()).support() <= fix_ctx.supp_of(X))
