@@ -27,6 +27,7 @@ from .syntax import (
     atoms_of,
     check_well_formed,
     flatten,
+    free_atoms,
     free_vars,
     generator_avoiding,
     is_ground,

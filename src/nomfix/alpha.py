@@ -3,8 +3,13 @@ engines, and the derivation traces both engines build.
 
 The two presentations of s ~ t differ only in the rule for two suspensions
 of one variable and in the side condition for renaming an abstraction; each
-engine supplies those, its rule-name prefix and, for the fixed-point engine,
-a termination-measure check, as an AlphaRules value.
+engine supplies those, its rule names and, for the fixed-point engine, a
+termination-measure check, as an AlphaRules value.
+
+On a ground body the two side conditions agree, and are decided here: for a
+new atom c1, (a c1) fix t holds exactly when a # t, and on a ground t that
+is a lookup in its memoised free atoms.  It is exact modulo A, C and AC,
+which never change which atoms are free.
 """
 
 from __future__ import annotations
@@ -12,14 +17,31 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .printer import print_term
-from .syntax import Abs, App, AtomTerm, Renaming, Susp, Term, Theory, Tup, act, equational_args, is_pair
+from .syntax import (
+    Abs,
+    App,
+    Atom,
+    AtomTerm,
+    Permutation,
+    Renaming,
+    Susp,
+    Term,
+    Theory,
+    Tup,
+    act,
+    equational_args,
+    free_atoms,
+    free_vars,
+    is_pair,
+)
 
 
 class TraceNode:
     """One judgement of a derivation: the rule that decided it, the goal's
     parts (atoms, permutations, terms and keywords, printed only when read),
     and whether it holds.  A part may be a (permutation, term) pair, which
-    stands for the permutation acting on the term.
+    stands for the permutation acting on the term, or a pair of atoms, which
+    stands for their swapping.
 
     Every node is appended to one flat list, the trace, when it is made;
     the engines make a premise's node just before deriving it, so the trace
@@ -69,7 +91,8 @@ def trace_line(record: dict) -> str:
 
 def _show(part) -> str:
     if isinstance(part, tuple):
-        part = act(*part)
+        x, y = part
+        part = Permutation.swap(x, y) if isinstance(y, Atom) else act(x, y)
     return print_term(part) if isinstance(part, Term) else str(part)
 
 
@@ -86,7 +109,8 @@ class AlphaRules(NamedTuple):
 
     prefix: str  # of the rule names, "~" or "eq-"
     var: Callable  # (ctx, p, q, rho, x): does ctx derive p.X ~ rho.q.X?
-    rename: Callable  # (sig, ctx, gen, a, t, rho, node, bound): side condition of [a] s ~ [b] rho.t
+    rename: Callable  # (sig, ctx, gen, a, t, rho, node, bound): side condition of [a] s ~ [b] rho.t, t not ground
+    ground: str  # the rule of that side condition on a ground t, "#ground" or "fix-ground"
     measure: Callable | None = None  # (bound, s, t): this step's measure, an int asserted below bound
 
 
@@ -96,7 +120,9 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
     read through it, and renaming a binder composes one swapping onto it and
     undoes it on return.  Premises recurse straight into alpha, so every
     level of nesting costs one Python frame.  It dispatches on type(s), a
-    clash unless t has the same type (see Term)."""
+    clash unless t has the same type (see Term).  gen draws the new atoms
+    of the fixed-point engine; the freshness engine draws none, and passes
+    None."""
     if __debug__ and rules.measure is not None:
         bound = rules.measure(bound, s, t)  # rho.t has t's size
     pre = rules.prefix
@@ -118,7 +144,14 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
             rho.swap(a, b)
             ok = alpha(rules, sig, ctx, gen, s1, t1, rho, node.child("", rho, s1, "=?", t1), bound)
             rho.swap(a, b)
-            ok = ok and rules.rename(sig, ctx, gen, a, t1, rho, node, bound)
+            if ok and free_vars(t1):
+                ok = rules.rename(sig, ctx, gen, a, t1, rho, node, bound)
+            elif ok:
+                # a ground t1: a # rho.t1, or (a c1) fix rho.t1 for a new c1,
+                # when a is not free in rho.t1; a leaf, so no measure is due
+                head = (a, "fresh?") if gen is None else ((a, gen.fresh()), "fix?")
+                side = node.child(rules.ground, rho, *head, t1)
+                side.ok = ok = rho.preimage.get(a, a) not in free_atoms(t1)
     elif kind is Tup:
         if len(s.items) == len(t.items):
             node.rule, ok, premises = pre + "tuple", True, zip(s.items, t.items)

@@ -154,4 +154,4 @@ def _rename(
     return _fixp(sig, ctx.extend(new), p, t, rho, gen, node.child("", rho, p, "fix?", t), bound)
 
 
-_RULES = AlphaRules("eq-", _var, _rename, _measure)
+_RULES = AlphaRules("eq-", _var, _rename, "fix-ground", _measure)

@@ -82,4 +82,4 @@ def _rename(sig, ctx: FreshnessContext, gen, a: Atom, t: Term, rho: Renaming, no
     return _fresh(ctx, a, t, rho, node.child("", rho, a, "fresh?", t))
 
 
-_RULES = AlphaRules("~", _var, _rename)
+_RULES = AlphaRules("~", _var, _rename, "#ground")

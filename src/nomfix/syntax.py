@@ -336,8 +336,11 @@ class Signature:
 
 class Term:
     """Base class of the term grammar.  Terms are immutable, so a node keeps
-    its size and its free variables in two memo slots, filled by term_size
-    and free_vars the first time they are asked for, or copied by act.
+    its size, its free variables and, when ground, its free atoms in three
+    memo slots, filled by term_size, free_vars and free_atoms the first time
+    they are asked for.  act copies the first two (_ACT_KEEPS): a
+    permutation renames atoms, so it changes free atoms but not size or
+    variables.
 
     Every walk over terms dispatches once on the node's exact type, kind =
     type(t), then reads the fields by name; the five node classes are not
@@ -349,7 +352,11 @@ class Term:
     about half of what a checking engine spent per node.
     """
 
-    __slots__ = ("_size", "_vars")
+    __slots__ = ("_size", "_vars", "_atoms")
+
+
+# the memo slots that act copies from a term to its image
+_ACT_KEEPS = ("_size", "_vars")
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,7 +428,7 @@ def act(perm: Permutation, t: Term) -> Term:
     else:
         raise TypeError(f"not a term: {t!r}")
     # the action renames atoms only, so t's size and variables are out's
-    for slot in Term.__slots__:
+    for slot in _ACT_KEEPS:
         memo = getattr(t, slot, None)
         if memo is not None:
             object.__setattr__(out, slot, memo)
@@ -455,6 +462,47 @@ def free_vars(t: Term) -> frozenset[Var]:
     else:
         raise TypeError(f"not a term: {t!r}")
     object.__setattr__(t, "_vars", out)
+    return out
+
+
+def free_atoms(t: Term) -> frozenset[Atom]:
+    """The free atoms of a ground term: those not under a binder of their
+    own name.  Memoised as free_vars is, sharing a child's set when the node
+    removes nothing from it, and filled children first over an explicit
+    stack, so any depth is answered.  A suspension's free atoms depend on
+    what its variable stands for, so a term with one raises
+    IllFormedTermError."""
+    out = getattr(t, "_atoms", None)
+    if out is not None:
+        return out
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        kind = type(u)
+        if kind is AtomTerm:
+            out = frozenset((u.atom,))
+        elif kind is Abs or kind is App:
+            child = u.body if kind is Abs else u.arg
+            out = getattr(child, "_atoms", None)
+            if out is None:
+                todo.append(child)
+                continue
+            if kind is Abs and u.binder in out:
+                out = out - {u.binder}
+        elif kind is Tup:
+            parts = [getattr(s, "_atoms", None) for s in u.items]
+            if None in parts:
+                todo += [s for s, p in zip(u.items, parts) if p is None]
+                continue
+            out = max(parts, key=len)
+            if not all(p <= out for p in parts):
+                out = out.union(*parts)
+        elif kind is Susp:
+            raise IllFormedTermError(f"free atoms of a term with a variable depend on it: {u.var}")
+        else:
+            raise TypeError(f"not a term: {u!r}")
+        object.__setattr__(u, "_atoms", out)
+        todo.pop()
     return out
 
 
@@ -583,18 +631,42 @@ class Substitution:
         self.bindings: dict[Var, Term] = dict(bindings or {})
 
     def __call__(self, t: Term) -> Term:
-        if self.bindings.keys().isdisjoint(free_vars(t)):
+        """t with its bound variables replaced.  One loop over an explicit
+        stack visits the nodes that mention a bound variable, and each again,
+        after a None marker, once its children's results are on a second
+        stack; so a term of any depth is rebuilt."""
+        bindings = self.bindings
+        bound = bindings.keys()
+        if bound.isdisjoint(free_vars(t)):
             return t
-        kind = type(t)
-        if kind is Abs:
-            return Abs(t.binder, self(t.body))
-        if kind is Tup:
-            return Tup(tuple(self(s) for s in t.items))
-        if kind is App:
-            return App(t.symbol, self(t.arg))
-        if kind is Susp:
-            return act(t.perm, self.bindings[t.var])
-        raise TypeError(f"not a term: {t!r}")
+        done: list[Term] = []
+        todo: list = [t]
+        while todo:
+            u = todo.pop()
+            if u is None:  # the node below has its children's results on top of done
+                u = todo.pop()
+                kind = type(u)
+                if kind is Abs:
+                    done.append(Abs(u.binder, done.pop()))
+                elif kind is App:
+                    done.append(App(u.symbol, done.pop()))
+                else:
+                    n = len(u.items)
+                    done[-n:] = (Tup(tuple(done[-n:])),)
+                continue
+            kind = type(u)
+            if kind is Susp:
+                s = bindings.get(u.var)
+                done.append(u if s is None else act(u.perm, s))
+            elif kind is AtomTerm or bound.isdisjoint(free_vars(u)):
+                done.append(u)
+            elif kind is Abs:
+                todo += (u, None, u.body)
+            elif kind is App:
+                todo += (u, None, u.arg)
+            else:
+                todo += (u, None, *reversed(u.items))
+        return done[0]
 
     def compose(self, other: Substitution) -> Substitution:
         """self then other: t(self.compose(other)) == other(self(t))."""

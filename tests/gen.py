@@ -18,6 +18,7 @@ from nomfix import (
     Theory,
     Tup,
     Var,
+    act,
 )
 
 ATOMS = tuple(Atom(n) for n in "abcde")
@@ -70,6 +71,25 @@ def random_term(rng, sig: Signature, depth=3, atoms=ATOMS, variables=VARS, groun
             )
         ),
     )
+
+
+def rename_binders(rng, t, atoms=ATOMS):
+    """t with about half its binders renamed, each to an atom of atoms:
+    [a] u becomes [b] (a b).u, alpha-equivalent to [a] u exactly when b is a
+    or b is not free in u, so some renamings keep the term's class and some
+    do not."""
+    kind = type(t)
+    if kind is Abs:
+        body = rename_binders(rng, t.body, atoms)
+        b = rng.choice(atoms)
+        if b is t.binder or rng.random() < 0.5:
+            return Abs(t.binder, body)
+        return Abs(b, act(Permutation.swap(t.binder, b), body))
+    if kind is App:
+        return App(t.symbol, rename_binders(rng, t.arg, atoms))
+    if kind is Tup:
+        return Tup(tuple(rename_binders(rng, s, atoms) for s in t.items))
+    return t
 
 
 def random_fixp_context(rng, atoms=ATOMS, variables=VARS, max_entries=3) -> FixpointContext:

@@ -24,6 +24,7 @@ class TestCorpusExitCodes:
         ("cunify", "cunify_two_mgu.nom", 0),
         ("cunify", "cunify_fix_var.nom", 0),
         ("alpha", "alpha_forall.nom", 0),
+        ("alpha", "alpha_renamed_ground.nom", 1),
         ("fixp", "fixp_xor_c.nom", 1),
         ("fixp", "fixp_xor_ac.nom", 0),
         ("fixp", "fixp_conj_var.nom", 0),

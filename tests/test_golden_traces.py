@@ -4,7 +4,9 @@ to the engines or the solvers cannot change a trace unseen.
 
 The goals below use every rule of both engines between them: atom, var,
 tuple, abs, abs-rename, app, A, both C alignments, AC pick/rest, clash,
-#abs-same, fix-abs and fix-app-C/fix-app-AC, failing and succeeding.  The
+#abs-same, fix-abs and fix-app-C/fix-app-AC, failing and succeeding, and
+the side conditions of abs-rename on bodies with variables and on ground
+bodies (#ground, fix-ground; tests/data/alpha_renamed_ground.nom).  The
 problems use every eq-*/fix-* simplification rule, both eq-app-C and
 fix-app-C branches, and every witness kind: clash, occurs, rigid (by
 match) and fixpoint-inconsistency.
@@ -67,6 +69,9 @@ GOALS = [
     ("alpha-fixp", "context: (c d) fix X ;\n[a] +(a, X) =? [b] +(X, b),\n[a] *([c] (a, c), X) =? [b] *(X, [d] (b, d))"),
     ("alpha-fixp", "[a] +(a, c) =? [b] +(c, b),\n[a] [b] *(a, b) =? [b] [a] *(a, b)"),
 ]
+# the corpus file of renamed binders over ground bodies, in both engines
+RENAMED_GROUND = (pathlib.Path(__file__).parent / "data" / "alpha_renamed_ground.nom").read_text()
+GOALS += [("alpha-fresh", RENAMED_GROUND), ("alpha-fixp", RENAMED_GROUND)]
 
 # (solver, problem text); match takes the right-hand sides' variables as rigid.
 PROBLEMS = [

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import sys
 
@@ -25,10 +27,12 @@ from nomfix import (
     parse_constraint,
     parse_perm,
     parse_term,
+    print_term,
     same_term,
     unify,
     verify_solution,
 )
+from nomfix.cli import main
 from nomfix.unify import Solution, measure_decreases, problem_measure
 from certificate import check_tree, search_order, solve, texts
 from gen import SIG_C, SIG_PLAIN, random_perm, random_term
@@ -330,6 +334,39 @@ class TestSearchSize:
         assert got["plain"].solved and got["abs"].solved and got["occurs"].witness_kind == "occurs"
         assert {name: len(res.steps) for name, res in got.items()} == {
             "plain": plain, "abs": abs_, "occurs": occurs}
+
+
+class TestCyclicChain:
+    """A cycle of n shallow equations, X0 =? f((X1, a)) ... X(n-1) =? f((X0, a)),
+    grows a binding three levels per equation while it is solved, past
+    Python's recursion limit at n = 201.  Substitution keeps its own stack,
+    so the search reports the occurs failure instead of crashing."""
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_reports_occurs(self, capsys, monkeypatch, n, mode):
+        eqs = [f"X{i} =? f((X{(i + 1) % n}, a))" for i in range(n)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(",\n".join(eqs)))
+        code = main(["unify", "-", *mode])
+        out = capsys.readouterr()
+        assert code == 1 and out.err == ""
+        if mode:
+            payload = json.loads(out.out)
+            assert payload["status"] == "unsolvable" and payload["witness"]["kind"] == "occurs"
+        else:
+            assert out.out.startswith(f"unsolvable (occurs): X{n - 1} =? f(")
+
+    def test_substitution_rebuilds_any_depth(self):
+        # 5,000 levels of every node kind, each with a bound variable; the
+        # variables are memoised level by level as the term is built, so
+        # that only Substitution's own walk goes deep
+        t, want = Susp(Permutation.swap(a, b), X), "(b, c)"
+        for i in range(5000):
+            t = (Abs(a, t), App("f", t), Tup((t, Susp(idp, Y))))[i % 3]
+            want = (f"[a] {want}", f"f({want})", f"({want}, c)")[i % 3]
+            free_vars(t)
+        got = Substitution({X: parse_term("(a, c)"), Y: parse_term("c")})(t)
+        assert print_term(got) == want
 
 
 class TestLazyConstraints:

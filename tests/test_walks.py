@@ -31,6 +31,7 @@ from nomfix import (
     check_fresh,
     check_well_formed,
     flatten,
+    free_atoms,
     free_vars,
     print_term,
     term_size,
@@ -55,6 +56,7 @@ class TestNotATerm:
     WALKS = {
         "act": lambda t: act(SWAP, t),
         "free_vars": free_vars,
+        "free_atoms": free_atoms,
         "term_size": term_size,
         "flatten": lambda t: flatten(SIG_FULL, t),
         "check_well_formed": lambda t: check_well_formed(SIG_FULL, t),
@@ -135,6 +137,30 @@ def test_deep_terms_answer_as_deep_as_before(check, build):
     n = sys.getrecursionlimit() - stack_depth() - HEADROOM[check, build]
     assert n > 900
     assert CHECKS[check](build(n)) is True
+
+
+def renamed_abstractions(n, prefix):
+    """[p0]...[p(n-1)] p0, n binders deep: over prefixes a and b, every
+    level renames a binder, and every body is ground."""
+    t = AtomTerm(Atom(f"{prefix}0"))
+    for i in reversed(range(n)):
+        t = Abs(Atom(f"{prefix}{i}"), t)
+    return t
+
+
+RENAMED_CHECKS = {
+    "check_alpha_fixp": lambda s, t: check_alpha_fixp(SIG_PLAIN, FixpointContext(), s, t),
+    "check_alpha_fresh": lambda s, t: check_alpha_fresh(SIG_PLAIN, FreshnessContext(), s, t),
+}
+
+
+@pytest.mark.parametrize("check", sorted(RENAMED_CHECKS))
+def test_deep_renamed_binders_answer_as_deep(check):
+    """The ground side condition of every abs-rename, decided from the
+    memoised free atoms, answers at the depth pinned above for one binder."""
+    n = sys.getrecursionlimit() - stack_depth() - HEADROOM[check, abstractions]
+    assert n > 900
+    assert RENAMED_CHECKS[check](renamed_abstractions(n, "a"), renamed_abstractions(n, "b")) is True
 
 
 def reference_flatten(sig, t):
