@@ -12,10 +12,13 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterator
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .alpha import trace_line
-from .cunify import c_unify, tree_line
+from .alpha import TraceNode, trace_line
+from .cunify import c_unify, tree_line, tree_records
 from .fixpoint import check_alpha_fixp, check_fixp
 from .freshness import check_alpha_fresh, check_fresh
 from .oracle import TermPool, enumerate_terms, ground_alpha_oracle, verify_solution
@@ -117,12 +120,56 @@ def _contexts(pf: ProblemFile, gen: NameGenerator):
 
 
 def _emit(args, payload, lines) -> None:
-    """Print payload() as JSON, or else each of lines(); only one is built."""
-    if args.json:
-        print(json.dumps(payload(), indent=2))
+    """Print payload() as JSON, or else each of lines(); only one is built.
+    The JSON has the bytes of print(json.dumps(payload(), indent=2)), written
+    a piece per top-level value and per element of a top-level list or
+    iterator, so a tree or trace given as an iterator is never held whole.
+    A reader that closes the pipe early (`| head`) ends the output, not the
+    command; stdout then points at os.devnull, so the flush at exit succeeds."""
+    write = sys.stdout.write
+    try:
+        if args.json:
+            head = "{"
+            for key, value in payload().items():
+                write(f"{head}\n  {encode_basestring_ascii(key)}: ")
+                head = ","
+                if isinstance(value, (list, tuple, Iterator)):
+                    sep = "["
+                    for x in value:
+                        write(f"{sep}\n    {_json(x, '    ')}")
+                        sep = ","
+                    write("[]" if sep == "[" else "\n  ]")
+                else:
+                    write(_json(value, "  "))
+            write("{}\n" if head == "{" else "\n}\n")
+        else:
+            for line in lines():
+                write(f"{line}\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _json(v, pad: str) -> str:
+    """The text of v in json.dumps(v, indent=2), at indentation pad.  Dicts
+    (string keys), lists and tuples recurse, a frame per level; a value other
+    than those, a string, an int or a constant is json.dumps(v)'s."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        items, brackets = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in v.items()], "{}"
+    elif isinstance(v, (list, tuple)):
+        items, brackets = [_json(x, inner) for x in v], "[]"
     else:
-        for line in lines():
-            print(line)
+        return json.dumps(v)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
 
 
 def _check_command(args) -> int:
@@ -146,13 +193,13 @@ def _check_command(args) -> int:
             ok = check_fixp(pf.signature, fixp_ctx, c.perm, c.target, gen=gen, trace=traces)
         verdicts.append((str(c), ok))
     all_ok = all(ok for _, ok in verdicts)
-    trace = {} if traces is None else {"trace": [node.record() for node in traces]}
+    trace = {} if traces is None else {"trace": map(TraceNode.record, traces)}
     _emit(
         args,
         lambda: {"command": args.command, "derivable": all_ok,
                  "results": [{"constraint": c, "derivable": ok} for c, ok in verdicts], **trace},
-        lambda: [f"{c} : {'derivable' if ok else 'underivable'}" for c, ok in verdicts]
-        + print_records(trace.get("trace", ()), trace_line),
+        lambda: chain((f"{c} : {'derivable' if ok else 'underivable'}" for c, ok in verdicts),
+                      print_records(trace.get("trace", ()), trace_line)),
     )
     return 0 if all_ok else 1
 
@@ -205,13 +252,13 @@ def _unify_command(args) -> int:
         _emit(args, payload, lines)
         return 0 if res.solved else 1
     res = c_unify(pr, pf.signature, gen=gen, dedup=args.dedup)
-    tree = {"tree": res.tree} if getattr(args, "tree", False) else {}
+    tree = {"tree": tree_records(res.problem, res.outcomes)} if getattr(args, "tree", False) else {}
     _emit(
         args,
-        lambda: {"status": res.status, "solutions": [_solution_payload(s) for s in res.solutions],
+        lambda: {"status": res.status, "solutions": map(_solution_payload, res.solutions),
                  "leaves": res.leaves, **tree},
-        lambda: [f"{res.status}: {len(res.solutions)} solution(s)", *(f"  {s}" for s in res.solutions)]
-        + print_records(tree.get("tree", ()), tree_line),
+        lambda: chain([f"{res.status}: {len(res.solutions)} solution(s)"], (f"  {s}" for s in res.solutions),
+                      print_records(tree.get("tree", ()), tree_line)),
     )
     return 0 if res.solved else 1
 

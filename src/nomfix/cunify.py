@@ -10,6 +10,7 @@ flat records, the first time it is asked for.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,7 +19,7 @@ from .syntax import NameGenerator, Signature, Theory
 from .unify import Problem, Solution, _derive, is_more_general, problem_vars
 
 
-def tree_records(pr: Problem, leaves) -> list[dict]:
+def tree_records(pr: Problem, leaves) -> Iterator[dict]:
     """The derivation tree of pr as flat records, from its leaves in the
     order unify._search yields them, each given as (path, failure,
     solution).
@@ -31,7 +32,9 @@ def tree_records(pr: Problem, leaves) -> list[dict]:
     either the produced constraints or the binding.  A leaf adds its
     outcome, "success" or the failure kind, and a success its solution.
     The search visits the last child first, so the leaves meet a node's
-    children in reverse expansion order, the order the stack below wants."""
+    children in reverse expansion order, the order the stack below wants.
+    Each record is built when it is asked for and not kept here, and a
+    node's entry in the child index goes once its children are stacked."""
     below: dict[int, list] = {}  # id(path) -> child paths, last child first
     ends = {}
     for path, failure, solution in leaves:
@@ -48,15 +51,15 @@ def tree_records(pr: Problem, leaves) -> list[dict]:
     def text(c) -> str:
         return said.get(id(c)) or said.setdefault(id(c), str(c))
 
-    records: list[dict] = []
     stack = [(None, None)]
+    n = 0
     while stack:
         path, parent = stack.pop()
         if path is None:
-            rec = {"id": len(records), "parent": None, "rule": None, "problem": list(map(text, pr))}
+            rec = {"id": n, "parent": None, "rule": None, "problem": list(map(text, pr))}
         else:
             step = path[0]
-            rec = {"id": len(records), "parent": parent, "rule": step.rule, "consumed": text(step.consumed)}
+            rec = {"id": n, "parent": parent, "rule": step.rule, "consumed": text(step.consumed)}
             if step.binding is None:
                 rec["produced"] = list(map(text, step.produced))
             else:
@@ -68,9 +71,9 @@ def tree_records(pr: Problem, leaves) -> list[dict]:
             rec["outcome"] = "success" if failure is None else failure[0]
             if solution is not None:
                 rec["solution"] = solution.key()
-        records.append(rec)
-        stack.extend((sub, rec["id"]) for sub in below.get(id(path), ()))
-    return records
+        stack.extend((sub, n) for sub in below.pop(id(path), ()))
+        yield rec
+        n += 1
 
 
 def tree_line(record: dict) -> str:
@@ -102,7 +105,7 @@ class CUnifyResult:
 
     @cached_property
     def tree(self) -> list[dict]:
-        return tree_records(self.problem, self.outcomes)
+        return list(tree_records(self.problem, self.outcomes))
 
     @property
     def solved(self) -> bool:

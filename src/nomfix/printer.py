@@ -10,6 +10,8 @@ under == print alike.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .syntax import (
     Abs,
     App,
@@ -65,14 +67,12 @@ def print_subst(sigma: Substitution) -> str:
     return "{" + inner + "}"
 
 
-def print_records(records, line) -> list[str]:
+def print_records(records, line) -> Iterator[str]:
     """One line per derivation record, line(record), indented two spaces per
-    level below its root.  Each record's id is its position in records, and
-    a parent comes before its children."""
+    level below its root, each made as it is asked for.  Each record's id is
+    its position in records, and a parent comes before its children."""
     depth: list[int] = []
-    lines = []
     for r in records:
         parent = r["parent"]
         depth.append(0 if parent is None else depth[parent] + 1)
-        lines.append("  " * depth[-1] + line(r))
-    return lines
+        yield "  " * depth[-1] + line(r)

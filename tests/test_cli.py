@@ -1,12 +1,19 @@
+import errno
 import io
 import json
+import os
 import re
+import sys
+import tracemalloc
+from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from certificate import check_tree
-from nomfix import Eq, parse_constraint, parse_problem_file
-from nomfix.cli import main
+from nomfix import Eq, c_unify, parse_constraint, parse_problem_file
+from nomfix.cli import _emit, main
 from nomfix.unify import Solution
 
 
@@ -313,6 +320,143 @@ class TestDeepChain:
                 lines = out.splitlines()
                 assert lines[0].endswith(": derivable") and len(lines) == n + 2
                 assert lines[-1] == "  " * n + "+ [eq-atom] a =? a"
+
+
+# JSON values nested up to depth 4 inside a payload dict; strings favour
+# the characters an encoder must escape
+texts = st.text(st.sampled_from('"\\/\x00\x07\x1f\x7f\n\t\u00e9\u2028\U0001f600a ') | st.characters())
+scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+           | st.floats(allow_nan=True, allow_infinity=True) | texts)
+
+
+def nested(depth):
+    values = scalars
+    for _ in range(depth):
+        values = (values | st.lists(values, max_size=3) | st.lists(values, max_size=3).map(tuple)
+                  | st.dictionaries(texts, values, max_size=3))
+    return values
+
+
+# what may stand for a top-level list: itself, a generator, a map object
+streams = st.sampled_from([list, lambda v: (x for x in v), lambda v: map(lambda x: x, v)])
+
+
+def emitted(payload) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(SimpleNamespace(json=True), lambda: payload, None)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    """--json is written piece by piece, with the bytes of
+    json.dumps(payload, indent=2) and a newline."""
+
+    @given(st.dictionaries(texts, nested(3), max_size=5), streams)
+    @example({}, list)
+    @example({"a": [], "b": {}, "c": [[], {}, [{}]], "d": True, "e": 1, "f": False, "g": 0, "h": None}, list)
+    @example({"a": [], "b": [True, 1, [], {}]}, lambda v: map(lambda x: x, v))
+    @example({"a": [], "b": [False, 0]}, lambda v: (x for x in v))
+    def test_same_bytes_as_json_dumps(self, payload, stream):
+        want = json.dumps(payload, indent=2) + "\n"
+        lists = {k: stream(v) if type(v) is list else v for k, v in payload.items()}
+        assert emitted(lists) == want
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [1, {"x": object()}]])
+    def test_what_json_cannot_hold_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps({"v": value}, indent=2)
+        with pytest.raises(TypeError):
+            emitted({"v": value})
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as after `| head`: every write
+    raises, as on a pipe; fileno is a descriptor the test owns."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv,code", [
+        (["cunify", "--json", "--tree", "cunify_two_mgu.nom"], 0),
+        (["cunify", "--tree", "cunify_two_mgu.nom"], 0),
+        (["fixp", "--trace", "fixp_xor_c.nom"], 1),
+        (["unify", "--json", "unify_clash.nom"], 1),
+    ])
+    def test_verdict_stands_and_stdout_goes_to_devnull(self, capsys, monkeypatch, data_dir, argv, code):
+        r, w = os.pipe()
+        try:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(w))
+            assert main([*argv[:-1], str(data_dir / argv[-1])]) == code
+            # the flush at exit now writes to os.devnull, and cannot fail
+            assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert capsys.readouterr().err == ""
+
+
+class ByteCount:
+    """A stdout that keeps nothing, only counts what is written and, at each
+    write, how many tree records had been made by then."""
+
+    def __init__(self, made):
+        self.bytes, self.made, self.seen = 0, made, []
+
+    def write(self, text):
+        self.bytes += len(text)
+        self.seen.append(len(self.made))
+
+    def flush(self):
+        pass
+
+
+class TestStreamedTree:
+    """cunify --tree, with --json or in text, writes each tree record as it
+    is made, and neither the tree nor the whole text is ever held."""
+
+    K = 8
+
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_records_stream_to_stdout(self, monkeypatch, tmp_path, mode):
+        path = tmp_path / "pairs.nom"
+        path.write_text("sym + : C ;\n" + ",\n".join(f"+(X{i}, Y{i}) =? +(a{i}, b{i})" for i in range(self.K)))
+        results, made = [], []
+        monkeypatch.setattr("nomfix.cli.c_unify", lambda *a, **kw: results.append(c_unify(*a, **kw)) or results[-1])
+        records = sys.modules["nomfix.cli"].tree_records
+
+        def counted(*args):
+            for record in records(*args):
+                made.append(record["id"])
+                yield record
+
+        monkeypatch.setattr("nomfix.cli.tree_records", counted)
+        sink = ByteCount(made)
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["cunify", *mode, "--tree", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (res,) = results
+        assert "tree" not in res.__dict__
+        assert made == list(range(len(made))) and len(made) > 2**self.K
+        # every record is written before the next one is made
+        assert set(range(1, len(made) + 1)) <= set(sink.seen)
+        if mode:  # in text, the search's own state sets the peak, not the output
+            assert peak < 5 * sink.bytes, (peak, sink.bytes)
 
 
 class TestSelfcheck:
