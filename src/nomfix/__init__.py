@@ -32,7 +32,6 @@ from .syntax import (
     generator_avoiding,
     is_ground,
     pair,
-    same_term,
     term_size,
     var,
 )

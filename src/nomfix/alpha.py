@@ -171,10 +171,10 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
                         break
             elif th is Theory.AC:
                 node.rule = pre + "app-AC"
-                ok = _ac(rules, sig, ctx, gen, f, equational_args(sig, s), equational_args(sig, t), rho, node, bound)
+                ok = _ac(rules, sig, ctx, gen, f, equational_args(s), equational_args(t), rho, node, bound)
             elif th is Theory.A:
                 node.rule = pre + "app-A"
-                ss, ts = equational_args(sig, s), equational_args(sig, t)
+                ss, ts = equational_args(s), equational_args(t)
                 ok, premises = len(ss) == len(ts), zip(ss, ts)
             else:
                 node.rule, ok, premises = pre + "app", True, ((sarg, targ),)
@@ -193,7 +193,9 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
     return ok
 
 
-def _ac(rules, sig, ctx, gen, f: str, ss: list[Term], ts: list[Term], rho: Renaming, node: TraceNode, bound) -> bool:
+def _ac(
+    rules, sig, ctx, gen, f: str, ss: tuple[Term, ...], ts: tuple[Term, ...], rho: Renaming, node: TraceNode, bound
+) -> bool:
     """Match the arguments ss against a permutation of rho.ts: pick a
     partner for the head, then match the rest ("f remainder")."""
     if len(ss) != len(ts):

@@ -269,21 +269,23 @@ def _translate_command(args) -> int:
     records = []
     if pf.fresh_context is not None:
         ctx = fresh_to_fixp(pf.fresh_context, gen, records=records)
-        kind, entries = "fixpoint", _fixp_entries(ctx)
+        kind, entries = "fixpoint", _fixp_entries
     elif pf.fixp_context is not None:
         ctx = fixp_to_fresh(pf.fixp_context, records=records)
-        kind, entries = "freshness", [{"atom": a.name, "var": x.name} for a, x in ctx.entries()]
+        kind, entries = "freshness", lambda ctx: [{"atom": a.name, "var": x.name} for a, x in ctx.entries()]
     else:
         raise ValueError("no context section to translate")
-    payload = {"kind": kind, "context": entries}
-    lines = [str(ctx)]
-    if args.trace:
-        payload["records"] = [
-            {"source": r.source, "target": r.target, "generated": [a.name for a in r.generated]}
-            for r in records
-        ]
-        lines += [f"  {r.source}  =>  {r.target}" for r in records]
-    _emit(args, lambda: payload, lambda: lines)
+    shown = records if args.trace else ()
+
+    def payload():
+        out = {"kind": kind, "context": entries(ctx)}
+        if args.trace:
+            out["records"] = [
+                {"source": r.source, "target": r.target, "generated": [a.name for a in r.generated]} for r in shown
+            ]
+        return out
+
+    _emit(args, payload, lambda: chain([str(ctx)], (f"  {r.source}  =>  {r.target}" for r in shown)))
     return 0
 
 

@@ -46,8 +46,7 @@ def check_fixp(
     trace: list[TraceNode] | None = None,
 ) -> bool:
     """Decide ctx |- perm fix t modulo the theories declared in sig."""
-    if sig.has_equational_symbols():
-        t = flatten(sig, t)
+    t = flatten(sig, t)
     if gen is None:
         gen = generator_avoiding(atoms_in(ctx, t, perm))
     return _fixp(sig, ctx, perm, t, Renaming(), gen, trace_root(trace, perm, "fix?", t), None)
@@ -62,9 +61,7 @@ def check_alpha_fixp(
     trace: list[TraceNode] | None = None,
 ) -> bool:
     """Decide ctx |- s ~ t in the fixed-point presentation."""
-    if sig.has_equational_symbols():
-        s = flatten(sig, s)
-        t = flatten(sig, t)
+    s, t = flatten(sig, s), flatten(sig, t)
     if gen is None:
         gen = generator_avoiding(atoms_in(ctx, s, t))
     return alpha(_RULES, sig, ctx, gen, s, t, Renaming(), trace_root(trace, s, "=?", t))

@@ -66,9 +66,7 @@ def check_alpha_fresh(
 ) -> bool:
     """Decide ctx |- s ~ t in the freshness presentation, modulo the
     equational theories declared in sig."""
-    if sig.has_equational_symbols():
-        s = flatten(sig, s)
-        t = flatten(sig, t)
+    s, t = flatten(sig, s), flatten(sig, t)
     return alpha(_RULES, sig, ctx, None, s, t, Renaming(), trace_root(trace, s, "=?", t))
 
 

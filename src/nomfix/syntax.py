@@ -34,19 +34,19 @@ _GENERATED_NAME = re.compile(r"[a-z#][A-Za-z0-9_']*")
 # field values -> a weak reference to the live atom, (name, gen_index), or
 # variable, (name,), with those values; the table is swept of dead references
 # whenever it has doubled since the last sweep, so it stays within about twice
-# the number of live ones
+# the number of live ones.  The constructors write their entry themselves:
+# replacing a dead entry compares keys, and in a helper that would take one
+# more level of Python's recursion limit, where a deep check draws an atom.
 _INTERNED: dict[tuple, weakref.ref] = {}
 _sweep_at = 1024
 
 
-def _intern(key: tuple, obj) -> None:
-    """Record obj as the live object for key."""
+def _sweep() -> None:
+    """Drop the dead references from the table."""
     global _sweep_at
-    _INTERNED[key] = weakref.ref(obj)
-    if len(_INTERNED) > _sweep_at:
-        for k in [k for k, r in _INTERNED.items() if r() is None]:
-            del _INTERNED[k]
-        _sweep_at = 2 * len(_INTERNED) + 1024
+    for k in [k for k, r in _INTERNED.items() if r() is None]:
+        del _INTERNED[k]
+    _sweep_at = 2 * len(_INTERNED) + 1024
 
 
 class _Interned:
@@ -91,7 +91,9 @@ class Atom(_Interned):
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
             object.__setattr__(self, "gen_index", gen_index)
-            _intern(key, self)
+            _INTERNED[key] = weakref.ref(self)
+            if len(_INTERNED) > _sweep_at:
+                _sweep()
         return self
 
     def __lt__(self, other: Atom) -> bool:
@@ -111,9 +113,10 @@ class Atom(_Interned):
 class Var(_Interned):
     """A meta-level unknown, instantiable by substitution.  Variables are
     interned as atoms are: Var(name) returns the one live variable with that
-    name.  Variables are ordered by name."""
+    name.  Variables are ordered by name.  A variable keeps the set of just
+    itself, which every suspension of it shares as its variables."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_singleton")
     __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> Var:
@@ -123,7 +126,10 @@ class Var(_Interned):
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
-            _intern(key, self)
+            object.__setattr__(self, "_singleton", frozenset((self,)))
+            _INTERNED[key] = weakref.ref(self)
+            if len(_INTERNED) > _sweep_at:
+                _sweep()
         return self
 
     def __lt__(self, other: Var) -> bool:
@@ -215,10 +221,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return not self.swappings
-
-    def same_action(self, other: Permutation) -> bool:
-        """Alias of ==, kept as a public name: == compares permutations by action."""
-        return self == other
 
     def __str__(self) -> str:
         if not self.swappings:
@@ -335,12 +337,14 @@ class Signature:
 
 
 class Term:
-    """Base class of the term grammar.  Terms are immutable, so a node keeps
-    its size, its free variables and, when ground, its free atoms in three
-    memo slots, filled by term_size, free_vars and free_atoms the first time
-    they are asked for.  act copies the first two (_ACT_KEEPS): a
-    permutation renames atoms, so it changes free atoms but not size or
-    variables.
+    """Base class of the term grammar.  Terms are immutable, and a node is
+    built after its children, so its constructor sets its size and its
+    variables from theirs, in O(arity): term_size, free_vars and is_ground
+    read them at any depth.  A leaf's size, and an atom's empty set of
+    variables, are class attributes; a suspension shares its variable's
+    one-element set.  A ground node also keeps its free
+    atoms, filled by free_atoms the first time they are asked for.  Pickle
+    and copy rebuild a term through the constructors.
 
     Every walk over terms dispatches once on the node's exact type, kind =
     type(t), then reads the fields by name; the five node classes are not
@@ -353,15 +357,29 @@ class Term:
     """
 
     __slots__ = ("_size", "_vars", "_atoms")
+    __reduce__ = _Interned.__reduce__
 
 
-# the memo slots that act copies from a term to its image
-_ACT_KEEPS = ("_size", "_vars")
+# the slots' own setters, past the frozen dataclasses' __setattr__
+_set_size, _set_vars = Term._size.__set__, Term._vars.__set__
+_NO_VARS: frozenset[Var] = frozenset()
+
+
+def _one_child(node: Term, child: Term) -> None:
+    """Set the size and variables of a node with one child, sharing its set."""
+    try:
+        _set_size(node, child._size + 1)
+    except AttributeError:
+        raise TypeError(f"not a term: {child!r}") from None
+    _set_vars(node, child._vars)
 
 
 @dataclass(frozen=True, slots=True)
 class AtomTerm(Term):
     atom: Atom
+
+    _size = 1
+    _vars = _NO_VARS
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,20 +387,40 @@ class Abs(Term):
     binder: Atom
     body: Term
 
+    def __post_init__(self):
+        _one_child(self, self.body)
+
 
 @dataclass(frozen=True, slots=True)
 class Tup(Term):
     items: tuple[Term, ...]
 
     def __post_init__(self):
-        if len(self.items) < 2:
+        items = self.items
+        if len(items) < 2:
             raise IllFormedTermError("tuples need at least two components")
+        size, out = 1, _NO_VARS
+        try:
+            for s in items:
+                size += s._size
+                # the union, kept as a child's own set while each set that
+                # adds to it holds all the earlier ones
+                v = s._vars
+                if not v <= out:
+                    out = v if out <= v else out | v
+        except AttributeError:
+            raise TypeError(f"not a term: {s!r}") from None
+        _set_size(self, size)
+        _set_vars(self, out)
 
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     symbol: str
     arg: Term
+
+    def __post_init__(self):
+        _one_child(self, self.arg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,6 +429,11 @@ class Susp(Term):
 
     perm: Permutation
     var: Var
+
+    _size = 1
+
+    def __post_init__(self):
+        _set_vars(self, self.var._singleton)
 
 
 def atom(name: str) -> AtomTerm:
@@ -418,60 +461,34 @@ def act(perm: Permutation, t: Term) -> Term:
     if kind is AtomTerm:
         return AtomTerm(perm(t.atom))
     if kind is Abs:
-        out = Abs(perm(t.binder), act(perm, t.body))
-    elif kind is Tup:
-        out = Tup(tuple(act(perm, s) for s in t.items))
-    elif kind is App:
-        out = App(t.symbol, act(perm, t.arg))
-    elif kind is Susp:
-        out = Susp(perm.compose(t.perm), t.var)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    # the action renames atoms only, so t's size and variables are out's
-    for slot in _ACT_KEEPS:
-        memo = getattr(t, slot, None)
-        if memo is not None:
-            object.__setattr__(out, slot, memo)
-    return out
-
-
-_NO_VARS: frozenset[Var] = frozenset()
+        return Abs(perm(t.binder), act(perm, t.body))
+    if kind is Tup:
+        return Tup(tuple(act(perm, s) for s in t.items))
+    if kind is App:
+        return App(t.symbol, act(perm, t.arg))
+    if kind is Susp:
+        return Susp(perm.compose(t.perm), t.var)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def free_vars(t: Term) -> frozenset[Var]:
-    """The variables of t.  Memoised on the immutable term: each node
-    computes its set once, from its children's, and every later call
-    returns that same shared frozenset."""
-    out = getattr(t, "_vars", None)
-    if out is not None:
-        return out
-    kind = type(t)
-    if kind is AtomTerm:
-        out = _NO_VARS
-    elif kind is Abs:
-        out = free_vars(t.body)
-    elif kind is App:
-        out = free_vars(t.arg)
-    elif kind is Susp:
-        out = frozenset((t.var,))
-    elif kind is Tup:
-        parts = [free_vars(s) for s in t.items]
-        out = max(parts, key=len)
-        if not all(p <= out for p in parts):
-            out = out.union(*parts)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    object.__setattr__(t, "_vars", out)
-    return out
+    """The variables of t, set when it was built from its children's, whose
+    frozensets it shares where it can."""
+    try:
+        return t._vars
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def free_atoms(t: Term) -> frozenset[Atom]:
     """The free atoms of a ground term: those not under a binder of their
-    own name.  Memoised as free_vars is, sharing a child's set when the node
-    removes nothing from it, and filled children first over an explicit
-    stack, so any depth is answered.  A suspension's free atoms depend on
-    what its variable stands for, so a term with one raises
-    IllFormedTermError."""
+    own name.  Unlike size and variables, they are left out of the
+    constructors: only ground terms have them, and only the ground
+    abs-rename side condition reads them.  So each node fills them the
+    first time they are asked for, children first over an explicit stack,
+    and shares a child's set when it removes nothing from it; any depth is
+    answered.  A suspension's free atoms depend on what its variable stands
+    for, so a term with one raises IllFormedTermError."""
     out = getattr(t, "_atoms", None)
     if out is not None:
         return out
@@ -535,68 +552,58 @@ def is_ground(t: Term) -> bool:
 
 
 def term_size(t: Term) -> int:
-    """The number of nodes of t.  Memoised on the immutable term: each node
-    computes its size once, from its children's, so later calls cost O(1)."""
-    n = getattr(t, "_size", None)
-    if n is not None:
-        return n
-    kind = type(t)
-    if kind is AtomTerm or kind is Susp:
-        n = 1
-    elif kind is Abs:
-        n = 1 + term_size(t.body)
-    elif kind is App:
-        n = 1 + term_size(t.arg)
-    elif kind is Tup:
-        n = 1 + sum(term_size(s) for s in t.items)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    object.__setattr__(t, "_size", n)
-    return n
-
-
-def same_term(s: Term, t: Term) -> bool:
-    """Alias of ==, kept as a public name: == compares suspension permutations by action."""
-    return s == t
+    """The number of nodes of t, set when it was built."""
+    try:
+        return t._size
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def flatten(sig: Signature, t: Term) -> Term:
     """Flatten nested applications of A and AC symbols into one application
     whose argument tuple lists all collected arguments.  A node with no A or
-    AC application at or below it is returned itself, memo slots and all."""
+    AC application at or below it is returned itself, so t itself when sig
+    declares no A or AC symbol."""
+    if Theory.A in sig.symbols.values() or Theory.AC in sig.symbols.values():
+        return _flatten(sig, t)
+    return t
+
+
+def _flatten(sig: Signature, t: Term) -> Term:
     kind = type(t)
     if kind is AtomTerm or kind is Susp:
         return t
     if kind is Abs:
-        body = flatten(sig, t.body)
+        body = _flatten(sig, t.body)
         return t if body is t.body else Abs(t.binder, body)
     if kind is Tup:
-        items = tuple(flatten(sig, s) for s in t.items)
+        items = tuple(_flatten(sig, s) for s in t.items)
         return t if all(map(operator.is_, items, t.items)) else Tup(items)
     if kind is App:
         f = t.symbol
         if sig.theory(f) in (Theory.A, Theory.AC):
-            args = [flatten(sig, s) for s in _collect_args(sig, f, t.arg)]
+            # splice in the arguments of the applications of f below, over
+            # an explicit stack: flattening each of them first would build
+            # an argument tuple per level of a nest
+            args, todo = [], [t]
+            while todo:
+                u = todo.pop()
+                if type(u) is App and u.symbol == f:
+                    todo += reversed(equational_args(u))
+                else:
+                    args.append(_flatten(sig, u))
             return App(f, args[0] if len(args) == 1 else Tup(tuple(args)))
-        arg = flatten(sig, t.arg)
+        arg = _flatten(sig, t.arg)
         return t if arg is t.arg else App(f, arg)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _collect_args(sig: Signature, f: str, arg: Term) -> list[Term]:
-    out: list[Term] = []
-    stack = list(arg.items) if isinstance(arg, Tup) else [arg]
-    for s in stack:
-        if isinstance(s, App) and s.symbol == f:
-            out.extend(_collect_args(sig, f, s.arg))
-        else:
-            out.append(s)
-    return out
-
-
-def equational_args(sig: Signature, t: App) -> list[Term]:
-    """Argument list of an application, flattened at its own head symbol."""
-    return _collect_args(sig, t.symbol, t.arg)
+def equational_args(t: App) -> tuple[Term, ...]:
+    """The arguments of an application, read off its argument tuple.  In a
+    flattened term, which the engines always receive, those of its nested
+    applications of an A or AC symbol are spliced in already."""
+    arg = t.arg
+    return arg.items if type(arg) is Tup else (arg,)
 
 
 def check_well_formed(sig: Signature, t: Term, theories=None) -> None:

@@ -10,15 +10,16 @@ The search keeps each problem incrementally (Martelli and Montanari, TOPLAS
 finds the next reducible one without rescanning the stuck ones; an index
 from variables to constraints, so a binding rewrites only the constraints
 that mention its variable; and the termination measure's change, logged by
-each step.  Each constraint memoises its variables, its weight in the
-measure and whether it is stuck, as terms memoise their size.
+each step.  A constraint's weight in the measure is read off its terms'
+sizes, which every term carries from its construction; each constraint
+memoises its variables and whether it is stuck.
 
 So a step pays for its rule and for the constraints it consumes and
 produces: checking the measure's change sorts nothing when one weight goes,
 as on almost every step, and a binding that no other constraint mentions
-rewrites nothing.  The memo fields are built empty and filled on first read;
-filling them in the constructor would walk every constraint's terms,
-recursing through deep input, even where the search never reads them.
+rewrites nothing.  The two memo fields are built empty and filled on first
+read, so a constraint that never enters a search, as the checking commands'
+goals do not, builds no variable set.
 
 Given a signature, simplification splits in two at applications of
 commutative symbols; without one, it treats every function symbol as
@@ -66,12 +67,11 @@ from .syntax import (
 @dataclass(frozen=True, slots=True)
 class _Constraint:
     """Base class of the constraints.  They are immutable, so each keeps its
-    variables (constraint_vars), its weight in the measure (_weight) and
-    whether no non-instantiating rule applies to it (expand) in memo fields,
-    left out of ==, hash and repr, and filled when first asked for."""
+    variables (constraint_vars) and whether no non-instantiating rule
+    applies to it (expand) in memo fields, left out of ==, hash and repr,
+    and filled when first asked for."""
 
     _vars: frozenset | None = field(default=None, init=False, repr=False, compare=False)
-    _weight: int | None = field(default=None, init=False, repr=False, compare=False)
     _stuck: bool = field(default=False, init=False, repr=False, compare=False)
 
 
@@ -173,12 +173,10 @@ def _weight(c: Constraint) -> int:
     """c's weight in the measure: the larger side's size for an equation,
     the target's size for a fixed-point constraint, and 0, no weight, for
     a primitive one."""
-    w = c._weight
-    if w is None:
-        sides = (c.lhs, c.rhs) if isinstance(c, Eq) else () if is_primitive(c) else (c.target,)
-        w = max(map(term_size, sides), default=0)
-        object.__setattr__(c, "_weight", w)
-    return w
+    if isinstance(c, Eq):
+        m, n = term_size(c.lhs), term_size(c.rhs)
+        return m if m > n else n
+    return 0 if is_primitive(c) else term_size(c.target)
 
 
 def _descending(weights) -> tuple:
@@ -199,13 +197,7 @@ def problem_measure(pr: Problem):
     The multiset is encoded as a descending sequence compared lexicographically,
     which coincides with the multiset extension of < on naturals.
     """
-    weights = []
-    for c in pr:
-        if isinstance(c, Eq):
-            weights.append(max(term_size(c.lhs), term_size(c.rhs)))
-        elif not is_primitive(c):
-            weights.append(term_size(c.target))
-    return (len(problem_vars(pr)), tuple(sorted(weights, reverse=True)))
+    return len(problem_vars(pr)), _descending(w for w in map(_weight, pr) if w)
 
 
 def measure_decreases(before, after) -> bool:
@@ -568,9 +560,8 @@ def is_more_general(
     variables = sorted(set(variables))
     lhs = [sol1.subst(Susp(Permutation.identity(), x)) for x in variables]
     rhs = [sol2.subst(Susp(Permutation.identity(), x)) for x in variables]
-    if sig.has_equational_symbols():
-        lhs = [flatten(sig, t) for t in lhs]
-        rhs = [flatten(sig, t) for t in rhs]
+    lhs = [flatten(sig, t) for t in lhs]
+    rhs = [flatten(sig, t) for t in rhs]
     rigid = frozenset().union(*(free_vars(t) for t in rhs)) if rhs else frozenset()
     problem = tuple(Eq(s, t) for s, t in zip(lhs, rhs))
     gen = generator_avoiding(atoms_in(*problem, sol1.context, sol2.context))

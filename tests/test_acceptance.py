@@ -36,7 +36,6 @@ from nomfix import (
     parse_problem_file,
     parse_term,
     print_term,
-    same_term,
     unify,
     verify_solution,
 )
@@ -77,8 +76,8 @@ def test_01_worked_abstraction_example(capsys):
     elapsed = time.perf_counter() - t0
     ok = (
         res.solved
-        and same_term(res.solution.subst(Susp(idp, X)), parse_term("(a b)(b c).W"))
-        and same_term(res.solution.subst(Susp(idp, Y)), parse_term("b"))
+        and res.solution.subst(Susp(idp, X)) == parse_term("(a b)(b c).W")
+        and res.solution.subst(Susp(idp, Y)) == parse_term("b")
         and sorted(x for _, x in res.solution.context.constraints) == [W, W]
         and verify_solution(Signature(permissive=True), pr, res.solution)
         and elapsed < 0.010
@@ -97,9 +96,9 @@ def test_02_two_incomparable_solutions(capsys):
         flat, constrained = sorted(res.solutions, key=lambda s: len(s.context.constraints))
         ok = (
             flat.context.constraints == frozenset()
-            and same_term(flat.subst(Susp(idp, X)), parse_term("a"))
-            and same_term(flat.subst(Susp(idp, Y)), parse_term("b"))
-            and same_term(constrained.subst(Susp(idp, Y)), parse_term("a"))
+            and flat.subst(Susp(idp, X)) == parse_term("a")
+            and flat.subst(Susp(idp, Y)) == parse_term("b")
+            and constrained.subst(Susp(idp, Y)) == parse_term("a")
             and X not in constrained.subst.domain()
             and not is_more_general(flat, constrained, [X, Y], SIG_C)
             and not is_more_general(constrained, flat, [X, Y], SIG_C)
@@ -115,7 +114,7 @@ def test_03_fixed_point_solution_covers_commutative_instances(capsys):
     if ok:
         sol = res.solutions[0]
         ((p, x),) = sol.context.constraints
-        ok = x == X and p.same_action(parse_perm("(a b)")) and sol.subst.is_identity()
+        ok = x == X and p == parse_perm("(a b)") and sol.subst.is_identity()
         instances_in = [parse_term("+(a, b)", SIG_C), parse_term("+(f(a), f(b))", SIG_C)]
         instance_out = parse_term("+(a, f(b))", SIG_C)
         for t in instances_in:
@@ -311,7 +310,7 @@ def test_10_cli_corpus(capsys, data_dir):
         for cst in pf.constraints:
             for t in ((cst.lhs, cst.rhs) if hasattr(cst, "lhs") else (cst.target,)
                       if hasattr(cst, "target") else (cst.term,)):
-                if not same_term(parse_term(print_term(t), pf.signature), t):
+                if parse_term(print_term(t), pf.signature) != t:
                     roundtrip_bad += 1
     capsys.readouterr()  # drop the commands' own output
     ok = not wrong and roundtrip_bad == 0

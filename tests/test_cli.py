@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from certificate import check_tree
-from nomfix import Eq, c_unify, parse_constraint, parse_problem_file
+from nomfix import Eq, FixpointContext, c_unify, parse_constraint, parse_problem_file
+from nomfix import cli
 from nomfix.cli import _emit, main
 from nomfix.unify import Solution
 
@@ -216,6 +217,22 @@ class TestOnlyTheChosenOutputIsBuilt:
         code, out, _ = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), *mode)
         # c_unify's sort reads each key once; the text lines read them again
         assert code == 0 and counts == {"__str__": 0, "key": 2 if mode else 4}
+
+
+    @pytest.mark.parametrize("trace", [(), ("--trace",)], ids=["plain", "trace"])
+    def test_translate(self, capsys, monkeypatch, data_dir, trace):
+        def unprinted(*_):
+            raise AssertionError("built an output that is not printed")
+
+        path = str(data_dir / "translate_fresh.nom")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_fixp_entries", unprinted)
+            code, out, _ = run(capsys, "translate", path, *trace)
+        assert code == 0 and out.startswith("{(")
+        with monkeypatch.context() as m:
+            m.setattr(FixpointContext, "__str__", unprinted)
+            code, out, _ = run(capsys, "translate", path, "--json", *trace)
+        assert code == 0 and json.loads(out)["kind"] == "fixpoint"
 
 
 class TestPrintedAnswersReadBack:

@@ -158,7 +158,7 @@ class TestConstraints:
         eq = parse_constraint("f(X) =? f(a)")
         assert isinstance(eq, Eq)
         fx = parse_constraint("(a b) fix? X")
-        assert isinstance(fx, Fix) and fx.perm.same_action(parse_perm("(a b)"))
+        assert isinstance(fx, Fix) and fx.perm == parse_perm("(a b)")
         fr = parse_constraint("a fresh? [b] X")
         assert isinstance(fr, FreshRequest) and fr.atom == a
 

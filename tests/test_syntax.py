@@ -32,7 +32,6 @@ from nomfix import (
     parse_perm,
     parse_term,
     print_term,
-    same_term,
     term_size,
     var,
 )
@@ -77,7 +76,7 @@ class TestPermutation:
     def test_conjugation(self):
         # (a b) conjugated by (b c) swaps a and c
         conj = swaps((a, b)).conjugate(swaps((b, c)))
-        assert conj.same_action(swaps((a, c)))
+        assert conj == swaps((a, c))
         assert conj(a) == c and conj(c) == a and conj(b) == b
 
     def test_support(self):
@@ -98,7 +97,7 @@ class TestPermutation:
             x = rng.choice(ATOMS)
             assert p.compose(q).compose(r)(x) == p.compose(q.compose(r))(x)
             assert p.compose(p.inverse())(x) == x
-            assert p.compose(q).inverse().same_action(q.inverse().compose(p.inverse()))
+            assert p.compose(q).inverse() == q.inverse().compose(p.inverse())
 
 
 class TestTermBasics:
@@ -121,8 +120,8 @@ class TestTermBasics:
         s = Susp(swaps((a, b), (a, b), (b, c)), Var("X"))
         t = Susp(swaps((b, c)), Var("X"))
         assert s == t
-        assert same_term(s, t)
-        assert not same_term(s, Susp(swaps((b, c)), Var("Y")))
+        assert s == t
+        assert s != Susp(swaps((b, c)), Var("Y"))
 
 
 class TestAction:
@@ -133,14 +132,14 @@ class TestAction:
         assert act(p, parse_term("f(a)")) == parse_term("f(b)")
         assert act(p, pair(atom("a"), atom("c"))) == pair(atom("b"), atom("c"))
         got = act(p, var("X"))
-        assert isinstance(got, Susp) and got.perm.same_action(p)
+        assert isinstance(got, Susp) and got.perm == p
 
     def test_action_is_functorial(self, rng):
         for _ in range(200):
             p, q = random_perm(rng), random_perm(rng)
             t = random_term(rng, SIG_FULL)
-            assert same_term(act(p, act(q, t)), act(p.compose(q), t))
-            assert same_term(act(p.inverse(), act(p, t)), t)
+            assert act(p, act(q, t)) == act(p.compose(q), t)
+            assert act(p.inverse(), act(p, t)) == t
 
 
 class TestSubstitution:
@@ -160,7 +159,7 @@ class TestSubstitution:
             sigma = Substitution(
                 {x: random_term(rng, SIG_FULL, depth=2) for x in VARS if rng.random() < 0.7}
             )
-            assert same_term(act(p, sigma(t)), sigma(act(p, t)))
+            assert act(p, sigma(t)) == sigma(act(p, t))
 
     def test_compose_is_sequential_application(self, rng):
         for _ in range(150):
@@ -169,7 +168,7 @@ class TestSubstitution:
             s2 = Substitution(
                 {x: random_term(rng, SIG_FULL, depth=2) for x in VARS if rng.random() < 0.5}
             )
-            assert same_term(s1.compose(s2)(t), s2(s1(t)))
+            assert s1.compose(s2)(t) == s2(s1(t))
 
     def test_equality_extensional(self):
         s1 = Substitution({Var("X"): Susp(swaps((a, b), (a, b)), Var("Y"))})
@@ -378,7 +377,7 @@ def test_memoised_size_and_vars_match_a_fresh_fold(seed):
     p = random_perm(rng)
     sigma = Substitution({x: random_term(rng, SIG_FULL, depth=2) for x in VARS if rng.random() < 0.6})
     shown = (repr(t), print_term(t), hash(t))
-    # derived before t's memo is filled, and after, when act carries it over
+    # derived before t's size and variables are read, and after
     derived = [act(p, t), sigma(t), flatten(SIG_FULL, t)]
     assert (term_size(t), free_vars(t)) == (reference_size(t), reference_vars(t))
     derived += [act(p, t), sigma(t), flatten(SIG_FULL, t), act(p, sigma(t))]
@@ -386,7 +385,7 @@ def test_memoised_size_and_vars_match_a_fresh_fold(seed):
         for v in subterms(u):
             assert isinstance(free_vars(v), frozenset)
             assert (term_size(v), free_vars(v)) == (reference_size(v), reference_vars(v))
-    # filling the memo changes nothing the term shows: twin is t built again, memo empty
+    # reading them changes nothing the term shows: twin is t built again, never read
     twin = random_term(random.Random(seed), SIG_FULL, depth=4)
     assert (repr(t), print_term(t), hash(t)) == shown == (repr(twin), print_term(twin), hash(twin))
     assert t == twin and twin == t
@@ -443,3 +442,37 @@ def test_atoms_of_any_depth(build, expected):
     for _ in range(5000):
         t = build(t)
     assert atoms_of(t) == expected
+
+
+DEEP_BUILDS = {
+    # each level adds this many nodes
+    "application": (lambda t: App("f", t), 1),
+    "abstraction": (lambda t: Abs(b, t), 1),
+    "tuple": (lambda t: Tup((t, atom("d"))), 2),
+}
+
+
+@pytest.mark.parametrize("read", ["term_size", "free_vars", "is_ground"])
+@pytest.mark.parametrize("shape", sorted(DEEP_BUILDS))
+def test_size_and_vars_any_depth(shape, read):
+    """5,000 levels, built afresh: each node got its size and variables
+    when it was built, so reading them walks nothing."""
+    build, per_level = DEEP_BUILDS[shape]
+    t = Susp(swaps((a, c)), Var("X"))
+    for _ in range(5000):
+        t = build(t)
+    want = {"term_size": 1 + 5000 * per_level, "free_vars": {Var("X")}, "is_ground": False}
+    assert {"term_size": term_size, "free_vars": free_vars, "is_ground": is_ground}[read](t) == want[read]
+
+
+@pytest.mark.parametrize(
+    "copier", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_copies_are_rebuilt_with_size_and_vars(copier):
+    """A copy goes through the constructors, so its memo slots are set,
+    not left for a later read to fill."""
+    for text in ("[a] (f((a b).X), Y, b)", "[a] f(a)", "(a b).X"):
+        t = parse_term(text)
+        u = copier(t)
+        assert u == t
+        assert (u._size, u._vars) == (term_size(t), free_vars(t)) == (reference_size(t), reference_vars(t))

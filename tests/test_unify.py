@@ -28,7 +28,7 @@ from nomfix import (
     parse_perm,
     parse_term,
     print_term,
-    same_term,
+    term_size,
     unify,
     verify_solution,
 )
@@ -58,8 +58,8 @@ class TestWorkedExample:
         pr, res = self.solve()
         assert res.solved
         sigma = res.solution.subst
-        assert same_term(sigma(Susp(idp, Y)), parse_term("b"))
-        assert same_term(sigma(Susp(idp, X)), parse_term("(a b)(b c).W"))
+        assert sigma(Susp(idp, Y)) == parse_term("b")
+        assert sigma(Susp(idp, X)) == parse_term("(a b)(b c).W")
         assert sigma.domain() == {X, Y}
 
     def test_expected_context_shape(self):
@@ -115,13 +115,13 @@ class TestOutcomes:
         res = unify((parse_constraint("(a b).X =? X"),))
         assert res.solved
         ((p, x),) = res.solution.context.constraints
-        assert x == X and p.same_action(parse_perm("(a b)"))
+        assert x == X and p == parse_perm("(a b)")
         assert res.solution.subst.is_identity()
 
     def test_swapped_variables_unify_by_instantiation(self):
         res = unify((parse_constraint("(a b).X =? Y"),))
         assert res.solved
-        assert same_term(res.solution.subst(Susp(idp, X)), parse_term("(a b).Y"))
+        assert res.solution.subst(Susp(idp, X)) == parse_term("(a b).Y")
 
     def test_fix_constraint_distributes(self):
         res = unify((parse_constraint("(a b) fix? (X, [a] Y)"),))
@@ -132,12 +132,12 @@ class TestOutcomes:
     def test_abstraction_same_binder(self):
         res = unify((parse_constraint("[a] X =? [a] f(b)"),))
         assert res.solved
-        assert same_term(res.solution.subst(Susp(idp, X)), parse_term("f(b)"))
+        assert res.solution.subst(Susp(idp, X)) == parse_term("f(b)")
 
     def test_instantiation_moves_through_the_suspension(self):
         res = unify((parse_constraint("(a b).X =? f(a)"),))
         assert res.solved
-        assert same_term(res.solution.subst(Susp(idp, X)), parse_term("f(b)"))
+        assert res.solution.subst(Susp(idp, X)) == parse_term("f(b)")
 
     def test_tuple_arity_clash(self):
         res = unify((parse_constraint("(a, b) =? (a, b, c)"),))
@@ -356,6 +356,29 @@ class TestCyclicChain:
         else:
             assert out.out.startswith(f"unsolvable (occurs): X{n - 1} =? f(")
 
+    @staticmethod
+    def unit_cycle(n):
+        return [f"X{i} =? f(X{(i + 1) % n})" for i in range(n)]
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_long_unit_cycle_reports_occurs(self, n):
+        """On Xi =? f(X(i+1 mod n)) every binding rebuilds the last equation
+        one level deeper, and its size and variables are set as it is
+        built, so the measure and the occurs check walk nothing."""
+        res = unify(tuple(map(parse_constraint, self.unit_cycle(n))))
+        assert res.status == "unsolvable" and res.witness_kind == "occurs"
+        last = Susp(idp, Var(f"X{n - 1}"))
+        assert res.witness.lhs == last
+        assert term_size(res.witness.rhs) == n + 1 and free_vars(res.witness.rhs) == {last.var}
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_long_unit_cycle_reports_occurs_from_the_command_line(self, capsys, monkeypatch, n):
+        monkeypatch.setattr("sys.stdin", io.StringIO(",\n".join(self.unit_cycle(n))))
+        code = main(["unify", "-"])
+        out = capsys.readouterr()
+        assert code == 1 and out.err == ""
+        assert out.out == f"unsolvable (occurs): X{n - 1} =? " + "f(" * n + f"X{n - 1}" + ")" * n + "\n"
+
     def test_substitution_rebuilds_any_depth(self):
         # 5,000 levels of every node kind, each with a bound variable; the
         # variables are memoised level by level as the term is built, so
@@ -408,7 +431,7 @@ class TestSoundness:
                 sigma = res.solution.subst
                 for x in sigma.domain():
                     once = sigma(Susp(idp, x))
-                    assert same_term(once, sigma(once))
+                    assert once == sigma(once)
 
 
 class TestDeepChain:
@@ -425,7 +448,7 @@ class TestDeepChain:
         for _ in range(n):
             assert isinstance(t, App) and t.symbol == "f"
             inner, last = t.arg.items
-            assert same_term(last, parse_term("a"))
+            assert last == parse_term("a")
             t = inner
         assert isinstance(t, Susp) and t.var == xs[n]
 
@@ -434,7 +457,7 @@ class TestMatch:
     def test_rigid_side_never_instantiated(self):
         res = match((Eq(parse_term("X"), parse_term("f(Y)")),), rigid={Y})
         assert res.solved
-        assert same_term(res.solution.subst(Susp(idp, X)), parse_term("f(Y)"))
+        assert res.solution.subst(Susp(idp, X)) == parse_term("f(Y)")
         assert Y not in res.solution.subst.domain()
 
     def test_rigid_failure(self):

@@ -2,6 +2,7 @@
 a non-term, costs one Python frame per level in the checking engines,
 and gives the verdicts of the canonical-permutation formulas it replaced."""
 
+import random
 import sys
 
 import pytest
@@ -37,7 +38,7 @@ from nomfix import (
     term_size,
 )
 from nomfix.alpha import trace_root
-from nomfix.syntax import Renaming
+from nomfix.syntax import Renaming, equational_args
 from gen import SIG_C, SIG_FULL, SIG_PLAIN, random_term
 
 FIXPOINT = sys.modules["nomfix.fixpoint"]
@@ -85,7 +86,7 @@ class TestNotATerm:
 
 
 def abstractions(n):
-    """[a]...[a] a, n binders deep, built afresh: no memo slot filled."""
+    """[a]...[a] a, n binders deep, built afresh."""
     t = AtomTerm(a)
     for _ in range(n):
         t = Abs(a, t)
@@ -174,13 +175,15 @@ def reference_flatten(sig, t):
     f = t.symbol
     if sig.theory(f) not in (Theory.A, Theory.AC):
         return App(f, reference_flatten(sig, t.arg))
-
-    def collected(arg):
-        parts = arg.items if isinstance(arg, Tup) else (arg,)
-        return [x for s in parts for x in (collected(s.arg) if isinstance(s, App) and s.symbol == f else (s,))]
-
-    args = [reference_flatten(sig, s) for s in collected(t.arg)]
+    args = [reference_flatten(sig, s) for s in reference_args(f, t.arg)]
     return App(f, args[0] if len(args) == 1 else Tup(tuple(args)))
+
+
+def reference_args(f, arg) -> list:
+    """The arguments of f applied to arg, collected through nested
+    applications of f by recursion."""
+    parts = arg.items if isinstance(arg, Tup) else (arg,)
+    return [x for s in parts for x in (reference_args(f, s.arg) if isinstance(s, App) and s.symbol == f else (s,))]
 
 
 def nodes(t):
@@ -220,6 +223,17 @@ class TestFlattenShares:
                 if not has_equational_app(SIG_FULL, u):
                     assert flatten(SIG_FULL, u) is u
         assert flattened > 50
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_equational_args_of_flat_terms_are_all_collected(seed):
+    """flatten splices its flattened children's argument lists, so on a flat
+    term the top-level argument tuple of an A or AC application is what a
+    recursive collector finds below it."""
+    t = flatten(SIG_FULL, random_term(random.Random(seed), SIG_FULL, depth=4))
+    for u in nodes(t):
+        if isinstance(u, App) and SIG_FULL.theory(u.symbol) in (Theory.A, Theory.AC):
+            assert list(equational_args(u)) == reference_args(u.symbol, u.arg)
 
 
 SIX = tuple(Atom(n) for n in "abcdef")
