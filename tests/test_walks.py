@@ -227,9 +227,9 @@ class TestFlattenShares:
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_equational_args_of_flat_terms_are_all_collected(seed):
-    """flatten splices its flattened children's argument lists, so on a flat
-    term the top-level argument tuple of an A or AC application is what a
-    recursive collector finds below it."""
+    """flatten splices in the arguments of nested applications of an A or
+    AC symbol, so on a flat term the top-level argument tuple of such an
+    application is what a recursive collector finds below it."""
     t = flatten(SIG_FULL, random_term(random.Random(seed), SIG_FULL, depth=4))
     for u in nodes(t):
         if isinstance(u, App) and SIG_FULL.theory(u.symbol) in (Theory.A, Theory.AC):
