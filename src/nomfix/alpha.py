@@ -119,10 +119,10 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
     derivation in node.  rho is carried down t, not applied: atoms of t are
     read through it, and renaming a binder composes one swapping onto it and
     undoes it on return.  Premises recurse straight into alpha, so every
-    level of nesting costs one Python frame.  It dispatches on type(s), a
-    clash unless t has the same type (see Term).  gen draws the new atoms
-    of the fixed-point engine; the freshness engine draws none, and passes
-    None."""
+    level of nesting costs one Python frame, but an AC argument list costs
+    none per argument.  It dispatches on type(s), a clash unless t has the
+    same type (see Term).  gen draws the new atoms of the fixed-point
+    engine; the freshness engine draws none, and passes None."""
     if __debug__ and rules.measure is not None:
         bound = rules.measure(bound, s, t)  # rho.t has t's size
     pre = rules.prefix
@@ -171,7 +171,8 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
                         break
             elif th is Theory.AC:
                 node.rule = pre + "app-AC"
-                ok = _ac(rules, sig, ctx, gen, f, equational_args(s), equational_args(t), rho, node, bound)
+                ss, ts = equational_args(s), equational_args(t)
+                ok = len(ss) == len(ts) and _ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound)
             elif th is Theory.A:
                 node.rule = pre + "app-A"
                 ss, ts = equational_args(s), equational_args(t)
@@ -193,20 +194,22 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
     return ok
 
 
-def _ac(
-    rules, sig, ctx, gen, f: str, ss: tuple[Term, ...], ts: tuple[Term, ...], rho: Renaming, node: TraceNode, bound
-) -> bool:
-    """Match the arguments ss against a permutation of rho.ts: pick a
-    partner for the head, then match the rest ("f remainder")."""
-    if len(ss) != len(ts):
-        return False
-    if len(ss) == 1:
-        return alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, node.child("", rho, ss[0], "=?", ts[0]), bound)
-    head = ss[0]
-    for i, cand in enumerate(ts):
-        if alpha(rules, sig, ctx, gen, head, cand, rho, node.child("", rho, head, "=?", cand), bound):
-            rest = node.child(f"rest-{i}", None, f, "remainder")
-            if _ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rho, rest, bound):
-                rest.ok = True
-                return True
-    return False
+def _ac(rules, sig, ctx, gen, f: str, ss: tuple, ts: tuple, rho: Renaming, node: TraceNode, bound) -> bool:
+    """Match ss against a permutation of rho.ts, as long, in one pass: each
+    argument keeps the first remaining partner it matches, or the goal fails.
+    ~ is an equivalence, so a partner never needs giving back.  Each match
+    but the last opens "rest-i" (i: the partner's index among those left)."""
+    ts, rests = list(ts), []
+    for s in ss:
+        for i, t in enumerate(ts):
+            if alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound):
+                break
+        else:
+            return False
+        del ts[i]
+        if ts:
+            node = node.child(f"rest-{i}", None, f, "remainder")
+            rests.append(node)
+    for rest in rests:
+        rest.ok = True
+    return True

@@ -609,24 +609,23 @@ def equational_args(t: App) -> tuple[Term, ...]:
 def check_well_formed(sig: Signature, t: Term, theories=None) -> None:
     """Raise if t uses undeclared symbols, applies a C symbol to a non-pair,
     or, when theories is given, uses a symbol whose theory is not in it."""
-    kind = type(t)
-    if kind is AtomTerm or kind is Susp:
-        return
-    if kind is Abs:
-        check_well_formed(sig, t.body, theories)
-    elif kind is Tup:
-        for s in t.items:
-            check_well_formed(sig, s, theories)
-    elif kind is App:
-        f, arg = t.symbol, t.arg
-        th = sig.theory(f)
-        if theories is not None and th not in theories:
-            raise IllFormedTermError(f"symbol {f} has unsupported theory {th.value} here")
-        if th is Theory.C and not is_pair(arg):
-            raise IllFormedTermError(f"commutative symbol {f} needs a pair argument")
-        check_well_formed(sig, arg, theories)
-    else:
-        raise TypeError(f"not a term: {t!r}")
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Abs:
+            todo.append(t.body)
+        elif kind is Tup:
+            todo += reversed(t.items)  # pre-order, left to right: the first error found is the leftmost
+        elif kind is App:
+            th = sig.theory(t.symbol)
+            if theories is not None and th not in theories:
+                raise IllFormedTermError(f"symbol {t.symbol} has unsupported theory {th.value} here")
+            if th is Theory.C and not is_pair(t.arg):
+                raise IllFormedTermError(f"commutative symbol {t.symbol} needs a pair argument")
+            todo.append(t.arg)
+        elif kind is not AtomTerm and kind is not Susp:
+            raise TypeError(f"not a term: {t!r}")
 
 
 class Substitution:

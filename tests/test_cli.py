@@ -33,6 +33,7 @@ class TestCorpusExitCodes:
         ("cunify", "cunify_fix_var.nom", 0),
         ("alpha", "alpha_forall.nom", 0),
         ("alpha", "alpha_renamed_ground.nom", 1),
+        ("alpha", "alpha_ac_lookalike.nom", 1),
         ("fixp", "fixp_xor_c.nom", 1),
         ("fixp", "fixp_xor_ac.nom", 0),
         ("fixp", "fixp_conj_var.nom", 0),
@@ -320,6 +321,22 @@ class TestDeepChain:
         code, out, _ = run(capsys, "alpha", "-", "--json")
         assert code == 0
         assert json.loads(out)["derivable"] is True
+
+    @pytest.mark.parametrize("command", ["unify", "cunify"])
+    def test_fifteen_hundred_applications_of_a_declared_symbol_solve(self, capsys, monkeypatch, command):
+        # a signature makes the solvers check every symbol of the input first
+        t = "f(" * 1500 + "a" + ")" * 1500
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"sym f : none ;\n{t} =? X"))
+        code, out, _ = run(capsys, command, "-")
+        assert code == 0
+        assert f"{{X -> {t}}}" in out
+
+    def test_five_thousand_ac_arguments_answer(self, capsys, monkeypatch):
+        t = "*(" + ", ".join(f"a{i}" for i in range(5000)) + ")"
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"sym * : AC ;\n{t} =? {t}"))
+        code, out, _ = run(capsys, "alpha", "-")
+        assert code == 0
+        assert out.endswith(": derivable\n")
 
     def test_nine_hundred_nested_applications_trace(self, capsys, monkeypatch):
         n = 900

@@ -68,6 +68,9 @@ GOALS = [
     ("alpha-fixp", "a =? f(a),\n(a, b) =? (a, b, c),\nX =? Y"),
     ("alpha-fixp", "context: (c d) fix X ;\n[a] +(a, X) =? [b] +(X, b),\n[a] *([c] (a, c), X) =? [b] *(X, [d] (b, d))"),
     ("alpha-fixp", "[a] +(a, c) =? [b] +(c, b),\n[a] [b] *(a, b) =? [b] [a] *(a, b)"),
+    # look-alike AC arguments: the goal fails at the first argument left
+    # without a partner, g(b), and no earlier choice is revisited
+    ("alpha-fixp", "sym g : none ;\n*(g(a), g(a), g(b)) =? *(g(a), g(a), g(c))"),
 ]
 # the corpus file of renamed binders over ground bodies, in both engines
 RENAMED_GROUND = (pathlib.Path(__file__).parent / "data" / "alpha_renamed_ground.nom").read_text()
