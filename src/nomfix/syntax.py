@@ -342,9 +342,11 @@ class Term:
     variables from theirs, in O(arity): term_size, free_vars and is_ground
     read them at any depth.  A leaf's size, and an atom's empty set of
     variables, are class attributes; a suspension shares its variable's
-    one-element set.  A ground node also keeps its free
-    atoms, filled by free_atoms the first time they are asked for.  Pickle
-    and copy rebuild a term through the constructors.
+    one-element set.  A ground node also keeps its free atoms, filled by
+    free_atoms the first time they are asked for.  Pickle and copy rebuild
+    a term through the constructors; act, flatten and Substitution through
+    one loop, _rebuild, that returns a node whose parts it leaves unchanged
+    as itself, so a new term shares every subterm that did not change.
 
     Every walk over terms dispatches once on the node's exact type, kind =
     type(t), then reads the fields by name; the five node classes are not
@@ -455,20 +457,7 @@ def is_pair(t: Term) -> bool:
 
 def act(perm: Permutation, t: Term) -> Term:
     """Permutation action on a term; suspends on moderated variables."""
-    if not perm.swappings:
-        return t
-    kind = type(t)
-    if kind is AtomTerm:
-        return AtomTerm(perm(t.atom))
-    if kind is Abs:
-        return Abs(perm(t.binder), act(perm, t.body))
-    if kind is Tup:
-        return Tup(tuple(act(perm, s) for s in t.items))
-    if kind is App:
-        return App(t.symbol, act(perm, t.arg))
-    if kind is Susp:
-        return Susp(perm.compose(t.perm), t.var)
-    raise TypeError(f"not a term: {t!r}")
+    return _rebuild(t, perm=perm) if perm.swappings else t
 
 
 def free_vars(t: Term) -> frozenset[Var]:
@@ -565,37 +554,83 @@ def flatten(sig: Signature, t: Term) -> Term:
     AC application at or below it is returned itself, so t itself when sig
     declares no A or AC symbol."""
     if Theory.A in sig.symbols.values() or Theory.AC in sig.symbols.values():
-        return _flatten(sig, t)
+        return _rebuild(t, sig=sig)
     return t
 
 
-def _flatten(sig: Signature, t: Term) -> Term:
-    kind = type(t)
-    if kind is AtomTerm or kind is Susp:
-        return t
-    if kind is Abs:
-        body = _flatten(sig, t.body)
-        return t if body is t.body else Abs(t.binder, body)
-    if kind is Tup:
-        items = tuple(_flatten(sig, s) for s in t.items)
-        return t if all(map(operator.is_, items, t.items)) else Tup(items)
-    if kind is App:
-        f = t.symbol
-        if sig.theory(f) in (Theory.A, Theory.AC):
-            # splice in the arguments of the applications of f below, over
-            # an explicit stack: flattening each of them first would build
-            # an argument tuple per level of a nest
-            args, todo = [], [t]
-            while todo:
-                u = todo.pop()
-                if type(u) is App and u.symbol == f:
-                    todo += reversed(equational_args(u))
+_SPLICED = (Theory.A, Theory.AC)
+
+
+def _rebuild(
+    t: Term, perm: Permutation | None = None, bindings: dict | None = None, sig: Signature | None = None
+) -> Term:
+    """t with perm acting on it, the variables of bindings replaced, or the
+    nested applications of each A or AC symbol of sig spliced into one: one
+    of the three per call.  One loop over an explicit stack pushes each node
+    back, then the number of its children's results it waits for, then those
+    children.  Popping that number, it makes the node from the results on
+    top of done, or keeps the node itself when they are its own children, so
+    unchanged subterms are shared at any depth.  Under bindings, a subterm
+    without a bound variable is not visited."""
+    bound = bindings.keys() if bindings is not None else None
+    done: list[Term] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        kind = type(u)
+        if kind is int:  # the node below waits for the top u results of done
+            n, u = u, todo.pop()
+            kind = type(u)
+            if n > 1:  # a tuple, or an A or AC application with its arguments spliced in
+                items = tuple(done[-n:])
+                del done[-n:]
+                if kind is App:
+                    u = App(u.symbol, Tup(items))
+                elif not all(map(operator.is_, items, u.items)):
+                    u = Tup(items)
+                done.append(u)
+            elif kind is Abs:
+                x = u.binder if perm is None else perm(u.binder)
+                done[-1] = u if x is u.binder and done[-1] is u.body else Abs(x, done[-1])
+            else:
+                done[-1] = u if done[-1] is u.arg else App(u.symbol, done[-1])
+            continue
+        if kind is AtomTerm:
+            if perm is not None and (x := perm(u.atom)) is not u.atom:
+                u = AtomTerm(x)
+            done.append(u)
+        elif kind is Susp:
+            if perm is not None:
+                u = Susp(perm.compose(u.perm), u.var)
+            elif bound is not None and (s := bindings.get(u.var)) is not None:
+                u = act(u.perm, s)
+            done.append(u)
+        elif bound is not None and bound.isdisjoint(free_vars(u)):
+            done.append(u)
+        elif kind is Abs:
+            todo += (u, 1, u.body)
+        elif kind is Tup:
+            todo += (u, len(u.items), *reversed(u.items))
+        elif kind is App:
+            f = u.symbol
+            if sig is None or sig.theory(f) not in _SPLICED:
+                todo += (u, 1, u.arg)
+                continue
+            # splice in the arguments of the applications of f below while
+            # going down: splicing each rebuilt child's list would copy it at
+            # every level of a nest.  They are collected right to left, the
+            # order in which they go on todo.
+            args, below = [], [u]
+            while below:
+                s = below.pop()
+                if type(s) is App and s.symbol == f:
+                    below += equational_args(s)
                 else:
-                    args.append(_flatten(sig, u))
-            return App(f, args[0] if len(args) == 1 else Tup(tuple(args)))
-        arg = _flatten(sig, t.arg)
-        return t if arg is t.arg else App(f, arg)
-    raise TypeError(f"not a term: {t!r}")
+                    args.append(s)
+            todo += (u, len(args), *args)
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return done[0]
 
 
 def equational_args(t: App) -> tuple[Term, ...]:
@@ -630,49 +665,15 @@ def check_well_formed(sig: Signature, t: Term, theories=None) -> None:
 
 class Substitution:
     """A finite map from variables to terms, applied homomorphically and
-    possibly capturing: (pi.X)[X := s] is pi acting on s.  Subterms without
-    a bound variable are shared with the input, not rebuilt."""
+    possibly capturing: (pi.X)[X := s] is pi acting on s.  It rebuilds a
+    term as act and flatten do, at any depth; a subterm without a bound
+    variable is shared with the input, and not visited."""
 
     def __init__(self, bindings: dict[Var, Term] | None = None):
         self.bindings: dict[Var, Term] = dict(bindings or {})
 
     def __call__(self, t: Term) -> Term:
-        """t with its bound variables replaced.  One loop over an explicit
-        stack visits the nodes that mention a bound variable, and each again,
-        after a None marker, once its children's results are on a second
-        stack; so a term of any depth is rebuilt."""
-        bindings = self.bindings
-        bound = bindings.keys()
-        if bound.isdisjoint(free_vars(t)):
-            return t
-        done: list[Term] = []
-        todo: list = [t]
-        while todo:
-            u = todo.pop()
-            if u is None:  # the node below has its children's results on top of done
-                u = todo.pop()
-                kind = type(u)
-                if kind is Abs:
-                    done.append(Abs(u.binder, done.pop()))
-                elif kind is App:
-                    done.append(App(u.symbol, done.pop()))
-                else:
-                    n = len(u.items)
-                    done[-n:] = (Tup(tuple(done[-n:])),)
-                continue
-            kind = type(u)
-            if kind is Susp:
-                s = bindings.get(u.var)
-                done.append(u if s is None else act(u.perm, s))
-            elif kind is AtomTerm or bound.isdisjoint(free_vars(u)):
-                done.append(u)
-            elif kind is Abs:
-                todo += (u, None, u.body)
-            elif kind is App:
-                todo += (u, None, u.arg)
-            else:
-                todo += (u, None, *reversed(u.items))
-        return done[0]
+        return _rebuild(t, bindings=self.bindings)
 
     def compose(self, other: Substitution) -> Substitution:
         """self then other: t(self.compose(other)) == other(self(t))."""
@@ -717,13 +718,10 @@ class NameGenerator:
         k = next(self._counter)
         return Atom(f"{self.prefix}{k}", gen_index=k)
 
-    def fresh_pair(self) -> tuple[Atom, Atom]:
-        return self.fresh(), self.fresh()
-
     def newness(self, t: Term) -> tuple[Atom, list[tuple[Permutation, Var]]]:
         """A fresh pair c1, c2: c1 and the entries (c1 c2) fix Y, for every
         variable Y of t in order, recording that both atoms are new for t."""
-        c1, c2 = self.fresh_pair()
+        c1, c2 = self.fresh(), self.fresh()
         ys = sorted(free_vars(t))
         sw = Permutation.swap(c1, c2) if ys else None
         return c1, [(sw, y) for y in ys]
@@ -758,9 +756,6 @@ class FixpointContext:
 
     constraints: frozenset[tuple[Permutation, Var]] = frozenset()
 
-    def perms_of(self, x: Var) -> list[Permutation]:
-        return [p for p, y in self.constraints if y == x]
-
     def supp_of(self, x: Var) -> frozenset[Atom]:
         """Union of supports of the permutations constrained to fix x.
 
@@ -768,8 +763,9 @@ class FixpointContext:
         moves only atoms in its own support.
         """
         out: set[Atom] = set()
-        for p in self.perms_of(x):
-            out |= p.support()
+        for p, y in self.constraints:
+            if y == x:
+                out |= p.support()
         return frozenset(out)
 
     def extend(self, pairs) -> FixpointContext:

@@ -435,7 +435,7 @@ def expand(
         if got is None:
             continue
         rule, side, other = got
-        x, u = side.var, act(side.perm.inverse(), other) if side.perm.swappings else other
+        x, u = side.var, act(side.perm.inverse(), other)
         st.consume(k)
         st.bind(x, u)
         return [(st, SimplStep(rule, c, (), (x, u)))]
@@ -474,7 +474,7 @@ def extract_solution(pr: Problem, path) -> Solution:
         step, path = path
         if step.binding is not None:
             x, t = step.binding
-            sigma.bindings[x] = sigma(t) if free_vars(t) else t
+            sigma.bindings[x] = sigma(t)
     return Solution(FixpointContext(frozenset(pairs)), sigma)
 
 

@@ -331,6 +331,15 @@ class TestDeepChain:
         assert code == 0
         assert f"{{X -> {t}}}" in out
 
+    @pytest.mark.parametrize("command", ["unify", "cunify"])
+    def test_renamed_binder_over_fifteen_hundred_applications_solves(self, capsys, monkeypatch, command):
+        # eq-abs-rename applies (a b) to the whole body, 1,500 levels deep
+        s, t = ("[" + x + "] " + "f(" * 1500 + x + ")" * 1500 for x in "ab")
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{s} =? {t}"))
+        code, out, _ = run(capsys, command, "-")
+        assert code == 0
+        assert "{} |- {}" in out
+
     def test_five_thousand_ac_arguments_answer(self, capsys, monkeypatch):
         t = "*(" + ", ".join(f"a{i}" for i in range(5000)) + ")"
         monkeypatch.setattr("sys.stdin", io.StringIO(f"sym * : AC ;\n{t} =? {t}"))

@@ -199,11 +199,11 @@ def mutations(text: str, rng: random.Random, each: int = 5) -> list[str]:
 
 
 def inputs() -> list[str]:
-    rng = random.Random(10)
     out = list(HAND)
     for path in sorted(DATA.glob("*.nom")):
+        # seeded per file, so a new file leaves the others' mutations as they are
         text = path.read_text()
-        out += [text, *mutations(text, rng)]
+        out += [text, *mutations(text, random.Random(f"10:{path.name}"))]
     out = [t for t in dict.fromkeys(out) if not re.search(r"(?<![A-Za-z0-9_'])_", t)]
     return out
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -438,10 +439,7 @@ def test_atoms_of_matches_a_recursive_fold(seed, theory):
 )
 def test_atoms_of_any_depth(build, expected):
     """5,000 levels, past Python's recursion limit: the fold keeps its own stack."""
-    t = Susp(swaps((a, c)), Var("X"))
-    for _ in range(5000):
-        t = build(t)
-    assert atoms_of(t) == expected
+    assert atoms_of(deep(build, Susp(swaps((a, c)), Var("X")))) == expected
 
 
 DEEP_BUILDS = {
@@ -449,20 +447,40 @@ DEEP_BUILDS = {
     "application": (lambda t: App("f", t), 1),
     "abstraction": (lambda t: Abs(b, t), 1),
     "tuple": (lambda t: Tup((t, atom("d"))), 2),
+    # [b] f(*(*(t, d), d)): an AC nest between a binder and an application
+    "ac nest": (lambda t: Abs(b, App("f", App("*", Tup((App("*", Tup((t, atom("d")))), atom("d")))))), 8),
 }
+# what flatten makes of a level of each shape that has an A or AC nest
+FLATTENED = {"ac nest": lambda t: Abs(b, App("f", App("*", Tup((t, atom("d"), atom("d"))))))}
 
 
-@pytest.mark.parametrize("read", ["term_size", "free_vars", "is_ground"])
+def deep(build, t):
+    """5,000 levels of build over t."""
+    for _ in range(5000):
+        t = build(t)
+    return t
+
+
+@pytest.mark.parametrize("read", ["term_size", "free_vars", "is_ground", "act", "flatten"])
 @pytest.mark.parametrize("shape", sorted(DEEP_BUILDS))
 def test_size_and_vars_any_depth(shape, read):
     """5,000 levels, built afresh: each node got its size and variables
-    when it was built, so reading them walks nothing."""
+    when it was built, so reading them walks nothing; act and flatten
+    rebuild over their own stack, at Python's default recursion limit."""
+    assert sys.getrecursionlimit() == 1000
     build, per_level = DEEP_BUILDS[shape]
-    t = Susp(swaps((a, c)), Var("X"))
-    for _ in range(5000):
-        t = build(t)
-    want = {"term_size": 1 + 5000 * per_level, "free_vars": {Var("X")}, "is_ground": False}
-    assert {"term_size": term_size, "free_vars": free_vars, "is_ground": is_ground}[read](t) == want[read]
+    p = swaps((a, c))
+    t = deep(build, Susp(p, Var("X")))
+    flat = FLATTENED.get(shape, build)
+    got, want = {
+        "term_size": lambda: (term_size(t), 1 + 5000 * per_level),
+        "free_vars": lambda: (free_vars(t), {Var("X")}),
+        "is_ground": lambda: (is_ground(t), False),
+        # (a c) moves only the suspension at the bottom
+        "act": lambda: (print_term(act(p, t)), print_term(deep(build, var("X")))),
+        "flatten": lambda: (print_term(flatten(SIG_FULL, t)), print_term(deep(flat, Susp(p, Var("X"))))),
+    }[read]()
+    assert got == want
 
 
 @pytest.mark.parametrize(

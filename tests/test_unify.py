@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nomfix import (
     Abs,
@@ -245,6 +245,12 @@ class TestIncrementalState:
         mp.setattr(UNIFY, "expand", checked)
         return seen
 
+    # no deadline: some seeds draw a C problem with a large search tree, and
+    # this check replays all of it.  Seed 4948 took 400-475 ms, and seed
+    # 3314468 took 3.5-4.6 s (385 ms in c_unify and 1.4 s in check_tree),
+    # against Hypothesis's 200 ms default (Python 3.11.7, 2-vCPU VM).
+    @settings(deadline=None)
+    @example(seed=4948)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_kept_measure_is_the_measure_at_every_node(self, seed):
         assert __debug__

@@ -1,6 +1,8 @@
 """The per-node walks over terms: each dispatches on the node's type, rejects
 a non-term, costs one Python frame per level in the checking engines,
-and gives the verdicts of the canonical-permutation formulas it replaced."""
+gives the verdicts of the canonical-permutation formulas it replaced, and,
+in the one rebuild behind act, flatten and Substitution, gives what the
+recursive walks it replaced gave, sharing what it leaves unchanged."""
 
 import random
 import sys
@@ -19,13 +21,16 @@ from nomfix import (
     FreshnessContext,
     NameGenerator,
     Permutation,
+    Signature,
     Substitution,
     Susp,
     Swapping,
     Theory,
     Tup,
+    UndeclaredSymbolError,
     Var,
     act,
+    atoms_of,
     check_alpha_fixp,
     check_alpha_fresh,
     check_fixp,
@@ -34,12 +39,13 @@ from nomfix import (
     flatten,
     free_atoms,
     free_vars,
+    is_ground,
     print_term,
     term_size,
 )
 from nomfix.alpha import trace_root
 from nomfix.syntax import Renaming, equational_args
-from gen import SIG_C, SIG_FULL, SIG_PLAIN, random_term
+from gen import SIG_C, SIG_FULL, SIG_PLAIN, VARS, random_perm, random_term
 
 FIXPOINT = sys.modules["nomfix.fixpoint"]
 FRESHNESS = sys.modules["nomfix.freshness"]
@@ -179,6 +185,33 @@ def reference_flatten(sig, t):
     return App(f, args[0] if len(args) == 1 else Tup(tuple(args)))
 
 
+def reference_act(perm, t):
+    """act as it was, by recursion, rebuilding every node."""
+    if isinstance(t, AtomTerm):
+        return AtomTerm(perm(t.atom))
+    if isinstance(t, Abs):
+        return Abs(perm(t.binder), reference_act(perm, t.body))
+    if isinstance(t, Tup):
+        return Tup(tuple(reference_act(perm, s) for s in t.items))
+    if isinstance(t, App):
+        return App(t.symbol, reference_act(perm, t.arg))
+    return Susp(perm.compose(t.perm), t.var)
+
+
+def reference_substitute(bindings, t):
+    """Substitution as a recursive walk, rebuilding every node."""
+    if isinstance(t, AtomTerm):
+        return t
+    if isinstance(t, Susp):
+        s = bindings.get(t.var)
+        return t if s is None else reference_act(t.perm, s)
+    if isinstance(t, Abs):
+        return Abs(t.binder, reference_substitute(bindings, t.body))
+    if isinstance(t, Tup):
+        return Tup(tuple(reference_substitute(bindings, s) for s in t.items))
+    return App(t.symbol, reference_substitute(bindings, t.arg))
+
+
 def reference_args(f, arg) -> list:
     """The arguments of f applied to arg, collected through nested
     applications of f by recursion."""
@@ -186,9 +219,13 @@ def reference_args(f, arg) -> list:
     return [x for s in parts for x in (reference_args(f, s.arg) if isinstance(s, App) and s.symbol == f else (s,))]
 
 
+def children(t) -> tuple:
+    return (t.body,) if isinstance(t, Abs) else (t.arg,) if isinstance(t, App) else getattr(t, "items", ())
+
+
 def nodes(t):
     yield t
-    for child in (t.body,) if isinstance(t, Abs) else (t.arg,) if isinstance(t, App) else getattr(t, "items", ()):
+    for child in children(t):
         yield from nodes(child)
 
 
@@ -223,6 +260,50 @@ class TestFlattenShares:
                 if not has_equational_app(SIG_FULL, u):
                     assert flatten(SIG_FULL, u) is u
         assert flattened > 50
+
+
+class TestRebuild:
+    """act, flatten and Substitution share one rebuild over an explicit
+    stack; on random terms it gives what the recursive walks gave, and
+    returns a subterm it does not change as the same object."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_act_matches_the_recursive_walk(self, seed):
+        rng = random.Random(seed)
+        t, p = random_term(rng, SIG_FULL, depth=4), random_perm(rng)
+        assert act(p, t) == reference_act(p, t)
+        for u in nodes(t):
+            if is_ground(u) and atoms_of(u).isdisjoint(p.support()):
+                assert act(p, u) is u
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_substitution_matches_the_recursive_walk(self, seed):
+        rng = random.Random(seed)
+        t = random_term(rng, SIG_FULL, depth=4)
+        bindings = {x: random_term(rng, SIG_FULL, depth=2) for x in VARS if rng.random() < 0.5}
+        sigma, bound = Substitution(bindings), bindings.keys()
+        assert sigma(t) == reference_substitute(bindings, t)
+        for u in nodes(t):
+            out = sigma(u)
+            if bound.isdisjoint(free_vars(u)):
+                assert out is u
+            elif not isinstance(u, Susp):
+                # the children without a bound variable are shared by the rebuilt node
+                for s, r in zip(children(u), children(out), strict=True):
+                    assert r is s or not bound.isdisjoint(free_vars(s))
+
+    def test_flatten_keeps_the_undeclared_symbol_error(self):
+        """flatten asks the signature for the theory of every application
+        it visits, so a symbol it does not declare raises, in flatten and in
+        the checks that flatten their goals first."""
+        sig = Signature({"*": Theory.AC})
+        fa, ga = App("f", AtomTerm(a)), App("g", AtomTerm(a))
+        with pytest.raises(UndeclaredSymbolError, match="undeclared function symbol: f"):
+            flatten(sig, Abs(b, Tup((App("*", Tup((AtomTerm(a), AtomTerm(b)))), fa))))
+        with pytest.raises(UndeclaredSymbolError):
+            check_alpha_fixp(sig, FixpointContext(), fa, ga)
+        with pytest.raises(UndeclaredSymbolError):
+            check_alpha_fresh(sig, FreshnessContext(), fa, ga)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
