@@ -1,11 +1,11 @@
 """Unification modulo commutative function symbols.
 
 Runs the search of nomfix.unify with the signature's commutative symbols,
-so that it branches in two at every application of one.  Every successful
-leaf contributes one solution; the collected set is a complete set of
-solutions for the problem.  The search keeps each leaf's chain of steps,
-and the finite derivation tree it explored is read off those chains, as
-flat records, the first time it is asked for.
+so that it branches in two at every application of one, once no other
+step applies.  Every successful leaf contributes one solution; the
+collected set is a complete set of solutions for the problem.  The search
+keeps each leaf's chain of steps, and the finite derivation tree it
+explored is read off those chains, as flat records, on first use.
 """
 
 from __future__ import annotations

@@ -15,15 +15,16 @@ sizes, which every term carries from its construction; each constraint
 memoises its variables and whether it is stuck.
 
 So a step pays for its rule and for the constraints it consumes and
-produces: checking the measure's change sorts nothing when one weight goes,
-as on almost every step, and a binding that no other constraint mentions
-rewrites nothing.  The two memo fields are built empty and filled on first
-read, so a constraint that never enters a search, as the checking commands'
-goals do not, builds no variable set.
+produces.  The memo fields start empty, so a constraint that never enters
+a search, as the checking commands' goals do not, builds no variable set.
 
 Given a signature, simplification splits in two at applications of
 commutative symbols; without one, it treats every function symbol as
-syntactic.  One depth-first search over these steps serves every solver:
+syntactic.  A step is chosen in three tiers, each on the lowest key it
+applies to: a rule that does not split, then an instantiation, then a
+split.  Only a split is a choice; the other steps may run in any order
+(Martelli and Montanari), so each runs once above the splits, not once in
+every branch.  One depth-first search over these steps serves every solver:
 unify and match follow its single path, is_more_general and nomfix.cunify
 every branch.  It asserts the termination measure on every step and reads
 each solution off its leaf's path of steps.  The paths share their
@@ -220,22 +221,23 @@ class _State:
 
     The constraints sit in a dict under integer keys in problem order: a
     step's produced constraints take keys below all others, and a binding
-    rewrites a constraint under its own key.  Two heaps of keys find the
+    rewrites a constraint under its own key.  Three heaps of keys find the
     next step: todo holds the constraints no rule has been tried on here,
-    inst the stuck equations, which may instantiate a variable.  Entries go
-    stale when their constraint is consumed or rewritten; expand skips them.
+    inst the stuck equations, which may instantiate a variable, and split
+    the constraints whose rule splits.  Entries go stale when their
+    constraint is consumed or rewritten; expand skips them, but reads a
+    rewritten constraint under a split key again.
     occ indexes the keys by variable, so a binding rewrites only what
     mentions its variable, and its size is the measure's variable count.
     A step logs its removed and added weights in gone and new.
     """
 
-    __slots__ = ("cons", "low", "todo", "inst", "occ", "vars_before", "gone", "new")
+    __slots__ = ("cons", "low", "todo", "inst", "split", "occ", "vars_before", "gone", "new")
 
     def __init__(self, pr: Problem):
         self.cons: dict[int, Constraint] = {}
         self.low = 0
-        self.todo: list[int] = []
-        self.inst: list[int] = []
+        self.todo, self.inst, self.split = [], [], []
         self.occ: dict[Var, set[int]] = {}
         self.vars_before, self.gone, self.new = 0, [], []
         for k, c in enumerate(pr):
@@ -243,8 +245,8 @@ class _State:
 
     def copy(self) -> _State:
         other = object.__new__(_State)
-        other.cons, other.low, other.todo, other.inst = dict(self.cons), self.low, self.todo[:], self.inst[:]
-        other.occ = {x: set(keys) for x, keys in self.occ.items()}
+        other.cons, other.low, other.occ = dict(self.cons), self.low, {x: set(keys) for x, keys in self.occ.items()}
+        other.todo, other.inst, other.split = self.todo[:], self.inst[:], self.split[:]
         other.vars_before, other.gone, other.new = self.vars_before, self.gone[:], self.new[:]
         return other
 
@@ -378,6 +380,10 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
     raise TypeError(f"not a term: {s!r}")
 
 
+def _rule(c: Constraint, gen: NameGenerator, sig: Signature | None):
+    return _fix_rule(c, gen, sig) if isinstance(c, Fix) else _eq_rule(c, gen, sig)
+
+
 def _instantiation(c: Constraint, rigid: frozenset):
     """The instantiation step c allows, if any: (rule, suspension, other
     side), where the suspension's variable is not rigid and does not occur
@@ -391,43 +397,47 @@ def _instantiation(c: Constraint, rigid: frozenset):
     return None
 
 
+def _apply(st: _State, k: int, c: Constraint, rule: str, children: list):
+    """Take the step rule on c, under key k: one (child state, step) pair
+    per alternative, the earlier ones on copies of st, the last on st
+    itself, advanced in place."""
+    st.consume(k)
+    out = [(st.copy(), SimplStep(rule, c, cons)) for cons in children[:-1]]
+    out.append((st, SimplStep(rule, c, children[-1])))
+    for child, step in out:
+        child.prepend(step.produced)
+    return out
+
+
 def expand(
     st: _State,
     gen: NameGenerator,
     sig: Signature | None = None,
     rigid: frozenset = frozenset(),
 ):
-    """One simplification step on the first reducible constraint.
+    """One simplification step: a rule that does not branch, else an
+    instantiation, else a commutative split, each on the lowest key.
 
     Returns a list of (child state, step) pairs: empty for a normal form,
     one entry for deterministic rules, two for commutative branching, which
     happens only when sig is given.  The last child is st itself, advanced
     in place; an earlier one is a copy.
-    Non-instantiating rules are preferred over instantiation.
     """
     while st.todo:
         k = heappop(st.todo)
         c = st.cons.get(k)
         if c is None:
             continue
-        got = None
-        if not c._stuck:
-            got = _fix_rule(c, gen, sig) if isinstance(c, Fix) else _eq_rule(c, gen, sig)
+        got = None if c._stuck else _rule(c, gen, sig)
         if got is None:
             object.__setattr__(c, "_stuck", True)
             if isinstance(c, Eq):
                 heappush(st.inst, k)  # whether it instantiates is decided once, when popped
             continue
-        rule, children = got
-        st.consume(k)
-        out = []
-        for cons in children[:-1]:
-            child = st.copy()
-            child.prepend(cons)
-            out.append((child, SimplStep(rule, c, cons)))
-        st.prepend(children[-1])
-        out.append((st, SimplStep(rule, c, children[-1])))
-        return out
+        if len(got[1]) > 1:
+            heappush(st.split, k)  # taken once no other step applies
+            continue
+        return _apply(st, k, c, *got)
     while st.inst:
         k = heappop(st.inst)
         c = st.cons.get(k)
@@ -439,6 +449,11 @@ def expand(
         st.consume(k)
         st.bind(x, u)
         return [(st, SimplStep(rule, c, (), (x, u)))]
+    while st.split:
+        k = heappop(st.split)
+        c = st.cons.get(k)
+        if c is not None and not c._stuck:  # read again: a binding may have rewritten it
+            return _apply(st, k, c, *_rule(c, gen, sig))
     return []
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import re
 import sys
+from heapq import heappop, heappush
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +13,11 @@ from certificate import check_tree, search_order, solve, texts
 from nomfix import (
     Eq,
     Fix,
+    FixpointContext,
     Permutation,
     Signature,
+    Solution,
+    Substitution,
     Susp,
     Theory,
     Var,
@@ -22,6 +28,8 @@ from nomfix import (
     parse_term,
     verify_solution,
 )
+from nomfix.printer import print_perm, print_term
+from nomfix.unify import problem_vars
 from gen import SIG_C, random_perm, random_term
 from nomfix.cli import main
 
@@ -173,11 +181,15 @@ def rotation(k):
 
 class TestSearchSize:
     """Node, leaf and solution counts recorded before the search steps were
-    made cheaper: a faster step must come from the same search."""
+    made cheaper: a faster step must come from the same search.  The node
+    counts were recorded again when the search came to branch only once
+    nothing else applies, with the leaf and solution counts kept: each
+    pair's instantiations now run once above the splits, so the tree of k
+    pairs has 6 * 2**k - 5 records, not (2k + 2) * 2**k - 1."""
 
-    PAIRS = [7, 23, 63, 159, 383, 895, 2047, 4607]  # tree records at k = 1..8
-    ROTATION = [(7, 2, 2), (21, 4, 2), (57, 8, 4), (145, 16, 8), (337, 32, 8), (785, 64, 16), (1809, 128, 32),
-                (3985, 256, 32)]  # (tree records, leaves, solutions) at k = 1..8
+    PAIRS = [6 * 2**k - 5 for k in range(1, 9)]  # tree records at k = 1..8: 7, 19, 43, ... 1531
+    ROTATION = [(7, 2, 2), (17, 4, 2), (41, 8, 4), (89, 16, 8), (169, 32, 8), (361, 64, 16), (745, 128, 32),
+                (1385, 256, 32)]  # (tree records, leaves, solutions) at k = 1..8
     DEDUP = [2, 2, 2, 4, 4, 4]  # solutions with --dedup at k = 1..6
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -208,10 +220,11 @@ class TestKeyOnce:
     prints it, tree included, with the output of before."""
 
     # sha256 of `nomfix cunify` text output on c_pairs(8), without and with
-    # --tree, before the text was kept
+    # --tree, before the text was kept; the tree's recorded again when the
+    # search came to branch last, which left the output without it as it was
     OUTPUT = {
         (): "5fd6330e614dff3777d719b53133e78e5434d5a1671b8cd490238958691f6825",
-        ("--tree",): "bf9169f59dd110f5bbf868ba98b84b1fdd786d9435811a238bb9ae2a8d9bfd43",
+        ("--tree",): "d7c1c5bc4dd01d85c66e2439947a60ce736a0ebe87df435761306e98319e7c42",
     }
 
     @pytest.mark.parametrize("flags", list(OUTPUT))
@@ -331,10 +344,10 @@ class TestCertificate:
     # (record id, field, tampered value) in the tree of TAMPERED
     TAMPERS = {
         "absent consumed": (6, "consumed", "X =? d"),
-        "dropped product": (1, "produced", ["X =? c"]),
-        "no decrease": (2, "produced", ["(a b) fix? [c] +(c, X)"]),
+        "dropped product": (5, "produced", ["X =? c"]),
+        "no decrease": (1, "produced", ["(a b) fix? [c] +(c, X)"]),
         "wrong binding": (6, "binding", {"var": "X", "term": "d"}),
-        "wrong outcome": (31, "outcome", "success"),
+        "wrong outcome": (25, "outcome", "success"),
         "wrong solution": (9, "solution", "{} |- {X -> c, Y -> f(c)}"),
     }
     TAMPERED = ("+(X, Y) =? +(c, f(d))", "(a b) fix? [c] +(c, X)")
@@ -350,3 +363,111 @@ class TestCertificate:
         records[i][key] = value
         with pytest.raises(AssertionError):
             check_tree(SIG, pr, records)
+
+
+def first_step_expand(st, gen, sig=None, rigid=frozenset()):
+    """The reference: the search's step choice before it came to branch
+    last.  It takes the first constraint a non-instantiating rule applies
+    to, branching on it if its rule branches, and instantiates only once no
+    such rule applies."""
+    while st.todo:
+        k = heappop(st.todo)
+        c = st.cons.get(k)
+        if c is None:
+            continue
+        got = None
+        if not c._stuck:
+            got = UNIFY._fix_rule(c, gen, sig) if isinstance(c, Fix) else UNIFY._eq_rule(c, gen, sig)
+        if got is None:
+            object.__setattr__(c, "_stuck", True)
+            if isinstance(c, Eq):
+                heappush(st.inst, k)
+            continue
+        rule, children = got
+        st.consume(k)
+        out = []
+        for cons in children[:-1]:
+            child = st.copy()
+            child.prepend(cons)
+            out.append((child, UNIFY.SimplStep(rule, c, cons)))
+        st.prepend(children[-1])
+        out.append((st, UNIFY.SimplStep(rule, c, children[-1])))
+        return out
+    while st.inst:
+        k = heappop(st.inst)
+        c = st.cons.get(k)
+        got = None if c is None else UNIFY._instantiation(c, rigid)
+        if got is None:
+            continue
+        rule, side, other = got
+        x, u = side.var, UNIFY.act(side.perm.inverse(), other)
+        st.consume(k)
+        st.bind(x, u)
+        return [(st, UNIFY.SimplStep(rule, c, (), (x, u)))]
+    return []
+
+
+def renamed(sol: Solution, drop_new=False) -> Solution:
+    """sol with its generated atoms, n0, n1, ..., renamed m0, m1, ... in the
+    order they first appear in its text.  The two orders generate new atoms
+    in different orders, and is_more_general reads a new atom as a fixed
+    one: {(n2 n3) fix X} does not give (n4 n5) fix X.  With drop_new,
+    the context also drops the constraints that move new atoms only: two new
+    atoms are new for every variable, so swapping them fixes it, but
+    is_more_general cannot derive that either."""
+    names = {}
+
+    def rename(text: str) -> str:
+        return re.sub(r"\bn\d+\b", lambda m: names.setdefault(m[0], f"m{len(names)}"), text)
+
+    rename(sol.key())
+    context = FixpointContext(
+        frozenset(
+            (parse_perm(rename(print_perm(p))), x)
+            for p, x in sol.context.constraints
+            if not drop_new or any(not re.fullmatch(r"n\d+", a.name) for a in p.support())
+        )
+    )
+    return Solution(context, Substitution({x: parse_term(rename(print_term(t)), SIG_C) for x, t in sol.subst.bindings.items()}))
+
+
+def subsumes(sols, others, variables) -> bool:
+    """Whether each solution of others has a more general one in sols."""
+    keys = {s.key() for s in sols}
+    return all(o.key() in keys or any(is_more_general(s, o, variables, SIG_C) for s in sols) for o in others)
+
+
+class TestBranchLast:
+    """Branching only once no other step applies finds what the first-step
+    order it replaced finds, kept above as the reference: the same status
+    and number of solutions, and solutions as general.  Its trees pass the
+    certificate checker.
+
+    Taking a step before a split, not in each branch, can spare a branch the
+    new atoms of a fix-abs step: the search no longer meets Id fix? [a] t
+    but [a] t =? [a] t.  So its solutions subsume the reference's, and the
+    reference's subsume them only once the constraints on new atoms alone
+    are dropped; --dedup, which merges only what is_more_general proves
+    equal, may keep fewer.  The leaf counts may differ either way: which
+    split comes first decides where a failing branch is cut.  On
+    [e] +(Z, e) =? [a] Y, [c] [b] (d e).Z =? [c] [a] c,
+    (c e) fix? +([a] (b d)(d e).Y, (c d)(d e).Z) the reference splits on the
+    fixed-point constraint before the bindings and has 9 leaves, this order
+    12."""
+
+    def test_agrees_with_first_step_order(self, rng):
+        branched = 0
+        for _ in range(1000):
+            pr = random_c_problem(rng)
+            res, deduped = solve(SIG_C, pr), c_unify(pr, SIG_C, dedup=True)
+            with mock.patch.object(UNIFY, "expand", first_step_expand):
+                ref, ref_deduped = solve(SIG_C, pr), c_unify(pr, SIG_C, dedup=True)
+            assert (res.status, len(res.solutions)) == (ref.status, len(ref.solutions))
+            assert len(deduped.solutions) <= len(ref_deduped.solutions)
+            variables = problem_vars(pr)
+            assert subsumes([renamed(s) for s in res.solutions], [renamed(s) for s in ref.solutions], variables)
+            got, want = ([renamed(s, drop_new=True) for s in r.solutions] for r in (res, ref))
+            assert subsumes(want, got, variables)
+            check_tree(SIG_C, pr, res.tree)
+            branched += res.leaves > 1
+        assert branched > 100

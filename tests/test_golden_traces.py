@@ -10,7 +10,8 @@ bodies (#ground, fix-ground; tests/data/alpha_renamed_ground.nom).  The
 problems use every eq-*/fix-* simplification rule, both eq-app-C and
 fix-app-C branches, and every witness kind: clash, occurs, rigid (by
 match) and fixpoint-inconsistency.
-Regenerate the expected file only for an intended change of trace format:
+Regenerate the expected file only for an intended change of trace format,
+or of a derivation, stated in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_traces.py > tests/data/golden_traces.json
 """

@@ -85,10 +85,39 @@ class TestNotATerm:
             {**self.WALKS, **self.RULES}[walk](object())
 
     @pytest.mark.parametrize("walk", sorted(WALKS))
-    @pytest.mark.parametrize("wrap", [lambda t: Abs(a, t), lambda t: App("f", t), lambda t: Tup((AtomTerm(a), t))])
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda make, t: make(Abs, a, t), lambda make, t: make(App, "f", t), lambda make, t: make(Tup, (AtomTerm(a), t))],
+    )
     def test_below_a_term(self, walk, wrap):
-        with pytest.raises(TypeError, match="not a term: "):
-            self.WALKS[walk](wrap(object()))
+        if walk in ("term_size", "free_vars"):
+            # these read the top node's fields, which its constructor sets
+            # from its children's, so they have no walk below a term: the
+            # constructor is what rejects the child for them
+            with pytest.raises(TypeError, match="not a term: <object"):
+                wrap(lambda cls, *fields: cls(*fields), object())
+            return
+        node = wrap(past_constructor, object())
+        with pytest.raises(TypeError, match="not a term: <object"):
+            self.WALKS[walk](node)
+
+
+def past_constructor(cls, *fields):
+    """cls(*fields), one field holding an object of no term class, built
+    without the constructor, which would reject it.  Its size and variables
+    are those of the node with X in the object's place, so that no walk
+    stops at the top node."""
+
+    def as_x(v):
+        return tuple(map(as_x, v)) if type(v) is tuple else Susp(Permutation.identity(), X) if type(v) is object else v
+
+    model = cls(*map(as_x, fields))
+    node = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_size", model._size)
+    object.__setattr__(node, "_vars", model._vars)
+    return node
 
 
 def abstractions(n):
