@@ -12,7 +12,8 @@ from variables to constraints, so a binding rewrites only the constraints
 that mention its variable; and the termination measure's change, logged by
 each step.  A constraint's weight in the measure is read off its terms'
 sizes, which every term carries from its construction; each constraint
-memoises its variables and whether it is stuck.
+memoises its variables, whether it is stuck and, if its rule splits, the
+split's alternatives.
 
 So a step pays for its rule and for the constraints it consumes and
 produces.  The memo fields start empty, so a constraint that never enters
@@ -24,7 +25,9 @@ syntactic.  A step is chosen in three tiers, each on the lowest key it
 applies to: a rule that does not split, then an instantiation, then a
 split.  Only a split is a choice; the other steps may run in any order
 (Martelli and Montanari), so each runs once above the splits, not once in
-every branch.  One depth-first search over these steps serves every solver:
+every branch.  A split's alternatives are derived once, when the first tier
+meets its constraint, so the branches below share its child constraints and
+their memos.  One depth-first search over these steps serves every solver:
 unify and match follow its single path, is_more_general and nomfix.cunify
 every branch.  It asserts the termination measure on every step and reads
 each solution off its leaf's path of steps.  The paths share their
@@ -68,12 +71,14 @@ from .syntax import (
 @dataclass(frozen=True, slots=True)
 class _Constraint:
     """Base class of the constraints.  They are immutable, so each keeps its
-    variables (constraint_vars) and whether no non-instantiating rule
-    applies to it (expand) in memo fields, left out of ==, hash and repr,
-    and filled when first asked for."""
+    variables (constraint_vars) and what expand's first tier found on it in
+    memo fields, left out of ==, hash and repr, and filled when first asked
+    for: _tried is () when no non-instantiating rule applies, and the rule
+    and alternatives when its rule splits.  A search writes a split before
+    it reads it, so it never reads one another search wrote."""
 
     _vars: frozenset | None = field(default=None, init=False, repr=False, compare=False)
-    _stuck: bool = field(default=False, init=False, repr=False, compare=False)
+    _tried: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,8 +230,8 @@ class _State:
     next step: todo holds the constraints no rule has been tried on here,
     inst the stuck equations, which may instantiate a variable, and split
     the constraints whose rule splits.  Entries go stale when their
-    constraint is consumed or rewritten; expand skips them, but reads a
-    rewritten constraint under a split key again.
+    constraint is consumed or rewritten; expand skips them, and a rewritten
+    constraint is tried again and, if it splits, pushed again.
     occ indexes the keys by variable, so a binding rewrites only what
     mentions its variable, and its size is the measure's variable count.
     A step logs its removed and added weights in gone and new.
@@ -416,7 +421,9 @@ def expand(
     rigid: frozenset = frozenset(),
 ):
     """One simplification step: a rule that does not branch, else an
-    instantiation, else a commutative split, each on the lowest key.
+    instantiation, else a commutative split, each on the lowest key.  The
+    first tier keeps a split's alternatives on its constraint, and the
+    split tier takes them from there.
 
     Returns a list of (child state, step) pairs: empty for a normal form,
     one entry for deterministic rules, two for commutative branching, which
@@ -428,13 +435,14 @@ def expand(
         c = st.cons.get(k)
         if c is None:
             continue
-        got = None if c._stuck else _rule(c, gen, sig)
+        got = None if c._tried == () else _rule(c, gen, sig)
         if got is None:
-            object.__setattr__(c, "_stuck", True)
+            object.__setattr__(c, "_tried", ())
             if isinstance(c, Eq):
                 heappush(st.inst, k)  # whether it instantiates is decided once, when popped
             continue
         if len(got[1]) > 1:
+            object.__setattr__(c, "_tried", got)  # every branch below takes these same children
             heappush(st.split, k)  # taken once no other step applies
             continue
         return _apply(st, k, c, *got)
@@ -452,8 +460,8 @@ def expand(
     while st.split:
         k = heappop(st.split)
         c = st.cons.get(k)
-        if c is not None and not c._stuck:  # read again: a binding may have rewritten it
-            return _apply(st, k, c, *_rule(c, gen, sig))
+        if c is not None and c._tried:  # every live one passed the first tier: stuck, or kept its split
+            return _apply(st, k, c, *c._tried)
     return []
 
 

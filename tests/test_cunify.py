@@ -26,6 +26,7 @@ from nomfix import (
     parse_constraint,
     parse_perm,
     parse_term,
+    unify,
     verify_solution,
 )
 from nomfix.printer import print_perm, print_term
@@ -376,10 +377,10 @@ def first_step_expand(st, gen, sig=None, rigid=frozenset()):
         if c is None:
             continue
         got = None
-        if not c._stuck:
+        if c._tried != ():
             got = UNIFY._fix_rule(c, gen, sig) if isinstance(c, Fix) else UNIFY._eq_rule(c, gen, sig)
         if got is None:
-            object.__setattr__(c, "_stuck", True)
+            object.__setattr__(c, "_tried", ())
             if isinstance(c, Eq):
                 heappush(st.inst, k)
             continue
@@ -471,3 +472,87 @@ class TestBranchLast:
             check_tree(SIG_C, pr, res.tree)
             branched += res.leaves > 1
         assert branched > 100
+
+
+def steps_of(path) -> list:
+    steps = []
+    while path is not None:
+        step, path = path
+        steps.append(step)
+    return steps[::-1]
+
+
+def c_outcome(res) -> tuple:
+    """What a c_unify result says: status, solutions, each leaf's outcome
+    in search order, and the tree."""
+    leaves = [(failure, None if sol is None else sol.key()) for _, failure, sol in res.outcomes]
+    return res.status, [s.key() for s in res.solutions], leaves, res.tree
+
+
+class TestSharedSplits:
+    """A split's alternatives are derived once per search, when its
+    constraint is first tried, and kept on it: every branch below the split
+    holds the same child constraint objects, and another search, under
+    another signature or none, derives its own steps."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_each_split_derived_once(self, monkeypatch, k):
+        rule, splits = UNIFY._rule, []
+
+        def counted(c, gen, sig):
+            got = rule(c, gen, sig)
+            if got is not None and len(got[1]) > 1:
+                splits.append(c)
+            return got
+
+        monkeypatch.setattr(UNIFY, "_rule", counted)
+        pr = c_pairs(k)
+        res = c_unify(pr, SIG)
+        assert len(splits) == k and set(map(id, splits)) == set(map(id, pr))
+        assert (len(res.tree), res.leaves, len(res.solutions)) == (TestSearchSize.PAIRS[k - 1], 2**k, 2**k)
+
+    def test_branches_share_child_constraints(self):
+        # each pair takes a split and two instantiations, so a path has 3k
+        # steps.  Two leaves that part at the first split and take the same
+        # alternative at every later one hold the same objects in every
+        # step below the first pair's three
+        k = 3
+        res = c_unify(c_pairs(k), SIG)
+        paths = [steps_of(path) for path, *_ in res.outcomes]
+        assert all(len(p) == 3 * k for p in paths)
+        siblings = 0
+        for a in paths:
+            for b in paths:
+                if a[0].produced == b[0].produced or a[3:] != b[3:]:
+                    continue
+                siblings += 1
+                for x, y in zip(a[3:], b[3:]):
+                    assert x.consumed is y.consumed
+                    assert len(x.produced) == len(y.produced)
+                    assert all(p is q for p, q in zip(x.produced, y.produced))
+        assert siblings == 2**k
+
+    PROBLEM = ("+(X, Y) =? +(a, b)", "(a b) fix? +(Z, f(a))", "+(X, a) =? +(b, Y)", "f(Z) =? f(W)")
+
+    def parsed(self):
+        return [parse_constraint(c, SIG) for c in self.PROBLEM]
+
+    def test_no_memo_leaks_between_searches(self):
+        syntactic = Signature({"+": Theory.NONE, "f": Theory.NONE})
+
+        def unify_outcome(res):
+            return res.status, str(res.solution), res.witness_kind, list(map(str, res.steps)), res.normal_form
+
+        pr = self.parsed()
+        for solve_it, outcome in (
+            (lambda p: c_unify(p, SIG), c_outcome),
+            (lambda p: c_unify(p, syntactic), c_outcome),
+            (lambda p: unify(p), unify_outcome),
+        ):
+            assert outcome(solve_it(pr)) == outcome(solve_it(self.parsed()))
+        assert c_unify(pr, SIG).leaves > 1 and c_unify(pr, syntactic).leaves == 1
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_same_objects_solve_alike_twice(self, seed):
+        pr = random_c_problem(random.Random(seed))
+        assert c_outcome(c_unify(pr, SIG_C)) == c_outcome(c_unify(pr, SIG_C))
