@@ -14,6 +14,7 @@ which never change which atoms are free.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, NamedTuple
 
 from .printer import print_term
@@ -196,20 +197,38 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
 
 def _ac(rules, sig, ctx, gen, f: str, ss: tuple, ts: tuple, rho: Renaming, node: TraceNode, bound) -> bool:
     """Match ss against a permutation of rho.ts, as long, in one pass: each
-    argument keeps the first remaining partner it matches, or the goal fails.
-    ~ is an equivalence, so a partner never needs giving back.  Each match
-    but the last opens "rest-i" (i: the partner's index among those left)."""
-    ts, rests = list(ts), []
+    argument keeps the first remaining partner of its shape (see _shape) it
+    matches, or the goal fails.  ~ is an equivalence, so a partner never
+    needs giving back.  Each match but the last opens "rest-i" (i: the
+    partner's index among those left)."""
+    left, partners, rests = list(range(len(ts))), {}, []
+    for j, t in enumerate(ts):
+        partners.setdefault(_shape(t, rho.image), []).append(j)
     for s in ss:
-        for i, t in enumerate(ts):
+        bucket = partners.get(_shape(s, {}), ())
+        for k, j in enumerate(bucket):
+            t = ts[j]
             if alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound):
                 break
         else:
             return False
-        del ts[i]
-        if ts:
+        del bucket[k]
+        i = bisect_left(left, j)
+        del left[i]
+        if left:
             node = node.child(f"rest-{i}", None, f, "remainder")
             rests.append(node)
     for rest in rests:
         rest.ok = True
     return True
+
+
+def _shape(t: Term, image: dict):
+    """What ~ keeps of a flat term t read through image: its kind and size,
+    and an atom's image, an application's symbol or a suspension's variable."""
+    kind = type(t)
+    if kind is AtomTerm:
+        return image.get(t.atom, t.atom)
+    if kind is Susp:
+        return t.var
+    return t.symbol if kind is App else kind, t._size

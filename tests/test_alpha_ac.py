@@ -1,7 +1,9 @@
 """AC arguments decided in one greedy pass: each argument keeps the first
-remaining partner it matches.  The backtracking matcher it replaced is kept
-here as the reference, and both engines must give its verdicts, and on a
-derivable goal its very trace, on AC argument lists with repeated partners."""
+remaining partner of its shape it matches.  The backtracking matcher it
+replaced is kept here as the reference, and both engines must give its
+verdicts, and on a derivable goal its very trace, on AC argument lists with
+repeated partners.  The greedy pass that tried every remaining partner is
+kept too, and trying only partners of one shape must give its verdicts."""
 
 import functools
 import random
@@ -34,8 +36,8 @@ POOL_SIG = Signature({"f": Theory.NONE, "cat": Theory.A, "+": Theory.C})
 
 
 def backtracking_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound, retries: list):
-    """The reference: pick a partner for the head, match the rest ("f
-    remainder") and, when the rest fails, try the head's next partner,
+    """The reference: pick a partner of the head's shape, match the rest
+    ("f remainder") and, when the rest fails, try the head's next partner,
     appending f to retries."""
     if len(ss) != len(ts):
         return False
@@ -43,6 +45,8 @@ def backtracking_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound, retries: 
         return ALPHA.alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, node.child("", rho, ss[0], "=?", ts[0]), bound)
     head = ss[0]
     for i, cand in enumerate(ts):
+        if ALPHA._shape(cand, rho.image) != ALPHA._shape(head, {}):
+            continue
         if ALPHA.alpha(rules, sig, ctx, gen, head, cand, rho, node.child("", rho, head, "=?", cand), bound):
             rest = node.child(f"rest-{i}", None, f, "remainder")
             if backtracking_ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rho, rest, bound, retries):
@@ -50,6 +54,24 @@ def backtracking_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound, retries: 
                 return True
             retries.append(f)
     return False
+
+
+def unfiltered_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound):
+    """The greedy pass as it was, trying every remaining partner."""
+    ts, rests = list(ts), []
+    for s in ss:
+        for i, t in enumerate(ts):
+            if ALPHA.alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound):
+                break
+        else:
+            return False
+        del ts[i]
+        if ts:
+            node = node.child(f"rest-{i}", None, f, "remainder")
+            rests.append(node)
+    for rest in rests:
+        rest.ok = True
+    return True
 
 
 def ac_goal(rng: random.Random, ground: bool):
@@ -103,6 +125,31 @@ def test_greedy_agrees_with_backtracking(seed, ground):
         assert [ok for ok, _ in greedy] == [ground_alpha_oracle(SIG_FULL, s, t)] * 2
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_partners_of_one_shape_give_the_verdicts_of_all(seed, ground):
+    """On AC goals with repeated partners, and on goals over A, C and AC
+    symbols whose right side is the left with binders renamed, maybe moved
+    or redrawn, trying only partners of the argument's shape decides as
+    trying all of them did.  It only drops the attempts on partners of
+    another shape, so, without generated atoms to rename, its freshness
+    trace is what remains of the other's."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        s, t = ac_goal(rng, ground)
+    else:
+        s = random_term(rng, SIG_FULL, depth=4, ground=ground)
+        t = rename_binders(rng, s) if rng.random() < 0.7 else random_term(rng, SIG_FULL, depth=4, ground=ground)
+        if rng.random() < 0.3:
+            t = act(random_perm(rng), t)
+    fresh_ctx, fixp_ctx = random_fresh_context(rng), random_fixp_context(rng)
+    filtered = decide(s, t, fresh_ctx, fixp_ctx)
+    with mock.patch.object(ALPHA, "_ac", unfiltered_ac):
+        unfiltered = decide(s, t, fresh_ctx, fixp_ctx)
+    assert [ok for ok, _ in filtered] == [ok for ok, _ in unfiltered]
+    judgements = iter([(r["rule"], r["goal"], r["ok"]) for r in unfiltered[0][1]])
+    assert all((r["rule"], r["goal"], r["ok"]) in judgements for r in filtered[0][1])
+
+
 def test_goals_repeat_partners_and_make_the_reference_retry():
     """The goals of the property above are both derivable and not, and on
     many the reference gives a partner back and tries another."""
@@ -148,6 +195,22 @@ def test_lookalike_failure_makes_few_records():
         assert check(SIG_FULL, ctx, s, t, trace=trace) is False
         # each f(a) takes the first f(a) left, then f(b) finds no partner
         assert sum(node.rule.startswith("rest-") for node in trace) == 9
+
+
+def test_two_thousand_shuffled_arguments_try_one_partner_each():
+    """*(a0, ..., a1999) against a shuffle of it: each argument tries only
+    the partner of its own atom, so the trace holds one attempt and one
+    "rest-i" per argument, not the n^2 / 2 attempts of trying every one."""
+    args = [AtomTerm(Atom(f"a{i}")) for i in range(2000)]
+    shuffled = args[:]
+    random.Random(2000).shuffle(shuffled)
+    s, t = App("*", Tup(tuple(args))), App("*", Tup(tuple(shuffled)))
+    u = App("*", Tup((*shuffled[:-1], AtomTerm(Atom("b")))))
+    for check, ctx in ((check_alpha_fresh, FreshnessContext()), (check_alpha_fixp, FixpointContext())):
+        trace = BoundedTrace(4000)
+        assert check(SIG_FULL, ctx, s, t, trace=trace) is True
+        assert len(trace) == 1 + 2000 + 1999
+        assert check(SIG_FULL, ctx, s, u, trace=BoundedTrace(4000)) is False
 
 
 def test_five_thousand_arguments_answer():
