@@ -6,6 +6,10 @@ of one variable and in the side condition for renaming an abstraction; each
 engine supplies those, its rule names and, for the fixed-point engine, a
 termination-measure check, as an AlphaRules value.
 
+A rule is a generator: it yields each premise's derivation, another rule's
+generator, is sent back its verdict, and returns its own.  derive runs them
+on one explicit stack, so a check answers at any depth.
+
 On a ground body the two side conditions agree, and are decided here: for a
 new atom c1, (a c1) fix t holds exactly when a # t, and on a ground t that
 is a lookup in its memoised free atoms.  It is exact modulo A, C and AC,
@@ -110,20 +114,33 @@ class AlphaRules(NamedTuple):
 
     prefix: str  # of the rule names, "~" or "eq-"
     var: Callable  # (ctx, p, q, rho, x): does ctx derive p.X ~ rho.q.X?
-    rename: Callable  # (sig, ctx, gen, a, t, rho, node, bound): side condition of [a] s ~ [b] rho.t, t not ground
+    rename: Callable  # (sig, ctx, gen, a, t, rho, node, bound): side-condition rule of [a] s ~ [b] rho.t, t not ground
     ground: str  # the rule of that side condition on a ground t, "#ground" or "fix-ground"
     measure: Callable | None = None  # (bound, s, t): this step's measure, an int asserted below bound
 
 
-def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, node: TraceNode, bound=None) -> bool:
-    """Decide ctx |- s ~ rho.t modulo the theories in sig, recording the
-    derivation in node.  rho is carried down t, not applied: atoms of t are
-    read through it, and renaming a binder composes one swapping onto it and
-    undoes it on return.  Premises recurse straight into alpha, so every
-    level of nesting costs one Python frame, but an AC argument list costs
-    none per argument.  It dispatches on type(s), a clash unless t has the
-    same type (see Term).  gen draws the new atoms of the fixed-point
-    engine; the freshness engine draws none, and passes None."""
+def derive(goal) -> bool:
+    """The verdict of goal, a rule's generator: the one loop that derives
+    premises.  A yielded premise is pushed, and once it returns its verdict
+    is sent to the rule below it."""
+    stack, ok = [goal], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(ok))
+            ok = None
+        except StopIteration as done:
+            stack.pop()
+            ok = done.value
+    return ok
+
+
+def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, node: TraceNode, bound=None):
+    """The rule deciding ctx |- s ~ rho.t modulo the theories in sig, recording
+    the derivation in node.  rho is carried down t, not applied: atoms of t
+    are read through it, and renaming a binder composes one swapping onto it
+    and undoes it once the premise is derived.  It dispatches on type(s), a
+    clash unless t has the same type (see Term).  gen draws the new atoms of
+    the fixed-point engine; the freshness engine draws none, and passes None."""
     if __debug__ and rules.measure is not None:
         bound = rules.measure(bound, s, t)  # rho.t has t's size
     pre = rules.prefix
@@ -143,10 +160,10 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
             # s1 ~ (a b').rho.t1 for b' = rho(b), then the side condition on rho.t1
             node.rule = pre + "abs-rename"
             rho.swap(a, b)
-            ok = alpha(rules, sig, ctx, gen, s1, t1, rho, node.child("", rho, s1, "=?", t1), bound)
+            ok = yield alpha(rules, sig, ctx, gen, s1, t1, rho, node.child("", rho, s1, "=?", t1), bound)
             rho.swap(a, b)
             if ok and free_vars(t1):
-                ok = rules.rename(sig, ctx, gen, a, t1, rho, node, bound)
+                ok = yield rules.rename(sig, ctx, gen, a, t1, rho, node, bound)
             elif ok:
                 # a ground t1: a # rho.t1, or (a c1) fix rho.t1 for a new c1,
                 # when a is not free in rho.t1; a leaf, so no measure is due
@@ -164,16 +181,16 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
                 node.rule = pre + "app-C"
                 (s0, s1), (t0, t1) = sarg.items, targ.items
                 for i, (u0, u1) in enumerate(((t0, t1), (t1, t0))):
-                    attempt = node.child(f"align-{i}", rho, s, "=?", t)
-                    if alpha(rules, sig, ctx, gen, s0, u0, rho, attempt.child("", rho, s0, "=?", u0), bound) and alpha(
-                        rules, sig, ctx, gen, s1, u1, rho, attempt.child("", rho, s1, "=?", u1), bound
+                    align = node.child(f"align-{i}", rho, s, "=?", t)
+                    if (yield alpha(rules, sig, ctx, gen, s0, u0, rho, align.child("", rho, s0, "=?", u0), bound)) and (
+                        yield alpha(rules, sig, ctx, gen, s1, u1, rho, align.child("", rho, s1, "=?", u1), bound)
                     ):
-                        attempt.ok = ok = True
+                        align.ok = ok = True
                         break
             elif th is Theory.AC:
                 node.rule = pre + "app-AC"
                 ss, ts = equational_args(s), equational_args(t)
-                ok = len(ss) == len(ts) and _ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound)
+                ok = len(ss) == len(ts) and (yield from _ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound))
             elif th is Theory.A:
                 node.rule = pre + "app-A"
                 ss, ts = equational_args(s), equational_args(t)
@@ -188,14 +205,14 @@ def alpha(rules: AlphaRules, sig, ctx, gen, s: Term, t: Term, rho: Renaming, nod
         raise TypeError(f"not a term: {s!r}")
     if ok:
         for x, y in premises:
-            if not alpha(rules, sig, ctx, gen, x, y, rho, node.child("", rho, x, "=?", y), bound):
+            if not (yield alpha(rules, sig, ctx, gen, x, y, rho, node.child("", rho, x, "=?", y), bound)):
                 ok = False
                 break
     node.ok = ok
     return ok
 
 
-def _ac(rules, sig, ctx, gen, f: str, ss: tuple, ts: tuple, rho: Renaming, node: TraceNode, bound) -> bool:
+def _ac(rules, sig, ctx, gen, f: str, ss: tuple, ts: tuple, rho: Renaming, node: TraceNode, bound):
     """Match ss against a permutation of rho.ts, as long, in one pass: each
     argument keeps the first remaining partner of its shape (see _shape) it
     matches, or the goal fails.  ~ is an equivalence, so a partner never
@@ -208,7 +225,7 @@ def _ac(rules, sig, ctx, gen, f: str, ss: tuple, ts: tuple, rho: Renaming, node:
         bucket = partners.get(_shape(s, {}), ())
         for k, j in enumerate(bucket):
             t = ts[j]
-            if alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound):
+            if (yield alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound)):
                 break
         else:
             return False

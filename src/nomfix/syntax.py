@@ -34,9 +34,7 @@ _GENERATED_NAME = re.compile(r"[a-z#][A-Za-z0-9_']*")
 # field values -> a weak reference to the live atom, (name, gen_index), or
 # variable, (name,), with those values; the table is swept of dead references
 # whenever it has doubled since the last sweep, so it stays within about twice
-# the number of live ones.  The constructors write their entry themselves:
-# replacing a dead entry compares keys, and in a helper that would take one
-# more level of Python's recursion limit, where a deep check draws an atom.
+# the number of live ones.
 _INTERNED: dict[tuple, weakref.ref] = {}
 _sweep_at = 1024
 
@@ -47,6 +45,20 @@ def _sweep() -> None:
     for k in [k for k, r in _INTERNED.items() if r() is None]:
         del _INTERNED[k]
     _sweep_at = 2 * len(_INTERNED) + 1024
+
+
+def _intern(cls, key: tuple):
+    """The live cls object whose fields (__match_args__) hold key, made and
+    entered in _INTERNED when none lives."""
+    self = (ref := _INTERNED.get(key)) and ref()
+    if self is None:
+        self = object.__new__(cls)
+        for attr, value in zip(cls.__match_args__, key):
+            object.__setattr__(self, attr, value)
+        _INTERNED[key] = weakref.ref(self)
+        if len(_INTERNED) > _sweep_at:
+            _sweep()
+    return self
 
 
 class _Interned:
@@ -84,17 +96,7 @@ class Atom(_Interned):
     __match_args__ = ("name", "gen_index")
 
     def __new__(cls, name: str, gen_index: int = -1) -> Atom:
-        key = (name, gen_index)
-        ref = _INTERNED.get(key)
-        self = ref() if ref is not None else None
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "name", name)
-            object.__setattr__(self, "gen_index", gen_index)
-            _INTERNED[key] = weakref.ref(self)
-            if len(_INTERNED) > _sweep_at:
-                _sweep()
-        return self
+        return _intern(cls, (name, gen_index))
 
     def __lt__(self, other: Atom) -> bool:
         if not isinstance(other, Atom):
@@ -120,16 +122,9 @@ class Var(_Interned):
     __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> Var:
-        key = (name,)
-        ref = _INTERNED.get(key)
-        self = ref() if ref is not None else None
-        if self is None:
-            self = object.__new__(cls)
-            object.__setattr__(self, "name", name)
+        self = _intern(cls, (name,))
+        if not hasattr(self, "_singleton"):  # made just now
             object.__setattr__(self, "_singleton", frozenset((self,)))
-            _INTERNED[key] = weakref.ref(self)
-            if len(_INTERNED) > _sweep_at:
-                _sweep()
         return self
 
     def __lt__(self, other: Var) -> bool:

@@ -42,14 +42,14 @@ def backtracking_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound, retries: 
     if len(ss) != len(ts):
         return False
     if len(ss) == 1:
-        return ALPHA.alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, node.child("", rho, ss[0], "=?", ts[0]), bound)
+        return (yield ALPHA.alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, node.child("", rho, ss[0], "=?", ts[0]), bound))
     head = ss[0]
     for i, cand in enumerate(ts):
         if ALPHA._shape(cand, rho.image) != ALPHA._shape(head, {}):
             continue
-        if ALPHA.alpha(rules, sig, ctx, gen, head, cand, rho, node.child("", rho, head, "=?", cand), bound):
+        if (yield ALPHA.alpha(rules, sig, ctx, gen, head, cand, rho, node.child("", rho, head, "=?", cand), bound)):
             rest = node.child(f"rest-{i}", None, f, "remainder")
-            if backtracking_ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rho, rest, bound, retries):
+            if (yield from backtracking_ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rho, rest, bound, retries)):
                 rest.ok = True
                 return True
             retries.append(f)
@@ -61,7 +61,7 @@ def unfiltered_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound):
     ts, rests = list(ts), []
     for s in ss:
         for i, t in enumerate(ts):
-            if ALPHA.alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound):
+            if (yield ALPHA.alpha(rules, sig, ctx, gen, s, t, rho, node.child("", rho, s, "=?", t), bound)):
                 break
         else:
             return False

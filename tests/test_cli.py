@@ -265,6 +265,17 @@ class TestPrintedAnswersReadBack:
 
 
 class TestDeepChain:
+    # the deep inputs of the benchmark (perfbench/families.py, DEEP), each
+    # derived on the engines' one stack far past the default recursion limit
+    @pytest.mark.parametrize("kind, depth", [("abs", 300), ("app", 600), ("app", 1500), ("abs", 1500)])
+    def test_benchmark_deep_inputs_answer(self, capsys, monkeypatch, kind, depth):
+        assert sys.getrecursionlimit() == 1000
+        t = "f(" * depth + "a" + ")" * depth if kind == "app" else "[a] " * depth + "a"
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{t} =? {t}\n"))
+        code, out, err = run(capsys, "alpha", "-")
+        assert (code, err) == (0, "")
+        assert out.endswith(": derivable\n")
+
     def test_four_hundred_equation_chain_prints(self, capsys, monkeypatch):
         n = 400
         text = ",\n".join(f"X{i} =? f((X{i + 1}, a))" for i in range(n))

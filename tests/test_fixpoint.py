@@ -27,7 +27,7 @@ from nomfix import (
     term_size,
 )
 from nomfix import fixpoint, freshness
-from nomfix.alpha import alpha, trace_root
+from nomfix.alpha import alpha, derive, trace_root
 from nomfix.syntax import Renaming
 from gen import ATOMS, SIG_FULL, random_fixp_context, random_fresh_context, random_perm, random_term
 
@@ -241,11 +241,11 @@ class TestPendingRenaming:
         p, x = random_perm(rng), rng.choice(ATOMS)
         moved = act(rho.permutation(), t)
 
-        def derive(engine, head, judgement, lazy):
+        def derivation(engine, head, judgement, lazy):
             trace = []
             node = trace_root(trace, head, judgement, moved)
             # the inputs hold no generated atoms, so a new generator avoids them
-            ok = engine(NameGenerator(), t if lazy else moved, rho if lazy else Renaming(), node)
+            ok = derive(engine(NameGenerator(), t if lazy else moved, rho if lazy else Renaming(), node))
             return ok, [n.record() for n in trace]
 
         engines = [
@@ -255,7 +255,7 @@ class TestPendingRenaming:
             (lambda gen, u, r, n: freshness._fresh(fresh_ctx, x, u, r, n), x, "fresh?"),
         ]
         for engine, head, judgement in engines:
-            assert derive(engine, head, judgement, True) == derive(engine, head, judgement, False)
+            assert derivation(engine, head, judgement, True) == derivation(engine, head, judgement, False)
             assert rho.image == image and rho.preimage == {y: z for z, y in image.items()}
 
 

@@ -1,8 +1,9 @@
 """The per-node walks over terms: each dispatches on the node's type, rejects
-a non-term, costs one Python frame per level in the checking engines,
-gives the verdicts of the canonical-permutation formulas it replaced, and,
-in the one rebuild behind act, flatten and Substitution, gives what the
-recursive walks it replaced gave, sharing what it leaves unchanged."""
+a non-term, in the checking engines answers at any depth and derives what
+the recursive engines it replaced derived, gives the verdicts of the
+canonical-permutation formulas it replaced, and, in the one rebuild behind
+act, flatten and Substitution, gives what the recursive walks it replaced
+gave, sharing what it leaves unchanged."""
 
 import random
 import sys
@@ -43,9 +44,22 @@ from nomfix import (
     print_term,
     term_size,
 )
-from nomfix.alpha import trace_root
+from nomfix.alpha import derive, trace_root
 from nomfix.syntax import Renaming, equational_args
-from gen import SIG_C, SIG_FULL, SIG_PLAIN, VARS, random_perm, random_term
+from gen import (
+    ATOMS,
+    SIG_C,
+    SIG_CLASSES,
+    SIG_FULL,
+    SIG_PLAIN,
+    VARS,
+    random_fixp_context,
+    random_fresh_context,
+    random_perm,
+    random_term,
+    rename_binders,
+)
+import recursive_engines
 
 FIXPOINT = sys.modules["nomfix.fixpoint"]
 FRESHNESS = sys.modules["nomfix.freshness"]
@@ -136,43 +150,24 @@ def applications(n):
     return t
 
 
-def stack_depth() -> int:
-    frame, n = sys._getframe(), 0
-    while frame is not None:
-        frame, n = frame.f_back, n + 1
-    return n
-
-
 CHECKS = {
     "check_alpha_fixp": lambda t: check_alpha_fixp(SIG_PLAIN, FixpointContext(), t, t),
     "check_alpha_fresh": lambda t: check_alpha_fresh(SIG_PLAIN, FreshnessContext(), t, t),
     "check_fixp": lambda t: check_fixp(SIG_PLAIN, FixpointContext(), SWAP, t),
     "check_fresh": lambda t: check_fresh(FreshnessContext(), b, t),
 }
+SHAPES = [(check, build) for check in CHECKS for build in (abstractions, applications)]
+# five times Python's default recursion limit, which the recursive engines
+# could not pass
+DEPTH = 5000
 
 
-# (check, shape) -> the frames, below the default recursion limit, that the
-# check needed beyond one per level before the walks dispatched on type:
-# it answered n levels deep from a test at stack depth 1000 - n - headroom
-# (Python 3.11; 3.10, 3.12 and 3.13 reach as deep or deeper).
-HEADROOM = {
-    ("check_alpha_fixp", abstractions): 12,
-    ("check_alpha_fixp", applications): 12,
-    ("check_alpha_fresh", abstractions): 10,
-    ("check_alpha_fresh", applications): 10,
-    ("check_fixp", abstractions): 15,
-    ("check_fixp", applications): 13,
-    ("check_fresh", abstractions): 11,
-    ("check_fresh", applications): 11,
-}
-
-
-@pytest.mark.parametrize("check, build", list(HEADROOM), ids=[f"{c}-{b.__name__}" for c, b in HEADROOM])
+@pytest.mark.parametrize("check, build", SHAPES, ids=[f"{c}-{b.__name__}" for c, b in SHAPES])
 def test_deep_terms_answer_as_deep_as_before(check, build):
+    """Every check derives its premises on one explicit stack, so it answers
+    five times deeper than the recursive engines, which ran out of frames."""
     assert sys.getrecursionlimit() == 1000
-    n = sys.getrecursionlimit() - stack_depth() - HEADROOM[check, build]
-    assert n > 900
-    assert CHECKS[check](build(n)) is True
+    assert CHECKS[check](build(DEPTH)) is True
 
 
 def renamed_abstractions(n, prefix):
@@ -193,10 +188,39 @@ RENAMED_CHECKS = {
 @pytest.mark.parametrize("check", sorted(RENAMED_CHECKS))
 def test_deep_renamed_binders_answer_as_deep(check):
     """The ground side condition of every abs-rename, decided from the
-    memoised free atoms, answers at the depth pinned above for one binder."""
-    n = sys.getrecursionlimit() - stack_depth() - HEADROOM[check, abstractions]
-    assert n > 900
-    assert RENAMED_CHECKS[check](renamed_abstractions(n, "a"), renamed_abstractions(n, "b")) is True
+    memoised free atoms, answers as deep as the abstractions above."""
+    assert sys.getrecursionlimit() == 1000
+    assert RENAMED_CHECKS[check](renamed_abstractions(DEPTH, "a"), renamed_abstractions(DEPTH, "b")) is True
+
+
+def derivations(engines, sig, fresh_ctx, fixp_ctx, s, t, p, x) -> list:
+    """The verdict and trace records of each check of engines (nomfix or
+    recursive_engines) on s ~ t, p fix t and x # t."""
+    calls = [
+        lambda trace: engines.check_alpha_fixp(sig, fixp_ctx, s, t, trace=trace),
+        lambda trace: engines.check_alpha_fresh(sig, fresh_ctx, s, t, trace=trace),
+        lambda trace: engines.check_fixp(sig, fixp_ctx, p, t, trace=trace),
+        lambda trace: engines.check_fresh(fresh_ctx, x, t, trace=trace),
+    ]
+    out = []
+    for call in calls:
+        trace = []
+        out.append((call(trace), [node.record() for node in trace]))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(sorted(SIG_CLASSES)), st.booleans())
+def test_stack_engines_derive_what_the_recursive_ones_did(seed, sig_name, ground):
+    """On random goals over plain, A, C and AC signatures, the right side
+    often the left with binders renamed and moved by a permutation, each
+    check gives the recursive engine's verdict and its very trace."""
+    rng, sig = random.Random(seed), SIG_CLASSES[sig_name]
+    s = random_term(rng, sig, depth=4, ground=ground)
+    t = rename_binders(rng, s) if rng.random() < 0.6 else random_term(rng, sig, depth=4, ground=ground)
+    if rng.random() < 0.3:
+        t = act(random_perm(rng), t)
+    goal = (random_fresh_context(rng), random_fixp_context(rng), s, t, random_perm(rng), rng.choice(ATOMS))
+    assert derivations(sys.modules["nomfix"], sig, *goal) == derivations(recursive_engines, sig, *goal)
 
 
 def reference_flatten(sig, t):
@@ -370,5 +394,5 @@ def test_suspension_rules_give_the_canonical_verdicts(p, q, rho_swaps, pi, fresh
     fresh_ctx = FreshnessContext(frozenset((x, X) for x in fresh))
     assert FIXPOINT._var(fix_ctx, p, q, rho, X) == (disagree <= fix_ctx.supp_of(X))
     assert FRESHNESS._var(fresh_ctx, p, q, rho, X) == all(fresh_ctx.holds(x, X) for x in disagree)
-    fix_var = FIXPOINT._fixp(SIG_PLAIN, fix_ctx, pi, Susp(q, X), rho, NameGenerator(), trace_root(None), None)
+    fix_var = derive(FIXPOINT._fixp(SIG_PLAIN, fix_ctx, pi, Susp(q, X), rho, NameGenerator(), trace_root(None), None))
     assert fix_var == (pi.conjugate(rho_q.inverse()).support() <= fix_ctx.supp_of(X))
