@@ -2,7 +2,7 @@
 
 Reads a problem file (or stdin with '-'), runs the requested command, and
 reports in text or JSON.  Exit codes: 0 when every goal is derivable or the
-problem is solvable, 1 otherwise, 2 on input errors.
+problem is solvable, 1 otherwise, 2 on input errors, 3 on internal errors.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ def main(argv=None) -> int:
     except (NomfixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of nomfix, never read as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _read_problem(args) -> ProblemFile:

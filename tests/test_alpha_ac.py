@@ -42,14 +42,16 @@ def backtracking_ac(rules, sig, ctx, gen, f, ss, ts, rho, node, bound, retries: 
     if len(ss) != len(ts):
         return False
     if len(ss) == 1:
-        return (yield ALPHA.alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, node.child("", rho, ss[0], "=?", ts[0]), bound))
+        last = node.child("", rho, ss[0], "=?", ts[0])
+        return (yield ALPHA.alpha(rules, sig, ctx, gen, ss[0], ts[0], rho, last, bound))
     head = ss[0]
     for i, cand in enumerate(ts):
         if ALPHA._shape(cand, rho.image) != ALPHA._shape(head, {}):
             continue
         if (yield ALPHA.alpha(rules, sig, ctx, gen, head, cand, rho, node.child("", rho, head, "=?", cand), bound)):
             rest = node.child(f"rest-{i}", None, f, "remainder")
-            if (yield from backtracking_ac(rules, sig, ctx, gen, f, ss[1:], ts[:i] + ts[i + 1 :], rho, rest, bound, retries)):
+            others = ts[:i] + ts[i + 1 :]
+            if (yield from backtracking_ac(rules, sig, ctx, gen, f, ss[1:], others, rho, rest, bound, retries)):
                 rest.ok = True
                 return True
             retries.append(f)

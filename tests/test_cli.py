@@ -54,6 +54,24 @@ class TestCorpusExitCodes:
         code, _, err = run(capsys, "unify", str(data_dir / "no_such.nom"))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), AssertionError("no decrease")])
+    @pytest.mark.parametrize(
+        "command, name, target",
+        [("alpha", "alpha_forall.nom", "check_alpha_fixp"), ("unify", "unify_abs.nom", "unify")],
+    )
+    def test_internal_error_exits_3(self, capsys, monkeypatch, data_dir, exc, command, name, target):
+        """An exception that is not an input error is nomfix's own fault: it
+        exits 3 with its type and message on stderr, never 1, which would
+        read as underivable or unsolvable."""
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run(capsys, command, str(data_dir / name))
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
 
 class TestJsonOutput:
     def test_unify_solution_structure(self, capsys, data_dir):
