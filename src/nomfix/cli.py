@@ -50,9 +50,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="problem file, or - for stdin")
+    def common(p):
+        p.add_argument("file", help="problem file, or - for stdin")
         p.add_argument("--json", action="store_true", help="report in JSON")
         p.add_argument(
             "--trace",
@@ -80,7 +79,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     cu.add_argument("--dedup", action="store_true", help="drop equivalent solutions")
     common(sub.add_parser("translate", help="translate the context section"))
-    common(sub.add_parser("selfcheck", help="run the built-in agreement suite"), needs_file=False)
+    sub.add_parser("selfcheck", help="run the built-in agreement suite").add_argument(
+        "--json", action="store_true", help="report in JSON"
+    )
     return ap
 
 
@@ -238,7 +239,7 @@ def _unify_command(args) -> int:
     gen = _gen_for(pf, args)
     pr = _initial_problem(pf, gen)
     if args.command == "unify":
-        res = unify(pr, sig=pf.signature if pf.signature.symbols else None, gen=gen)
+        res = unify(pr, sig=pf.signature, gen=gen)
         steps = [str(s) for s in res.steps] if args.trace else None
 
         def payload():

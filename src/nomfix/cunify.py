@@ -31,49 +31,40 @@ def tree_records(pr: Problem, leaves) -> Iterator[dict]:
     other record holds the step that led to it, the consumed constraint and
     either the produced constraints or the binding.  A leaf adds its
     outcome, "success" or the failure kind, and a success its solution.
-    The search visits the last child first, so the leaves meet a node's
-    children in reverse expansion order, the order the stack below wants.
-    Each record is built when it is asked for and not kept here, and a
-    node's entry in the child index goes once its children are stacked."""
-    below: dict[int, list] = {}  # id(path) -> child paths, last child first
-    ends = {}
-    for path, failure, solution in leaves:
-        ends[id(path)] = failure, solution
-        while path is not None:
-            parent = path[1]
-            known = id(parent) in below
-            below.setdefault(id(parent), []).append(path)
-            if known:
-                break
-            path = parent
+    The search visits the last child first, so its leaves, read in reverse,
+    come in pre-order: each leaf's path adds the nodes below the deepest one
+    already written, top down.  Each record is built when it is asked for
+    and not kept here."""
+    ids: dict[int, int] = {}  # id(path) -> its record's id
     said: dict[int, str] = {}  # id(constraint) -> its text: a step consumes what an earlier one produced
 
     def text(c) -> str:
         return said.get(id(c)) or said.setdefault(id(c), str(c))
 
-    stack = [(None, None)]
-    n = 0
-    while stack:
-        path, parent = stack.pop()
-        if path is None:
-            rec = {"id": n, "parent": None, "rule": None, "problem": list(map(text, pr))}
-        else:
-            step = path[0]
-            rec = {"id": n, "parent": parent, "rule": step.rule, "consumed": text(step.consumed)}
-            if step.binding is None:
-                rec["produced"] = list(map(text, step.produced))
+    for leaf, failure, solution in reversed(leaves):
+        new, path = [], leaf
+        while id(path) not in ids:
+            new.append(path)
+            if path is None:
+                break
+            path = path[1]
+        for path in reversed(new):
+            ids[id(path)] = n = len(ids)
+            if path is None:
+                rec = {"id": n, "parent": None, "rule": None, "problem": list(map(text, pr))}
             else:
-                x, t = step.binding
-                rec["binding"] = {"var": x.name, "term": print_term(t)}
-        end = ends.get(id(path))
-        if end is not None:
-            failure, solution = end
-            rec["outcome"] = "success" if failure is None else failure[0]
-            if solution is not None:
-                rec["solution"] = solution.key()
-        stack.extend((sub, n) for sub in below.pop(id(path), ()))
-        yield rec
-        n += 1
+                step = path[0]
+                rec = {"id": n, "parent": ids[id(path[1])], "rule": step.rule, "consumed": text(step.consumed)}
+                if step.binding is None:
+                    rec["produced"] = list(map(text, step.produced))
+                else:
+                    x, t = step.binding
+                    rec["binding"] = {"var": x.name, "term": print_term(t)}
+            if path is leaf:
+                rec["outcome"] = "success" if failure is None else failure[0]
+                if solution is not None:
+                    rec["solution"] = solution.key()
+            yield rec
 
 
 def tree_line(record: dict) -> str:

@@ -29,7 +29,7 @@ from .syntax import (
     Var,
     is_ground,
 )
-from .unify import Eq, Fix, Solution, problem_vars
+from .unify import Eq, Fix, Solution, is_more_general, problem_vars
 
 
 def ground_alpha_oracle(sig: Signature, s: Term, t: Term) -> bool:
@@ -188,8 +188,6 @@ def completeness_check(
 
     Returns (ground solutions found, ground solutions covered, missed ones).
     """
-    from .unify import is_more_general
-
     problem = tuple(problem)
     variables = sorted(problem_vars(problem))
     found = covered = 0

@@ -268,12 +268,6 @@ class Renaming:
         self.image: dict[Atom, Atom] = {}
         self.preimage: dict[Atom, Atom] = {}
 
-    def __call__(self, a: Atom) -> Atom:
-        return self.image.get(a, a)
-
-    def inverse(self, a: Atom) -> Atom:
-        return self.preimage.get(a, a)
-
     def swap(self, a: Atom, b: Atom) -> None:
         """rho := (a b) o rho: the atoms rho sent to a now go to b, and back."""
         image, preimage = self.image, self.preimage

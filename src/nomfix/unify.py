@@ -19,20 +19,21 @@ So a step pays for its rule and for the constraints it consumes and
 produces.  The memo fields start empty, so a constraint that never enters
 a search, as the checking commands' goals do not, builds no variable set.
 
-Given a signature, simplification splits in two at applications of
-commutative symbols; without one, it treats every function symbol as
-syntactic.  A step is chosen in three tiers, each on the lowest key it
-applies to: a rule that does not split, then an instantiation, then a
-split.  Only a split is a choice; the other steps may run in any order
-(Martelli and Montanari), so each runs once above the splits, not once in
-every branch.  A split's alternatives are derived once, when the first tier
-meets its constraint, so the branches below share its child constraints and
-their memos.  One depth-first search over these steps serves every solver:
-unify and match follow its single path, is_more_general and nomfix.cunify
-every branch.  It asserts the termination measure on every step and reads
-each solution off its leaf's path of steps.  The paths share their
-prefixes, and their union is the derivation tree, whose records
-nomfix.cunify reads off them only when it is asked for.
+Simplification splits in two at applications of the signature's
+commutative symbols; given none, unify and match take a permissive one,
+in which every function symbol is syntactic.  A step is chosen in three
+tiers, each on the lowest key it applies to: a rule that does not split,
+then an instantiation, then a split.  Only a split is a choice; the other
+steps may run in any order (Martelli and Montanari), so each runs once
+above the splits, not once in every branch.  A split's alternatives are
+derived once, when the first tier meets its constraint, so the branches
+below share its child constraints and their memos.  One depth-first
+search over these steps serves every solver: unify and match follow its
+single path, is_more_general and nomfix.cunify every branch.  It asserts
+the termination measure on every step and reads each solution off its
+leaf's path of steps.  The paths share their prefixes, and their union is
+the derivation tree, whose records nomfix.cunify reads off them only when
+it is asked for.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def _fixes(entries) -> list[Fix]:
     return [Fix(p, Susp(Permutation.identity(), y)) for p, y in entries]
 
 
-def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
+def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature):
     """Return (rule, [children]) where each child is a tuple of constraints,
     or None when no non-instantiating rule applies."""
     p, t = c.perm, c.target
@@ -328,7 +329,7 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
         return ("fix-atom", [()]) if p(a) is a else None
     if kind is App:
         arg = t.arg
-        if sig is not None and sig.theory(t.symbol) is Theory.C and is_pair(arg):
+        if sig.theory(t.symbol) is Theory.C and is_pair(arg):
             t0, t1 = arg.items
             return "fix-app-C", [
                 (Eq(act(p, t0), t0), Eq(act(p, t1), t1)),
@@ -348,7 +349,7 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature | None):
     raise TypeError(f"not a term: {t!r}")
 
 
-def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
+def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature):
     s, t = c.lhs, c.rhs
     kind = type(s)
     if kind is not type(t):
@@ -359,7 +360,7 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
         f, sarg, targ = s.symbol, s.arg, t.arg
         if f != t.symbol:
             return None
-        if sig is not None and sig.theory(f) is Theory.C and is_pair(sarg) and is_pair(targ):
+        if sig.theory(f) is Theory.C and is_pair(sarg) and is_pair(targ):
             s0, s1 = sarg.items
             t0, t1 = targ.items
             return "eq-app-C", [
@@ -385,7 +386,7 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature | None):
     raise TypeError(f"not a term: {s!r}")
 
 
-def _rule(c: Constraint, gen: NameGenerator, sig: Signature | None):
+def _rule(c: Constraint, gen: NameGenerator, sig: Signature):
     return _fix_rule(c, gen, sig) if isinstance(c, Fix) else _eq_rule(c, gen, sig)
 
 
@@ -414,21 +415,16 @@ def _apply(st: _State, k: int, c: Constraint, rule: str, children: list):
     return out
 
 
-def expand(
-    st: _State,
-    gen: NameGenerator,
-    sig: Signature | None = None,
-    rigid: frozenset = frozenset(),
-):
+def expand(st: _State, gen: NameGenerator, sig: Signature, rigid: frozenset = frozenset()):
     """One simplification step: a rule that does not branch, else an
     instantiation, else a commutative split, each on the lowest key.  The
     first tier keeps a split's alternatives on its constraint, and the
     split tier takes them from there.
 
     Returns a list of (child state, step) pairs: empty for a normal form,
-    one entry for deterministic rules, two for commutative branching, which
-    happens only when sig is given.  The last child is st itself, advanced
-    in place; an earlier one is a copy.
+    one entry for deterministic rules, two for a split on one of sig's
+    commutative symbols.  The last child is st itself, advanced in place;
+    an earlier one is a copy.
     """
     while st.todo:
         k = heappop(st.todo)
@@ -501,8 +497,9 @@ def extract_solution(pr: Problem, path) -> Solution:
     return Solution(FixpointContext(frozenset(pairs)), sigma)
 
 
-def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset):
-    """Depth-first search of the derivations of pr, last child first.
+def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):
+    """Depth-first search of the derivations of pr, last child first, so
+    the leaves, read in reverse, come in the tree's pre-order.
 
     Yields (normal form, path, failure, solution) for each leaf; path is the
     linked chain (step, parent path) back to the root, and failure is
@@ -524,14 +521,13 @@ def _search(pr: Problem, sig, gen: NameGenerator, rigid: frozenset):
             stack.append((child, (step, path)))
 
 
-def _derive(pr, sig: Signature | None, gen: NameGenerator | None, theories, rigid=frozenset()):
+def _derive(pr, sig: Signature, gen: NameGenerator | None, theories, rigid=frozenset()):
     """Check that pr uses only symbols of the given theories, then search
     it: returns the leaves."""
     pr = tuple(pr)
-    if sig is not None:
-        for c in pr:
-            for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,):
-                check_well_formed(sig, t, theories=theories)
+    for c in pr:
+        for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,):
+            check_well_formed(sig, t, theories=theories)
     if gen is None:
         gen = generator_avoiding(atoms_in(*pr))
     return _search(pr, sig, gen, rigid)
@@ -541,6 +537,7 @@ def unify(
     pr, sig: Signature | None = None, gen: NameGenerator | None = None, rigid: frozenset = frozenset()
 ) -> UnifyResult:
     """Solve a syntactic unification problem (a sequence of constraints)."""
+    sig = sig or Signature(permissive=True)
     ((nf, path, failure, solution),) = _derive(pr, sig, gen, (Theory.NONE,), rigid)
     steps = []
     while path is not None:

@@ -10,7 +10,7 @@ import random
 import sys
 from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nomfix import (
     Abs,
@@ -110,6 +110,12 @@ def backtracking(retries: list):
     return mock.patch.object(ALPHA, "_ac", functools.partial(backtracking_ac, retries=retries))
 
 
+# no deadline: the backtracking reference, not the greedy engine, takes
+# the time on some seeds.  On seed 320184 (not ground) the whole example
+# took 190-300 ms under python -X dev, 5-9 ms of it greedy, against
+# Hypothesis's 200 ms default (Python 3.11.7, 2-vCPU VM).
+@settings(deadline=None)
+@example(320184, False)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 def test_greedy_agrees_with_backtracking(seed, ground):
     rng = random.Random(seed)

@@ -205,6 +205,25 @@ class TestOptions:
         assert code == 0
         assert "eq-abs-rename" in out
 
+    def test_sig_file_declares_commutative_symbols(self, capsys, tmp_path):
+        problem, sig = tmp_path / "p.nom", tmp_path / "c.sig"
+        problem.write_text("+(X, Y) =? +(a, b)\n")
+        sig.write_text("sym + : C ;\n")
+        code, out, _ = run(capsys, "cunify", str(problem))
+        assert code == 0 and out.startswith("solved: 1 solution(s)\n")
+        code, out, _ = run(capsys, "cunify", str(problem), "--sig", str(sig))
+        assert code == 0 and out.startswith("solved: 2 solution(s)\n")
+
+    def test_missing_sig_file_rejected(self, capsys, tmp_path, data_dir):
+        code, out, err = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), "--sig", str(tmp_path / "none"))
+        assert code == 2 and err.startswith("error:") and not out
+
+    def test_sig_file_with_unknown_theory_rejected(self, capsys, tmp_path, data_dir):
+        sig = tmp_path / "q.sig"
+        sig.write_text("sym + : Q ;\n")
+        code, out, err = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), "--sig", str(sig))
+        assert code == 2 and "1:9: unknown theory 'Q'" in err and not out
+
 
 class TestOnlyTheChosenOutputIsBuilt:
     """Each mode builds only what it prints: --json no text lines, text
@@ -532,6 +551,12 @@ class TestStreamedTree:
 
 
 class TestSelfcheck:
+    def test_takes_json_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck", "--trace"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
     def test_passes_with_seeded_rng(self, capsys, monkeypatch):
         monkeypatch.setenv("NOMFIX_SEED", "7")
         code, out, _ = run(capsys, "selfcheck")

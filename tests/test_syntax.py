@@ -401,7 +401,7 @@ def test_renaming_composes_swappings_on_the_left(pairs, more):
     p = swaps(*reversed(pairs))
     assert rho.permutation() == p
     for x in FIVE:
-        assert rho(x) == p(x) and rho.inverse(x) == p.inverse()(x)
+        assert rho.image.get(x, x) == p(x) and rho.preimage.get(x, x) == p.inverse()(x)
     q = swaps(*more)
     # rho o q moves exactly the atoms where it differs from the identity
     assert rho.differ(Permutation.identity(), q) == p.compose(q).support()
