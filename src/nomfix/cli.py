@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (NomfixError, ValueError, OSError) as exc:
+    except (NomfixError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of nomfix, never read as a verdict
@@ -100,12 +100,12 @@ def main(argv=None) -> int:
 def _read_problem(args) -> ProblemFile:
     sig = Signature(permissive=True)
     if args.sig:
-        with open(args.sig) as fh:
+        with open(args.sig, encoding="utf-8") as fh:
             sig = parse_signature(fh.read(), sig)
     if args.file == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     return parse_problem_file(text, sig)
 
@@ -185,15 +185,15 @@ def _check_command(args) -> int:
     for c in pf.constraints:
         if args.command == "alpha":
             if not isinstance(c, Eq):
-                raise ValueError(f"'alpha' expects equations, found: {c}")
+                raise NomfixError(f"'alpha' expects equations, found: {c}")
             ok = check_alpha_fixp(pf.signature, fixp_ctx, c.lhs, c.rhs, gen=gen, trace=traces)
         elif args.command == "fresh":
             if not isinstance(c, FreshRequest):
-                raise ValueError(f"'fresh' expects freshness goals, found: {c}")
+                raise NomfixError(f"'fresh' expects freshness goals, found: {c}")
             ok = check_fresh(fresh_ctx, c.atom, c.term, trace=traces)
         else:
             if not isinstance(c, Fix):
-                raise ValueError(f"'fixp' expects fixed-point goals, found: {c}")
+                raise NomfixError(f"'fixp' expects fixed-point goals, found: {c}")
             ok = check_fixp(pf.signature, fixp_ctx, c.perm, c.target, gen=gen, trace=traces)
         verdicts.append((str(c), ok))
     all_ok = all(ok for _, ok in verdicts)
@@ -226,7 +226,7 @@ def _initial_problem(pf: ProblemFile, gen: NameGenerator):
     constraints = []
     for c in pf.constraints:
         if isinstance(c, FreshRequest):
-            raise ValueError("freshness goals are not unification constraints")
+            raise NomfixError("freshness goals are not unification constraints")
         constraints.append(c)
     _, ctx = _contexts(pf, gen)
     for p, x in ctx.entries():
@@ -278,7 +278,7 @@ def _translate_command(args) -> int:
         ctx = fixp_to_fresh(pf.fixp_context, records=records)
         kind, entries = "freshness", lambda ctx: [{"atom": a.name, "var": x.name} for a, x in ctx.entries()]
     else:
-        raise ValueError("no context section to translate")
+        raise NomfixError("no context section to translate")
     shown = records if args.trace else ()
 
     def payload():
@@ -294,7 +294,11 @@ def _translate_command(args) -> int:
 
 
 def _selfcheck_command(args) -> int:
-    seed = int(os.environ.get("NOMFIX_SEED", "0"))
+    seed = os.environ.get("NOMFIX_SEED", "0")
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise NomfixError(f"NOMFIX_SEED is not an integer: {seed!r}") from None
     rng = random.Random(seed)
     sig = Signature({"f": Theory.NONE, "+": Theory.C, "*": Theory.AC, "cat": Theory.A})
     a, b = Atom("a"), Atom("b")

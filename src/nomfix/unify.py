@@ -9,8 +9,10 @@ The search keeps each problem incrementally (Martelli and Montanari, TOPLAS
 1982): a worklist of the constraints no rule has been tried on, so a step
 finds the next reducible one without rescanning the stuck ones; an index
 from variables to constraints, so a binding rewrites only the constraints
-that mention its variable; and the termination measure's change, logged by
-each step.  A constraint's weight in the measure is read off its terms'
+that mention its variable, and whose size is the measure's variable count.
+The termination measure's decrease is checked from each step alone: the
+constraint it consumes, those it produces, and the variable count before
+and after.  A constraint's weight in the measure is read off its terms'
 sizes, which every term carries from its construction; each constraint
 memoises its variables, whether it is stuck and, if its rule splits, the
 split's alternatives.
@@ -186,15 +188,11 @@ def _weight(c: Constraint) -> int:
     return 0 if is_primitive(c) else term_size(c.target)
 
 
-def _descending(weights) -> tuple:
-    return tuple(sorted(weights, reverse=True))
-
-
 def problem_measure(pr: Problem):
     """Termination measure: number of distinct variables, then the multiset
     of term sizes of equations (the larger side) and of non-primitive
-    fixed-point constraints.  The search keeps it by delta (_State); this
-    computes it from scratch.
+    fixed-point constraints.  The search asserts its decrease from each
+    step (_step_decreases); this computes it from scratch.
 
     Instantiation removes a variable; every other rule replaces one weight by
     smaller ones.  That includes both branches of the commutative rules:
@@ -204,22 +202,19 @@ def problem_measure(pr: Problem):
     The multiset is encoded as a descending sequence compared lexicographically,
     which coincides with the multiset extension of < on naturals.
     """
-    return len(problem_vars(pr)), _descending(w for w in map(_weight, pr) if w)
+    return len(problem_vars(pr)), tuple(sorted((w for w in map(_weight, pr) if w), reverse=True))
 
 
-def measure_decreases(before, after) -> bool:
-    if after[0] < before[0]:
-        return True
-    if after[0] > before[0]:
-        return False
-    a, b = after[1], before[1]
-    # descending sequences: strict prefix is smaller, else first difference decides
-    if a == b:
-        return False
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return len(a) < len(b)
+def _step_decreases(step: SimplStep, before: int, after: int) -> bool:
+    """Whether step, which took the variable count from before to after,
+    lowers the measure.  An instantiation must remove a variable.  Any
+    other step must not add one, and at an equal count it replaces one
+    weight by others, so the multiset falls exactly when each of them is
+    below it."""
+    if step.binding is not None or after != before:
+        return after < before
+    w = _weight(step.consumed)
+    return w > 0 and all(_weight(c) < w for c in step.produced)
 
 
 class _State:
@@ -235,17 +230,15 @@ class _State:
     constraint is tried again and, if it splits, pushed again.
     occ indexes the keys by variable, so a binding rewrites only what
     mentions its variable, and its size is the measure's variable count.
-    A step logs its removed and added weights in gone and new.
     """
 
-    __slots__ = ("cons", "low", "todo", "inst", "split", "occ", "vars_before", "gone", "new")
+    __slots__ = ("cons", "low", "todo", "inst", "split", "occ")
 
     def __init__(self, pr: Problem):
         self.cons: dict[int, Constraint] = {}
         self.low = 0
         self.todo, self.inst, self.split = [], [], []
         self.occ: dict[Var, set[int]] = {}
-        self.vars_before, self.gone, self.new = 0, [], []
         for k, c in enumerate(pr):
             self._add(k, c)
 
@@ -253,45 +246,20 @@ class _State:
         other = object.__new__(_State)
         other.cons, other.low, other.occ = dict(self.cons), self.low, {x: set(keys) for x, keys in self.occ.items()}
         other.todo, other.inst, other.split = self.todo[:], self.inst[:], self.split[:]
-        other.vars_before, other.gone, other.new = self.vars_before, self.gone[:], self.new[:]
         return other
 
     def problem(self) -> Problem:
         return tuple(self.cons[k] for k in sorted(self.cons))
 
-    def step_measures(self):
-        """The measure before and after the last step, less the weights the
-        step left alone: the multiset order compares A + C with B + C as it
-        compares A with B."""
-        return (self.vars_before, _descending(self.gone)), (len(self.occ), _descending(self.new))
-
-    def decreased(self) -> bool:
-        """measure_decreases(*step_measures()); if one weight went, every new one must be below it."""
-        if len(self.occ) != self.vars_before:
-            return len(self.occ) < self.vars_before
-        if len(self.gone) == 1:
-            return not self.new or max(self.new) < self.gone[0]
-        return measure_decreases(*self.step_measures())
-
     def _add(self, k: int, c: Constraint) -> None:
         self.cons[k] = c
-        w = _weight(c)
-        if w:
-            self.new.append(w)
         for x in constraint_vars(c):
             self.occ.setdefault(x, set()).add(k)
         heappush(self.todo, k)
 
-    def consume(self, k: int) -> None:
-        """Start a step by removing the constraint under key k."""
-        self.vars_before, self.gone, self.new = len(self.occ), [], []
-        self._remove(k)
-
-    def _remove(self, k: int) -> Constraint:
+    def consume(self, k: int) -> Constraint:
+        """Remove and return the constraint under key k."""
         c = self.cons.pop(k)
-        w = _weight(c)
-        if w:
-            self.gone.append(w)
         for x in constraint_vars(c):
             keys = self.occ[x]
             keys.discard(k)
@@ -311,7 +279,7 @@ class _State:
             return
         theta = Substitution({x: t})
         for k in list(keys):
-            c = self._remove(k)
+            c = self.consume(k)
             self._add(k, Eq(theta(c.lhs), theta(c.rhs)) if isinstance(c, Eq) else Fix(c.perm, theta(c.target)))
 
 
@@ -331,10 +299,8 @@ def _fix_rule(c: Fix, gen: NameGenerator, sig: Signature):
         arg = t.arg
         if sig.theory(t.symbol) is Theory.C and is_pair(arg):
             t0, t1 = arg.items
-            return "fix-app-C", [
-                (Eq(act(p, t0), t0), Eq(act(p, t1), t1)),
-                (Eq(act(p, t0), t1), Eq(act(p, t1), t0)),
-            ]
+            p0, p1 = act(p, t0), act(p, t1)
+            return "fix-app-C", [(Eq(p0, t0), Eq(p1, t1)), (Eq(p0, t1), Eq(p1, t0))]
         return "fix-app", [(Fix(p, arg),)]
     if kind is Tup:
         return "fix-tuple", [tuple(Fix(p, s) for s in t.items)]
@@ -504,20 +470,21 @@ def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):
     Yields (normal form, path, failure, solution) for each leaf; path is the
     linked chain (step, parent path) back to the root, and failure is
     classify_normal_form's answer.  Each step's decrease of the measure is
-    asserted from the step's delta.  The search builds a problem only at a
-    leaf; the chains share their prefixes and together are the derivation
-    tree, which nomfix.cunify reads on demand.
+    asserted from the step and the variable counts around it.  The search
+    builds a problem only at a leaf; the chains share their prefixes and
+    together are the derivation tree, which nomfix.cunify reads on demand.
     """
     stack = [(_State(pr), None)]
     while stack:
         st, path = stack.pop()
+        var_count = len(st.occ)
         children = expand(st, gen, sig, rigid)
         if not children:
             nf = st.problem()
             failure = classify_normal_form(nf, rigid)
             yield nf, path, failure, None if failure else extract_solution(nf, path)
         for child, step in children:
-            assert child.decreased(), str(step)
+            assert _step_decreases(step, var_count, len(child.occ)), str(step)
             stack.append((child, (step, path)))
 
 

@@ -2,7 +2,9 @@ import errno
 import io
 import json
 import os
+import pathlib
 import re
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
@@ -54,7 +56,20 @@ class TestCorpusExitCodes:
         code, _, err = run(capsys, "unify", str(data_dir / "no_such.nom"))
         assert code == 2 and "error:" in err
 
-    @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), AssertionError("no decrease")])
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.nom"
+        path.write_bytes("a =? a // caf\xe9\n".encode("latin-1"))
+        code, out, err = run(capsys, "alpha", str(path))
+        assert code == 2 and err.startswith("error:") and not out
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RecursionError("maximum recursion depth exceeded"),
+            AssertionError("no decrease"),
+            ValueError("not enough values to unpack (expected 2, got 3)"),
+        ],
+    )
     @pytest.mark.parametrize(
         "command, name, target",
         [("alpha", "alpha_forall.nom", "check_alpha_fixp"), ("unify", "unify_abs.nom", "unify")],
@@ -223,6 +238,20 @@ class TestOptions:
         sig.write_text("sym + : Q ;\n")
         code, out, err = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), "--sig", str(sig))
         assert code == 2 and "1:9: unknown theory 'Q'" in err and not out
+
+    def test_files_are_read_as_utf8(self, tmp_path):
+        # a problem file and a --sig file are UTF-8 under any locale: a read
+        # in the locale's encoding warns under warn_default_encoding, and
+        # -W error makes the warning an internal error
+        problem, sig = tmp_path / "p.nom", tmp_path / "c.sig"
+        problem.write_text("// \u00e7a commute\n+(a, b) =?\u00a0+(b, a)\n", encoding="utf-8")
+        sig.write_text("// d\u00e9clar\u00e9\nsym + : C ;\n", encoding="utf-8")
+        argv = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "nomfix.cli", "alpha"]
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, *argv, str(problem), "--sig", str(sig)], capture_output=True, encoding="utf-8", env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "+(a, b) =? +(b, a) : derivable\n", "")
 
 
 class TestOnlyTheChosenOutputIsBuilt:
@@ -562,6 +591,11 @@ class TestSelfcheck:
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
         assert "0 disagreements" in out
+
+    def test_non_integer_seed_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("NOMFIX_SEED", "x")
+        code, out, err = run(capsys, "selfcheck")
+        assert code == 2 and err == "error: NOMFIX_SEED is not an integer: 'x'\n" and not out
 
     def test_unverified_unifier_fails(self, capsys, monkeypatch):
         monkeypatch.setattr("nomfix.cli.verify_solution", lambda *args: False)

@@ -33,7 +33,7 @@ from nomfix import (
     verify_solution,
 )
 from nomfix.cli import main
-from nomfix.unify import Solution, measure_decreases, problem_measure
+from nomfix.unify import Solution, SimplStep, problem_measure
 from certificate import check_tree, search_order, solve, texts
 from gen import SIG_C, SIG_PLAIN, random_perm, random_term
 
@@ -129,6 +129,15 @@ class TestOutcomes:
         constrained = {x for _, x in res.solution.context.constraints}
         assert X in constrained
 
+    def test_fix_app_c_acts_each_argument_once(self):
+        # both alternatives share the moved arguments: (a b).f(a) and (a b).c
+        sig = Signature({"+": Theory.C})
+        c = parse_constraint("(a b) fix? +(f(a), c)", sig)
+        rule, (left, right) = UNIFY._fix_rule(c, None, sig)
+        assert rule == "fix-app-C"
+        assert [print_term(e.lhs) for e in left] == ["f(b)", "c"]
+        assert left[0].lhs is right[0].lhs and left[1].lhs is right[1].lhs
+
     def test_abstraction_same_binder(self):
         res = unify((parse_constraint("[a] X =? [a] f(b)"),))
         assert res.solved
@@ -161,8 +170,8 @@ class TestMeasure:
 
     @pytest.fixture
     def constant_measure(self, monkeypatch):
-        # the search keeps the measure from each constraint's variables and
-        # weight; with none of either it is (0, ()) at every node
+        # the search checks each step from its constraints' variables and
+        # weights; with none of either, the measure is (0, ()) at every node
         assert __debug__
         monkeypatch.setattr(UNIFY, "constraint_vars", lambda c: frozenset())
         monkeypatch.setattr(UNIFY, "_weight", lambda c: 0)
@@ -183,11 +192,13 @@ class TestMeasure:
             is_more_general(gen, inst, [X])
 
     def test_multiset_ordering(self):
-        assert measure_decreases((1, (3,)), (1, (2, 2, 2)))
-        assert measure_decreases((1, (2, 1)), (1, (2,)))
-        assert measure_decreases((2, (1,)), (1, (9, 9)))
-        assert not measure_decreases((1, (2,)), (1, (2,)))
-        assert not measure_decreases((1, (2,)), (1, (3,)))
+        # the measure is compared as a tuple: a descending sequence is the
+        # multiset, and a strict prefix is smaller
+        assert (1, (2, 2, 2)) < (1, (3,))
+        assert (1, (2,)) < (1, (2, 1))
+        assert (1, (9, 9)) < (2, (1,))
+        assert not (1, (2,)) < (1, (2,))
+        assert not (1, (3,)) < (1, (2,))
 
 
 def random_problem(rng, sig):
@@ -211,18 +222,23 @@ def chain(n, forward=True):
     return tuple(Eq(xs[i + 1], App("f", Tup((xs[i], a)))) for i in range(n))
 
 
+def weighing(w):
+    """A constraint of weight w: f^(w-1)(a) =? f^(w-1)(a), or a primitive
+    fixed-point constraint for 0."""
+    if not w:
+        return Fix(parse_perm("(a b)"), Susp(idp, X))
+    t = parse_term("a")
+    for _ in range(w - 1):
+        t = App("f", t)
+    return Eq(t, t)
+
+
 class TestIncrementalState:
-    """The search keeps each problem as it goes: a worklist, a variable index
-    and the measure's change, logged by each step."""
+    """The search keeps each problem as it goes, in a worklist and a variable
+    index, and checks each step's decrease of the measure from the step."""
 
     @staticmethod
-    def kept_measure(state):
-        # the measure read off the variable index and the memoised weights
-        weights = (w for w in map(UNIFY._weight, state.cons.values()) if w)
-        return len(state.occ), tuple(sorted(weights, reverse=True))
-
-    @classmethod
-    def check_every_node(cls, mp):
+    def check_every_node(mp):
         # wraps expand, which the search calls once at every node; returns
         # the problems it reached, in search order
         seen = []
@@ -231,15 +247,13 @@ class TestIncrementalState:
         def checked(state, *args):
             pr = state.problem()
             before = problem_measure(pr)
-            assert cls.kept_measure(state) == before
+            assert len(state.occ) == before[0]
             seen.append(pr)
             children = expand(state, *args)
-            for child, _ in children:
+            for child, step in children:
                 after = problem_measure(child.problem())
-                assert cls.kept_measure(child) == after
-                decreases = measure_decreases(*child.step_measures())
-                assert decreases == measure_decreases(before, after)
-                assert child.decreased() == decreases
+                assert len(child.occ) == after[0]
+                assert UNIFY._step_decreases(step, before[0], after[0]) == (after < before)
             return children
 
         mp.setattr(UNIFY, "expand", checked)
@@ -275,19 +289,24 @@ class TestIncrementalState:
             problems = check_tree(SIG_C, cpr, cres.tree)
             assert [texts(problems[i]) for i in search_order(cres.tree)] == [texts(p) for p in seen]
 
-    @given(
-        st.integers(0, 3),
-        st.lists(st.integers(1, 5), max_size=4),
-        st.integers(0, 3),
-        st.lists(st.integers(1, 5), max_size=4),
-    )
-    def test_step_check_is_the_multiset_order(self, vars_before, gone, vars_after, new):
-        # decreased() skips the sort when one weight went; it must decide
-        # as measure_decreases does on the sorted step measures
-        state = UNIFY._State(())
-        state.vars_before, state.gone, state.new = vars_before, gone, new
-        state.occ = {Var(f"V{i}"): {i} for i in range(vars_after)}
-        assert state.decreased() == measure_decreases(*state.step_measures())
+    @given(st.integers(0, 5), st.lists(st.integers(0, 5), max_size=4), st.integers(0, 3), st.integers(0, 3))
+    def test_step_check_is_the_multiset_order(self, consumed, produced, count_before, count_after):
+        # the check compares one consumed weight with the produced ones; it
+        # must decide as the tuple order does on the measures of the step's
+        # constraints, the weights it leaves alone cancelling out
+        step = SimplStep("rule", weighing(consumed), tuple(map(weighing, produced)))
+        assert [UNIFY._weight(c) for c in (step.consumed, *step.produced)] == [consumed, *produced]
+        after = count_after, problem_measure(step.produced)[1]
+        before = count_before, problem_measure((step.consumed,))[1]
+        assert UNIFY._step_decreases(step, count_before, count_after) == (after < before)
+
+    def test_instantiation_must_remove_a_variable(self):
+        # an instantiation adds no constraint and removes its variable; one
+        # that left the count as it was is rejected, whatever it consumed
+        step = SimplStep("eq-inst1", parse_constraint("X =? f(a)"), (), (X, parse_term("f(a)")))
+        assert UNIFY._step_decreases(step, 1, 0)
+        assert not UNIFY._step_decreases(step, 1, 1)
+        assert not UNIFY._step_decreases(step, 1, 2)
 
     @pytest.mark.parametrize("forward", [True, False])
     def test_chain_work_grows_linearly(self, monkeypatch, forward):
