@@ -25,6 +25,7 @@ from .oracle import TermPool, enumerate_terms, ground_alpha_oracle, verify_solut
 from .parser import FreshRequest, ProblemFile, parse_problem_file, parse_signature
 from .printer import print_perm, print_records, print_term
 from .syntax import (
+    GENERATED_PREFIX,
     Atom,
     FixpointContext,
     FreshnessContext,
@@ -50,7 +51,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("file", help="problem file, or - for stdin")
         p.add_argument("--json", action="store_true", help="report in JSON")
         p.add_argument(
@@ -59,36 +61,34 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             help="include the derivation: one line, or with --json one record, per judgement or step",
         )
         p.add_argument("--sig", metavar="FILE", help="extra signature file")
-        p.add_argument(
-            "--fresh-prefix",
-            default="#c",
-            metavar="S",
-            help="prefix for generated atom names",
-        )
+        p.add_argument("--fresh-prefix", default=GENERATED_PREFIX, metavar="S", help="prefix for generated atom names")
 
-    common(sub.add_parser("alpha", help="check equivalence constraints"))
-    common(sub.add_parser("fresh", help="check freshness constraints"))
-    common(sub.add_parser("fixp", help="check fixed-point constraints"))
-    common(sub.add_parser("unify", help="solve a syntactic unification problem"))
+    common(sub.add_parser("alpha", help="check equivalence constraints"), _alpha_command)
+    common(sub.add_parser("fresh", help="check freshness constraints"), _fresh_command)
+    common(sub.add_parser("fixp", help="check fixed-point constraints"), _fixp_command)
+    common(sub.add_parser("unify", help="solve a syntactic unification problem"), _unify_command)
     cu = sub.add_parser("cunify", help="solve modulo commutative symbols")
-    common(cu)
+    common(cu, _cunify_command)
     cu.add_argument(
         "--tree",
         action="store_true",
         help="include the derivation tree: the problem, then one line, or with --json one record, per step",
     )
     cu.add_argument("--dedup", action="store_true", help="drop equivalent solutions")
-    common(sub.add_parser("translate", help="translate the context section"))
-    sub.add_parser("selfcheck", help="run the built-in agreement suite").add_argument(
-        "--json", action="store_true", help="report in JSON"
-    )
+    common(sub.add_parser("translate", help="translate the context section"), _translate_command)
+    sc = sub.add_parser("selfcheck", help="run the built-in agreement suite")
+    sc.set_defaults(run=_selfcheck_command)
+    sc.add_argument("--json", action="store_true", help="report in JSON")
     return ap
 
 
 def main(argv=None) -> int:
+    """Run the command argv names, and write the (exit code, payload, lines) it returns."""
     args = _build_arg_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code, payload, lines = args.run(args)
+        _emit(args, payload, lines)
+        return code
     except (NomfixError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -97,7 +97,8 @@ def main(argv=None) -> int:
         return 3
 
 
-def _read_problem(args) -> ProblemFile:
+def _read_problem(args) -> tuple[ProblemFile, NameGenerator]:
+    """The problem file, and a generator of atoms new for it."""
     sig = Signature(permissive=True)
     if args.sig:
         with open(args.sig, encoding="utf-8") as fh:
@@ -107,20 +108,16 @@ def _read_problem(args) -> ProblemFile:
     else:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    return parse_problem_file(text, sig)
+    pf = parse_problem_file(text, sig)
+    parts = pf.constraints if pf.context is None else [*pf.constraints, pf.context]
+    return pf, generator_avoiding(atoms_in(*parts), prefix=args.fresh_prefix)
 
 
-def _gen_for(pf: ProblemFile, args) -> NameGenerator:
-    contexts = [ctx for ctx in (pf.fresh_context, pf.fixp_context) if ctx is not None]
-    return generator_avoiding(atoms_in(*pf.constraints, *contexts), prefix=args.fresh_prefix)
-
-
-def _contexts(pf: ProblemFile, gen: NameGenerator):
-    """The problem's context in both presentations."""
-    if pf.fresh_context is not None:
-        return pf.fresh_context, fresh_to_fixp(pf.fresh_context, gen)
-    fixp = pf.fixp_context or FixpointContext()
-    return fixp_to_fresh(fixp), fixp
+def _fixpoint_context(pf: ProblemFile, gen: NameGenerator) -> FixpointContext:
+    """The file's context as fixed points: a freshness entry takes a new atom from gen."""
+    if isinstance(pf.context, FreshnessContext):
+        return fresh_to_fixp(pf.context, gen)
+    return pf.context or FixpointContext()
 
 
 def _emit(args, payload, lines) -> None:
@@ -176,36 +173,44 @@ def _json(v, pad: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
 
 
-def _check_command(args) -> int:
-    pf = _read_problem(args)
-    gen = _gen_for(pf, args)
-    fresh_ctx, fixp_ctx = _contexts(pf, gen)
+def _alpha_command(args):
+    pf, gen = _read_problem(args)
+    ctx = _fixpoint_context(pf, gen)
+    return _check_goals(args, pf.constraints, Eq, "equations",
+                        lambda c, trace: check_alpha_fixp(pf.signature, ctx, c.lhs, c.rhs, gen=gen, trace=trace))
+
+
+def _fresh_command(args):
+    pf, _ = _read_problem(args)
+    ctx = fixp_to_fresh(pf.context) if isinstance(pf.context, FixpointContext) else pf.context or FreshnessContext()
+    return _check_goals(args, pf.constraints, FreshRequest, "freshness goals",
+                        lambda c, trace: check_fresh(ctx, c.atom, c.term, trace=trace))
+
+
+def _fixp_command(args):
+    pf, gen = _read_problem(args)
+    ctx = _fixpoint_context(pf, gen)
+    return _check_goals(args, pf.constraints, Fix, "fixed-point goals",
+                        lambda c, trace: check_fixp(pf.signature, ctx, c.perm, c.target, gen=gen, trace=trace))
+
+
+def _check_goals(args, goals, kind, noun: str, check):
+    """Decide each goal, of type kind, with check(goal, trace)."""
     verdicts = []
     traces = [] if args.trace else None
-    for c in pf.constraints:
-        if args.command == "alpha":
-            if not isinstance(c, Eq):
-                raise NomfixError(f"'alpha' expects equations, found: {c}")
-            ok = check_alpha_fixp(pf.signature, fixp_ctx, c.lhs, c.rhs, gen=gen, trace=traces)
-        elif args.command == "fresh":
-            if not isinstance(c, FreshRequest):
-                raise NomfixError(f"'fresh' expects freshness goals, found: {c}")
-            ok = check_fresh(fresh_ctx, c.atom, c.term, trace=traces)
-        else:
-            if not isinstance(c, Fix):
-                raise NomfixError(f"'fixp' expects fixed-point goals, found: {c}")
-            ok = check_fixp(pf.signature, fixp_ctx, c.perm, c.target, gen=gen, trace=traces)
-        verdicts.append((str(c), ok))
+    for c in goals:
+        if not isinstance(c, kind):
+            raise NomfixError(f"'{args.command}' expects {noun}, found: {c}")
+        verdicts.append((str(c), check(c, traces)))
     all_ok = all(ok for _, ok in verdicts)
     trace = {} if traces is None else {"trace": map(TraceNode.record, traces)}
-    _emit(
-        args,
+    return (
+        0 if all_ok else 1,
         lambda: {"command": args.command, "derivable": all_ok,
                  "results": [{"constraint": c, "derivable": ok} for c, ok in verdicts], **trace},
         lambda: chain((f"{c} : {'derivable' if ok else 'underivable'}" for c, ok in verdicts),
                       print_records(trace.get("trace", ()), trace_line)),
     )
-    return 0 if all_ok else 1
 
 
 def _fixp_entries(ctx: FixpointContext) -> list[dict]:
@@ -222,60 +227,55 @@ def _solution_payload(sol: Solution) -> dict:
     }
 
 
-def _initial_problem(pf: ProblemFile, gen: NameGenerator):
-    constraints = []
-    for c in pf.constraints:
-        if isinstance(c, FreshRequest):
-            raise NomfixError("freshness goals are not unification constraints")
-        constraints.append(c)
-    _, ctx = _contexts(pf, gen)
-    for p, x in ctx.entries():
-        constraints.append(Fix(p, Susp(Permutation.identity(), x)))
-    return tuple(constraints)
+def _initial_problem(pf: ProblemFile, gen: NameGenerator) -> tuple:
+    """The file's constraints, then its context as fixed-point constraints."""
+    if any(isinstance(c, FreshRequest) for c in pf.constraints):
+        raise NomfixError("freshness goals are not unification constraints")
+    entries = _fixpoint_context(pf, gen).entries()
+    return (*pf.constraints, *(Fix(p, Susp(Permutation.identity(), x)) for p, x in entries))
 
 
-def _unify_command(args) -> int:
-    pf = _read_problem(args)
-    gen = _gen_for(pf, args)
-    pr = _initial_problem(pf, gen)
-    if args.command == "unify":
-        res = unify(pr, sig=pf.signature, gen=gen)
-        steps = [str(s) for s in res.steps] if args.trace else None
+def _unify_command(args):
+    pf, gen = _read_problem(args)
+    res = unify(_initial_problem(pf, gen), sig=pf.signature, gen=gen)
+    steps = [str(s) for s in res.steps] if args.trace else None
 
-        def payload():
-            if res.solved:
-                out = {"status": "solved", **_solution_payload(res.solution)}
-            else:
-                out = {"status": "unsolvable", "witness": {"constraint": str(res.witness), "kind": res.witness_kind}}
-            return out if steps is None else {**out, "trace": steps}
+    def payload():
+        if res.solved:
+            out = {"status": "solved", **_solution_payload(res.solution)}
+        else:
+            out = {"status": "unsolvable", "witness": {"constraint": str(res.witness), "kind": res.witness_kind}}
+        return out if steps is None else {**out, "trace": steps}
 
-        def lines():
-            head = f"solved: {res.solution}" if res.solved else f"unsolvable ({res.witness_kind}): {res.witness}"
-            return [head] + ["  " + s for s in steps or ()]
+    def lines():
+        head = f"solved: {res.solution}" if res.solved else f"unsolvable ({res.witness_kind}): {res.witness}"
+        return [head] + ["  " + s for s in steps or ()]
 
-        _emit(args, payload, lines)
-        return 0 if res.solved else 1
-    res = c_unify(pr, pf.signature, gen=gen, dedup=args.dedup)
-    tree = {"tree": tree_records(res.problem, res.outcomes)} if getattr(args, "tree", False) else {}
-    _emit(
-        args,
+    return 0 if res.solved else 1, payload, lines
+
+
+def _cunify_command(args):
+    """--trace is accepted and ignored: the derivation is --tree."""
+    pf, gen = _read_problem(args)
+    res = c_unify(_initial_problem(pf, gen), pf.signature, gen=gen, dedup=args.dedup)
+    tree = {"tree": tree_records(res.problem, res.outcomes)} if args.tree else {}
+    return (
+        0 if res.solved else 1,
         lambda: {"status": res.status, "solutions": map(_solution_payload, res.solutions),
                  "leaves": res.leaves, **tree},
         lambda: chain([f"{res.status}: {len(res.solutions)} solution(s)"], (f"  {s}" for s in res.solutions),
                       print_records(tree.get("tree", ()), tree_line)),
     )
-    return 0 if res.solved else 1
 
 
-def _translate_command(args) -> int:
-    pf = _read_problem(args)
-    gen = _gen_for(pf, args)
+def _translate_command(args):
+    pf, gen = _read_problem(args)
     records = []
-    if pf.fresh_context is not None:
-        ctx = fresh_to_fixp(pf.fresh_context, gen, records=records)
+    if isinstance(pf.context, FreshnessContext):
+        ctx = fresh_to_fixp(pf.context, gen, records=records)
         kind, entries = "fixpoint", _fixp_entries
-    elif pf.fixp_context is not None:
-        ctx = fixp_to_fresh(pf.fixp_context, records=records)
+    elif pf.context is not None:
+        ctx = fixp_to_fresh(pf.context, records=records)
         kind, entries = "freshness", lambda ctx: [{"atom": a.name, "var": x.name} for a, x in ctx.entries()]
     else:
         raise NomfixError("no context section to translate")
@@ -289,11 +289,10 @@ def _translate_command(args) -> int:
             ]
         return out
 
-    _emit(args, payload, lambda: chain([str(ctx)], (f"  {r.source}  =>  {r.target}" for r in shown)))
-    return 0
+    return 0, payload, lambda: chain([str(ctx)], (f"  {r.source}  =>  {r.target}" for r in shown))
 
 
-def _selfcheck_command(args) -> int:
+def _selfcheck_command(args):
     seed = os.environ.get("NOMFIX_SEED", "0")
     try:
         seed = int(seed)
@@ -338,19 +337,9 @@ def _selfcheck_command(args) -> int:
         "unverified": unverified,
         "ok": ok,
     }
-    _emit(args, lambda: payload, lambda: [f"checked {checked} pairs, {disagreements} disagreements, {verified} "
-                                          f"solutions verified, {unverified} unverified: {'ok' if ok else 'FAILED'}"])
-    return 0 if ok else 1
-
-
-def _dispatch(args) -> int:
-    if args.command in ("alpha", "fresh", "fixp"):
-        return _check_command(args)
-    if args.command in ("unify", "cunify"):
-        return _unify_command(args)
-    if args.command == "translate":
-        return _translate_command(args)
-    return _selfcheck_command(args)
+    return 0 if ok else 1, lambda: payload, lambda: [f"checked {checked} pairs, {disagreements} disagreements, "
+                                                     f"{verified} solutions verified, {unverified} unverified: "
+                                                     f"{'ok' if ok else 'FAILED'}"]
 
 
 if __name__ == "__main__":

@@ -75,8 +75,7 @@ class FreshRequest:
 @dataclass
 class ProblemFile:
     signature: Signature
-    fresh_context: FreshnessContext | None
-    fixp_context: FixpointContext | None
+    context: FreshnessContext | FixpointContext | None
     constraints: list  # Eq | Fix | FreshRequest
 
 
@@ -282,9 +281,7 @@ class _Parser:
         self.expect(";")
         if fresh_pairs and fixp_pairs:
             self.fail("a context must be all 'fresh' or all 'fix' entries")
-        if fixp_pairs:
-            return None, FixpointContext(frozenset(fixp_pairs))
-        return FreshnessContext(frozenset(fresh_pairs)), None
+        return FixpointContext(frozenset(fixp_pairs)) if fixp_pairs else FreshnessContext(frozenset(fresh_pairs))
 
     def signature_decls(self) -> Signature:
         while self.accept("sym"):
@@ -295,23 +292,25 @@ class _Parser:
                 theory = Theory(tok if tok in ("A", "C", "AC") else tok.lower())
             except ValueError:
                 raise _error(self.text, self.pos - 1, f"unknown theory {tok!r}") from None
+            if self.sig.symbols.get(name, theory) is not theory:
+                self.fail(f"symbol {name} declared {self.sig.symbols[name].value}, then {theory.value}", self.pos - 1)
             self.sig.declare(name, theory)
             self.expect(";")
         return self.sig
 
     def problem_file(self) -> ProblemFile:
         self.signature_decls()
-        fresh_ctx = fixp_ctx = None
+        context = None
         if self.accept("context"):
             self.expect(":")
-            fresh_ctx, fixp_ctx = self.context_section()
+            context = self.context_section()
         constraints = []
         if self.tokens[self.pos]:
             constraints.append(self.constraint())
             while self.accept(","):
                 constraints.append(self.constraint())
             self.accept(";")
-        return ProblemFile(self.sig, fresh_ctx, fixp_ctx, constraints)
+        return ProblemFile(self.sig, context, constraints)
 
 
 def _parse(text: str, sig: Signature | None, rule):

@@ -685,8 +685,9 @@ class Substitution:
         return all(self(var(x.name)) == other(var(x.name)) for x in dom)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{x} -> {t}" for x, t in sorted(self.bindings.items(), key=lambda kv: kv[0]))
-        return "{" + inner + "}"
+        from .printer import print_subst
+
+        return print_subst(self)
 
 
 class NameGenerator:

@@ -225,9 +225,9 @@ class _State:
     rewrites a constraint under its own key.  Three heaps of keys find the
     next step: todo holds the constraints no rule has been tried on here,
     inst the stuck equations, which may instantiate a variable, and split
-    the constraints whose rule splits.  Entries go stale when their
-    constraint is consumed or rewritten; expand skips them, and a rewritten
-    constraint is tried again and, if it splits, pushed again.
+    the constraints whose rule splits.  Entries of inst and split go stale
+    when their constraint is consumed or rewritten; expand skips them, and a
+    rewritten constraint is tried again and, if it splits, pushed again.
     occ indexes the keys by variable, so a binding rewrites only what
     mentions its variable, and its size is the measure's variable count.
     """
@@ -394,9 +394,7 @@ def expand(st: _State, gen: NameGenerator, sig: Signature, rigid: frozenset = fr
     """
     while st.todo:
         k = heappop(st.todo)
-        c = st.cons.get(k)
-        if c is None:
-            continue
+        c = st.cons[k]
         got = None if c._tried == () else _rule(c, gen, sig)
         if got is None:
             object.__setattr__(c, "_tried", ())

@@ -239,6 +239,22 @@ class TestOptions:
         code, out, err = run(capsys, "cunify", str(data_dir / "cunify_two_mgu.nom"), "--sig", str(sig))
         assert code == 2 and "1:9: unknown theory 'Q'" in err and not out
 
+    @pytest.mark.parametrize("sig_text", [None, "sym f : C ;\n"], ids=["one-file", "sig-file"])
+    def test_symbol_redeclared_with_another_theory_rejected(self, capsys, tmp_path, sig_text):
+        problem = tmp_path / "p.nom"
+        problem.write_text(("sym f : C ;\n" if sig_text is None else "") + "sym f : A ;\nf(a, b) =? f(b, a)\n")
+        sig = tmp_path / "c.sig"
+        sig.write_text(sig_text or "")
+        code, out, err = run(capsys, "alpha", str(problem), "--sig", str(sig))
+        assert (code, out, err) == (2, "", f"error: {1 if sig_text else 2}:9: symbol f declared C, then A\n")
+
+    def test_symbol_redeclared_with_the_same_theory_accepted(self, capsys, tmp_path):
+        problem, sig = tmp_path / "p.nom", tmp_path / "c.sig"
+        problem.write_text("sym f : C ;\nsym f : C ;\nf(a, b) =? f(b, a)\n")
+        sig.write_text("sym f : C ;\n")
+        for extra in ([], ["--sig", str(sig)]):
+            assert run(capsys, "alpha", str(problem), *extra) == (0, "f(a, b) =? f(b, a) : derivable\n", "")
+
     def test_files_are_read_as_utf8(self, tmp_path):
         # a problem file and a --sig file are UTF-8 under any locale: a read
         # in the locale's encoding warns under warn_default_encoding, and
@@ -300,6 +316,30 @@ class TestOnlyTheChosenOutputIsBuilt:
             m.setattr(FixpointContext, "__str__", unprinted)
             code, out, _ = run(capsys, "translate", path, "--json", *trace)
         assert code == 0 and json.loads(out)["kind"] == "fixpoint"
+
+
+class TestOnlyTheUsedContextIsBuilt:
+    """A command translates the file's context only into the presentation
+    its engine reads: fresh reads a freshness context, the others fixed
+    points."""
+
+    @pytest.mark.parametrize("command,text,unused", [
+        ("fresh", "context: c fresh X ; a fresh? (a c).X", "fresh_to_fixp"),
+        ("alpha", "context: (a b) fix X ; [a] (X, a) =? [b] (X, b)", "fixp_to_fresh"),
+        ("fixp", "context: (a c) fix X ; (a b) fix? (b c).X", "fixp_to_fresh"),
+        ("unify", "context: (a b) fix X ; [a] (X, a) =? [b] (Y, b)", "fixp_to_fresh"),
+        ("cunify", "sym + : C ;\ncontext: (a b) fix X ; +(X, a) =? +(c, Y)", "fixp_to_fresh"),
+    ], ids=["fresh", "alpha", "fixp", "unify", "cunify"])
+    def test_answers_without_the_other_translation(self, capsys, monkeypatch, tmp_path, command, text, unused):
+        def untranslated(*_, **__):
+            raise AssertionError(f"built a context with {unused} that is not read")
+
+        path = tmp_path / "p.nom"
+        path.write_text(text)
+        want = run(capsys, command, str(path), "--json", "--trace")
+        assert want[0] == 0, want
+        monkeypatch.setattr(cli, unused, untranslated)
+        assert run(capsys, command, str(path), "--json", "--trace") == want
 
 
 class TestPrintedAnswersReadBack:
@@ -525,6 +565,24 @@ class TestClosedPipe:
             os.close(r)
             os.close(w)
         assert capsys.readouterr().err == ""
+
+
+class FullDisk:
+    """A stdout on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_failed_write_to_stdout_exits_2(capsys, monkeypatch, data_dir):
+    """An OSError while writing the answer, other than a closed pipe, is an
+    error of the run's input and output: exit 2, with the error on stderr."""
+    monkeypatch.setattr("sys.stdout", FullDisk())
+    assert main(["unify", str(data_dir / "unify_abs.nom")]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 class ByteCount:

@@ -99,8 +99,8 @@ PROBLEMS = [
 def traces(engine: str, text: str) -> list:
     pf = parse_problem_file(SYMS + text)
     sig = pf.signature
-    fresh_ctx = pf.fresh_context or FreshnessContext()
-    fixp_ctx = pf.fixp_context or FixpointContext()
+    fresh_ctx = pf.context if isinstance(pf.context, FreshnessContext) else FreshnessContext()
+    fixp_ctx = pf.context if isinstance(pf.context, FixpointContext) else FixpointContext()
     out = []
     for c in pf.constraints:
         trace = []

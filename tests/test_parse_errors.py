@@ -20,6 +20,8 @@ import re
 import sys
 
 from nomfix import (
+    FixpointContext,
+    FreshnessContext,
     NomfixError,
     Permutation,
     Signature,
@@ -157,8 +159,8 @@ def describe(result):
     if isinstance(result, ProblemFile):
         return {
             "signature": describe(result.signature),
-            "fresh_context": None if result.fresh_context is None else str(result.fresh_context),
-            "fixp_context": None if result.fixp_context is None else str(result.fixp_context),
+            "fresh_context": str(result.context) if isinstance(result.context, FreshnessContext) else None,
+            "fixp_context": str(result.context) if isinstance(result.context, FixpointContext) else None,
             "constraints": [str(c) for c in result.constraints],
         }
     return str(result)

@@ -8,6 +8,8 @@ from nomfix import (
     AtomTerm,
     Eq,
     Fix,
+    FixpointContext,
+    FreshnessContext,
     IllFormedTermError,
     NameGenerator,
     Permutation,
@@ -179,6 +181,15 @@ class TestSignaturesAndFiles:
         with pytest.raises(ParseError):
             parse_signature("sym f : AAC ;")
 
+    def test_symbol_redeclared_with_another_theory_rejected(self):
+        with pytest.raises(ParseError, match=r"^1:21: symbol f declared C, then A$"):
+            parse_signature("sym f : C ; sym f : A ;")
+        with pytest.raises(ParseError, match=r"^2:9: symbol \+ declared none, then AC$"):
+            parse_problem_file("sym + : none ;\nsym + : AC ;\n+(a, b) =? +(b, a)")
+
+    def test_symbol_redeclared_with_the_same_theory_accepted(self):
+        assert parse_signature("sym f : C ; sym f : C ;").symbols == {"f": Theory.C}
+
     def test_problem_file(self):
         pf = parse_problem_file(
             """
@@ -188,16 +199,16 @@ class TestSignaturesAndFiles:
             +((a b).X, a) =? +(Y, X), (a c) fix? X
             """
         )
-        assert pf.fixp_context is not None and pf.fresh_context is None
-        assert len(pf.fixp_context.constraints) == 2
+        assert isinstance(pf.context, FixpointContext)
+        assert len(pf.context.constraints) == 2
         assert len(pf.constraints) == 2
         assert isinstance(pf.constraints[0], Eq)
         assert isinstance(pf.constraints[1], Fix)
 
     def test_fresh_context_section(self):
         pf = parse_problem_file("context: a fresh X, b fresh Y ; a fresh? X")
-        assert pf.fresh_context is not None and pf.fixp_context is None
-        assert len(pf.fresh_context.constraints) == 2
+        assert isinstance(pf.context, FreshnessContext)
+        assert len(pf.context.constraints) == 2
 
     def test_mixed_context_rejected(self):
         with pytest.raises(ParseError):
@@ -260,7 +271,7 @@ class TestAtomNames:
         except ParseError:
             return False
         x = Atom(name)
-        return x in pf.fixp_context.atoms() and all(x in c.atoms() for c in pf.constraints)
+        return x in pf.context.atoms() and all(x in c.atoms() for c in pf.constraints)
 
     @given(st.text(alphabet="an_Z0'%#-. ", max_size=4).filter(lambda p: not p.startswith("#")))
     def test_prefix_accepted_exactly_when_its_names_read_back(self, prefix):

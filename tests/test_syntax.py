@@ -176,6 +176,11 @@ class TestSubstitution:
         s2 = Substitution({Var("X"): var("Y")})
         assert s1 == s2
 
+    def test_prints_its_terms_as_text(self):
+        sigma = Substitution({Var("Y"): atom("a"), Var("X"): parse_term("[a] f((a b).Z)")})
+        assert str(sigma) == repr(sigma) == "{X -> [a] f((a b).Z), Y -> a}"
+        assert str(Substitution({Var("Y"): atom("a")})) == "{Y -> a}"
+
 
 class TestFlatten:
     sig = Signature({"cat": Theory.A, "*": Theory.AC, "f": Theory.NONE})
