@@ -11,11 +11,10 @@ explored is read off those chains, as flat records, on first use.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .printer import print_term
-from .syntax import NameGenerator, Signature, Theory
+from .syntax import NameGenerator, Signature, Theory, _Fields
 from .unify import Problem, Solution, _derive, is_more_general, problem_vars
 
 
@@ -79,16 +78,20 @@ def tree_line(record: dict) -> str:
     return f"{line} <{record['outcome']}>" if "outcome" in record else line
 
 
-@dataclass
-class CUnifyResult:
+class CUnifyResult(_Fields):
     """The solutions and the number of leaves of a c_unify search.  tree,
     the derivation tree as tree_records, is read on first use off the
-    leaves' (path, failure, solution) chains kept here."""
+    leaves' (path, failure, solution) chains kept here.  It has no slots:
+    cached_property keeps tree in its __dict__."""
 
-    status: str  # "solved" | "unsolvable"
-    solutions: list[Solution]
-    problem: Problem = field(repr=False)
-    outcomes: list = field(repr=False)
+    __match_args__ = ("status", "solutions", "problem", "outcomes")
+
+    def __init__(self, status: str, solutions: list[Solution], problem: Problem, outcomes: list):
+        self.status = status  # "solved" | "unsolvable"
+        self.solutions, self.problem, self.outcomes = solutions, problem, outcomes
+
+    def __repr__(self) -> str:
+        return f"CUnifyResult(status={self.status!r}, solutions={self.solutions!r})"
 
     @property
     def leaves(self) -> int:

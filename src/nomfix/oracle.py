@@ -10,7 +10,6 @@ equational theories.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .fixpoint import check_alpha_fixp, check_fixp
 from .syntax import (
@@ -27,6 +26,7 @@ from .syntax import (
     Theory,
     Tup,
     Var,
+    _Fields,
     is_ground,
 )
 from .unify import Eq, Fix, Solution, is_more_general, problem_vars
@@ -106,14 +106,15 @@ def _bijection(sig, ss, ts, envs, envt, depth) -> bool:
     return False
 
 
-@dataclass
-class TermPool:
+class TermPool(_Fields):
     """A finite universe for enumeration: atoms, variables, and a signature."""
 
-    atoms: tuple[Atom, ...]
-    variables: tuple[Var, ...] = ()
-    signature: Signature = field(default_factory=lambda: Signature(permissive=True))
-    max_depth: int = 2
+    __slots__ = __match_args__ = ("atoms", "variables", "signature", "max_depth")
+
+    def __init__(self, atoms: tuple[Atom, ...], variables: tuple[Var, ...] = (),
+                 signature: Signature | None = None, max_depth: int = 2):
+        self.atoms, self.variables, self.max_depth = atoms, variables, max_depth
+        self.signature = Signature(permissive=True) if signature is None else signature
 
 
 def enumerate_terms(pool: TermPool) -> list[Term]:

@@ -25,7 +25,6 @@ commas.  '//' starts a line comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
 from .syntax import (
@@ -44,6 +43,8 @@ from .syntax import (
     Theory,
     Tup,
     Var,
+    _Fields,
+    _Value,
     atoms_in,
 )
 from .unify import Eq, Fix
@@ -56,12 +57,14 @@ class ParseError(NomfixError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class FreshRequest:
+class FreshRequest(_Value):
     """A goal a fresh? t for the freshness engine."""
 
-    atom: Atom
-    term: Term
+    __slots__ = __match_args__ = ("atom", "term")
+
+    def __init__(self, atom: Atom, term: Term):
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "term", term)
 
     def atoms(self) -> set[Atom]:
         return atoms_in(self.atom, self.term)
@@ -72,11 +75,11 @@ class FreshRequest:
         return f"{self.atom} fresh? {print_term(self.term)}"
 
 
-@dataclass
-class ProblemFile:
-    signature: Signature
-    context: FreshnessContext | FixpointContext | None
-    constraints: list  # Eq | Fix | FreshRequest
+class ProblemFile(_Fields):
+    __slots__ = __match_args__ = ("signature", "context", "constraints")
+
+    def __init__(self, signature: Signature, context: FreshnessContext | FixpointContext | None, constraints: list):
+        self.signature, self.context, self.constraints = signature, context, constraints  # Eq | Fix | FreshRequest
 
 
 _OPERATORS = "+-*/&|@$%^~!"

@@ -8,7 +8,6 @@ import itertools
 import operator
 import re
 import weakref
-from dataclasses import dataclass, field
 
 
 class NomfixError(Exception):
@@ -61,19 +60,21 @@ def _intern(cls, key: tuple):
     return self
 
 
-class _Interned:
-    """An immutable value with one live object per field values
-    (__match_args__), kept in _INTERNED, so == is identity and the hash is
-    the object's own.  Pickle and copy return the live object."""
+class _Fields:
+    """Fields named by __match_args__, in constructor order: == compares
+    those of two objects of one class, repr prints them, and pickle and copy
+    rebuild through the constructor.  == without a hash leaves a record
+    whose fields may change unhashable."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {attr}")
+    def __init_subclass__(cls):
+        if cls.__match_args__:  # the fields as one value: a tuple when there are two or more
+            cls._fields = operator.attrgetter(*cls.__match_args__)
 
-    def __delattr__(self, attr):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {attr}")
+    def __eq__(self, other):
+        return self._fields(self) == other._fields(other) if type(other) is type(self) else NotImplemented
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, attr) for attr in self.__match_args__)
@@ -81,6 +82,35 @@ class _Interned:
     def __repr__(self) -> str:
         args = ", ".join(f"{attr}={getattr(self, attr)!r}" for attr in self.__match_args__)
         return f"{type(self).__name__}({args})"
+
+
+class _Value(_Fields):
+    """An immutable value: its constructor sets each field once, past
+    __setattr__, and setting or deleting one later raises AttributeError.
+    ==, hash and repr skip memo slots.  copy returns the value itself."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {attr}")
+
+    __delattr__ = __setattr__
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+
+class _Interned(_Value):
+    """An immutable value with one live object per field values, kept in
+    _INTERNED: == is identity, and pickle returns the live object."""
+
+    __slots__ = ("__weakref__",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 @functools.total_ordering
@@ -136,16 +166,20 @@ class Var(_Interned):
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Swapping:
-    """A transposition of two distinct atoms."""
+@functools.total_ordering
+class Swapping(_Value):
+    """A transposition of two distinct atoms, ordered by (left, right)."""
 
-    left: Atom
-    right: Atom
+    __slots__ = __match_args__ = ("left", "right")
 
-    def __post_init__(self):
-        if self.left == self.right:
-            raise IllFormedTermError(f"swapping of an atom with itself: ({self.left} {self.right})")
+    def __init__(self, left: Atom, right: Atom):
+        if left == right:
+            raise IllFormedTermError(f"swapping of an atom with itself: ({left} {right})")
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __lt__(self, other: Swapping) -> bool:
+        return (self.left, self.right) < (other.left, other.right) if type(other) is Swapping else NotImplemented
 
     def apply(self, a: Atom) -> Atom:
         if a == self.left:
@@ -158,8 +192,7 @@ class Swapping:
         return f"({self.left} {self.right})"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A finite permutation of atoms, stored as a list of swappings.
 
     The rightmost swapping acts first: (a b)(b c) sends c to a.  The
@@ -171,11 +204,10 @@ class Permutation:
     per permutation: (b a) prints (a b), (a b)(a b) prints Id.
     """
 
-    swappings: tuple[Swapping, ...] = ()
+    __slots__ = __match_args__ = ("swappings",)
 
-    def __post_init__(self):
-        if self.swappings:
-            object.__setattr__(self, "swappings", _canonical(self.swappings))
+    def __init__(self, swappings: tuple[Swapping, ...] = ()):
+        _set_swappings(self, _canonical(swappings) if swappings else swappings)
 
     @staticmethod
     def identity() -> Permutation:
@@ -223,6 +255,7 @@ class Permutation:
         return "".join(str(sw) for sw in self.swappings)
 
 
+_set_left, _set_right, _set_swappings = Swapping.left.__set__, Swapping.right.__set__, Permutation.swappings.__set__
 _IDENTITY = Permutation()
 
 
@@ -280,8 +313,8 @@ class Renaming:
     def permutation(self) -> Permutation:
         """rho as a Permutation, its canonical list written from the image
         map directly."""
-        p = Permutation()
-        object.__setattr__(p, "swappings", _cycles(dict(self.image)))
+        p = object.__new__(Permutation)
+        _set_swappings(p, _cycles(dict(self.image)))
         return p
 
     def differ(self, p: Permutation, q: Permutation) -> set[Atom]:
@@ -301,15 +334,16 @@ class Theory(enum.Enum):
     AC = "AC"
 
 
-@dataclass
-class Signature:
+class Signature(_Fields):
     """Maps function symbols to their equational theories.
 
     A permissive signature treats unknown symbols as plain (Theory.NONE).
     """
 
-    symbols: dict[str, Theory] = field(default_factory=dict)
-    permissive: bool = False
+    __slots__ = __match_args__ = ("symbols", "permissive")
+
+    def __init__(self, symbols: dict[str, Theory] | None = None, permissive: bool = False):
+        self.symbols, self.permissive = {} if symbols is None else symbols, permissive
 
     def declare(self, name: str, theory: Theory) -> None:
         self.symbols[name] = theory
@@ -325,17 +359,18 @@ class Signature:
         return any(th is not Theory.NONE for th in self.symbols.values())
 
 
-class Term:
-    """Base class of the term grammar.  Terms are immutable, and a node is
-    built after its children, so its constructor sets its size and its
-    variables from theirs, in O(arity): term_size, free_vars and is_ground
-    read them at any depth.  A leaf's size, and an atom's empty set of
-    variables, are class attributes; a suspension shares its variable's
-    one-element set.  A ground node also keeps its free atoms, filled by
-    free_atoms the first time they are asked for.  Pickle and copy rebuild
-    a term through the constructors; act, flatten and Substitution through
-    one loop, _rebuild, that returns a node whose parts it leaves unchanged
-    as itself, so a new term shares every subterm that did not change.
+class Term(_Value):
+    """Base class of the term grammar.  Terms are immutable values, and a
+    node is built after its children, so its constructor sets its size and
+    variables, memo slots that are not fields, from theirs, in O(arity):
+    term_size, free_vars and is_ground read them at any depth.  A leaf's
+    size, and an atom's empty set of variables, are class attributes; a
+    suspension shares its variable's one-element set.  A ground node's free
+    atoms are filled by free_atoms when first asked for.  copy returns a
+    term itself; ==, hash, repr and pickle recurse a frame per level.  act,
+    flatten and Substitution rebuild a term through one loop, _rebuild, that
+    returns a node whose parts it leaves unchanged as itself, so a new term
+    shares every subterm that did not change.
 
     Every walk over terms dispatches once on the node's exact type, kind =
     type(t), then reads the fields by name; the five node classes are not
@@ -348,11 +383,10 @@ class Term:
     """
 
     __slots__ = ("_size", "_vars", "_atoms")
-    __reduce__ = _Interned.__reduce__
 
 
-# the slots' own setters, past the frozen dataclasses' __setattr__
-_set_size, _set_vars = Term._size.__set__, Term._vars.__set__
+# the slots' own setters, past _Value.__setattr__, which raises
+_set_size, _set_vars, _set_atoms = Term._size.__set__, Term._vars.__set__, Term._atoms.__set__
 _NO_VARS: frozenset[Var] = frozenset()
 
 
@@ -365,31 +399,31 @@ def _one_child(node: Term, child: Term) -> None:
     _set_vars(node, child._vars)
 
 
-@dataclass(frozen=True, slots=True)
 class AtomTerm(Term):
-    atom: Atom
-
+    __slots__ = __match_args__ = ("atom",)
     _size = 1
     _vars = _NO_VARS
 
+    def __init__(self, atom: Atom):
+        _set_atom(self, atom)
 
-@dataclass(frozen=True, slots=True)
+
 class Abs(Term):
-    binder: Atom
-    body: Term
+    __slots__ = __match_args__ = ("binder", "body")
 
-    def __post_init__(self):
-        _one_child(self, self.body)
+    def __init__(self, binder: Atom, body: Term):
+        _set_binder(self, binder)
+        _set_body(self, body)
+        _one_child(self, body)
 
 
-@dataclass(frozen=True, slots=True)
 class Tup(Term):
-    items: tuple[Term, ...]
+    __slots__ = __match_args__ = ("items",)
 
-    def __post_init__(self):
-        items = self.items
+    def __init__(self, items: tuple[Term, ...]):
         if len(items) < 2:
             raise IllFormedTermError("tuples need at least two components")
+        _set_items(self, items)
         size, out = 1, _NO_VARS
         try:
             for s in items:
@@ -405,26 +439,29 @@ class Tup(Term):
         _set_vars(self, out)
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    symbol: str
-    arg: Term
+    __slots__ = __match_args__ = ("symbol", "arg")
 
-    def __post_init__(self):
-        _one_child(self, self.arg)
+    def __init__(self, symbol: str, arg: Term):
+        _set_symbol(self, symbol)
+        _set_arg(self, arg)
+        _one_child(self, arg)
 
 
-@dataclass(frozen=True, slots=True)
 class Susp(Term):
     """A moderated variable pi.X."""
 
-    perm: Permutation
-    var: Var
-
+    __slots__ = __match_args__ = ("perm", "var")
     _size = 1
 
-    def __post_init__(self):
-        _set_vars(self, self.var._singleton)
+    def __init__(self, perm: Permutation, var: Var):
+        _set_perm(self, perm)
+        _set_var(self, var)
+        _set_vars(self, var._singleton)
+
+
+_set_atom, _set_binder, _set_body, _set_items = (d.__set__ for d in (AtomTerm.atom, Abs.binder, Abs.body, Tup.items))
+_set_symbol, _set_arg, _set_perm, _set_var = (d.__set__ for d in (App.symbol, App.arg, Susp.perm, Susp.var))
 
 
 def atom(name: str) -> AtomTerm:
@@ -496,7 +533,7 @@ def free_atoms(t: Term) -> frozenset[Atom]:
             raise IllFormedTermError(f"free atoms of a term with a variable depend on it: {u.var}")
         else:
             raise TypeError(f"not a term: {u!r}")
-        object.__setattr__(u, "_atoms", out)
+        _set_atoms(u, out)
         todo.pop()
     return out
 
@@ -717,11 +754,13 @@ class NameGenerator:
         return c1, [(sw, y) for y in ys]
 
 
-@dataclass(frozen=True)
-class FreshnessContext:
+class FreshnessContext(_Value):
     """A finite set of assumptions a # X (atom fresh for variable)."""
 
-    constraints: frozenset[tuple[Atom, Var]] = frozenset()
+    __slots__ = __match_args__ = ("constraints",)
+
+    def __init__(self, constraints: frozenset[tuple[Atom, Var]] = frozenset()):
+        object.__setattr__(self, "constraints", constraints)
 
     def holds(self, a: Atom, x: Var) -> bool:
         return (a, x) in self.constraints
@@ -740,11 +779,13 @@ class FreshnessContext:
         return "{" + ", ".join(f"{a} fresh {x}" for a, x in self.entries()) + "}"
 
 
-@dataclass(frozen=True)
-class FixpointContext:
+class FixpointContext(_Value):
     """A finite set of assumptions pi fix X (permutation fixes variable)."""
 
-    constraints: frozenset[tuple[Permutation, Var]] = frozenset()
+    __slots__ = __match_args__ = ("constraints",)
+
+    def __init__(self, constraints: frozenset[tuple[Permutation, Var]] = frozenset()):
+        object.__setattr__(self, "constraints", constraints)
 
     def supp_of(self, x: Var) -> frozenset[Atom]:
         """Union of supports of the permutations constrained to fix x.

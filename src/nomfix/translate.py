@@ -7,8 +7,6 @@ for every atom a in the support of pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fixpoint import check_fixp
 from .syntax import (
     Atom,
@@ -19,18 +17,21 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    _Value,
     atoms_in,
     generator_avoiding,
 )
 
 
-@dataclass(frozen=True)
-class TranslationRecord:
+class TranslationRecord(_Value):
     """How one context entry was translated."""
 
-    source: str
-    target: str
-    generated: tuple[Atom, ...] = ()
+    __slots__ = __match_args__ = ("source", "target", "generated")
+
+    def __init__(self, source: str, target: str, generated: tuple[Atom, ...] = ()):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "generated", generated)
 
 
 def fresh_to_fixp(

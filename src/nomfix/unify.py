@@ -40,7 +40,6 @@ it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -60,6 +59,8 @@ from .syntax import (
     Theory,
     Tup,
     Var,
+    _Fields,
+    _Value,
     act,
     atoms_in,
     check_well_formed,
@@ -71,23 +72,25 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Constraint:
+class _Constraint(_Value):
     """Base class of the constraints.  They are immutable, so each keeps its
     variables (constraint_vars) and what expand's first tier found on it in
-    memo fields, left out of ==, hash and repr, and filled when first asked
-    for: _tried is () when no non-instantiating rule applies, and the rule
-    and alternatives when its rule splits.  A search writes a split before
-    it reads it, so it never reads one another search wrote."""
+    memo slots, left out of ==, hash and repr, None until first asked for:
+    _tried is () when no non-instantiating rule applies, and the rule and
+    alternatives when its rule splits.  A search writes a split before it
+    reads it, so it never reads one another search wrote."""
 
-    _vars: frozenset | None = field(default=None, init=False, repr=False, compare=False)
-    _tried: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_vars", "_tried")
 
 
-@dataclass(frozen=True, slots=True)
 class Eq(_Constraint):
-    lhs: Term
-    rhs: Term
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_cvars(self, None)
+        _set_tried(self, None)
 
     def atoms(self) -> set:
         return atoms_in(self.lhs, self.rhs)
@@ -96,10 +99,14 @@ class Eq(_Constraint):
         return f"{print_term(self.lhs)} =? {print_term(self.rhs)}"
 
 
-@dataclass(frozen=True, slots=True)
 class Fix(_Constraint):
-    perm: Permutation
-    target: Term
+    __slots__ = __match_args__ = ("perm", "target")
+
+    def __init__(self, perm: Permutation, target: Term):
+        _set_perm(self, perm)
+        _set_target(self, target)
+        _set_cvars(self, None)
+        _set_tried(self, None)
 
     def atoms(self) -> set:
         return atoms_in(self.perm, self.target)
@@ -108,6 +115,8 @@ class Fix(_Constraint):
         return f"{print_perm(self.perm)} fix? {print_term(self.target)}"
 
 
+_set_lhs, _set_rhs, _set_perm, _set_target = Eq.lhs.__set__, Eq.rhs.__set__, Fix.perm.__set__, Fix.target.__set__
+_set_cvars, _set_tried = _Constraint._vars.__set__, _Constraint._tried.__set__
 Constraint = Eq | Fix
 Problem = tuple  # tuple[Constraint, ...]
 
@@ -129,15 +138,16 @@ class SimplStep(NamedTuple):
         return f"[{self.rule}] {self.consumed}  =>  {prod}"
 
 
-@dataclass
-class Solution:
+class Solution(_Fields):
     """A solved form: a fixed-point context paired with a substitution.  It
     is not changed once built, so its text is printed once, on first use,
     and kept: c_unify sorts by it and the CLI prints it."""
 
-    context: FixpointContext
-    subst: Substitution
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("context", "subst", "_key")
+    __match_args__ = ("context", "subst")
+
+    def __init__(self, context: FixpointContext, subst: Substitution):
+        self.context, self.subst, self._key = context, subst, None
 
     def key(self) -> str:
         if self._key is None:
@@ -148,14 +158,13 @@ class Solution:
         return self.key()
 
 
-@dataclass
-class UnifyResult:
-    status: str  # "solved" | "unsolvable"
-    solution: Solution | None
-    witness: Constraint | None
-    witness_kind: str | None
-    steps: list[SimplStep]
-    normal_form: Problem
+class UnifyResult(_Fields):
+    __slots__ = __match_args__ = ("status", "solution", "witness", "witness_kind", "steps", "normal_form")
+
+    def __init__(self, status: str, solution: Solution | None, witness: Constraint | None,
+                 witness_kind: str | None, steps: list[SimplStep], normal_form: Problem):
+        self.status, self.solution, self.witness = status, solution, witness  # status: "solved" | "unsolvable"
+        self.witness_kind, self.steps, self.normal_form = witness_kind, steps, normal_form
 
     @property
     def solved(self) -> bool:
@@ -170,7 +179,7 @@ def constraint_vars(c: Constraint) -> frozenset[Var]:
     out = c._vars
     if out is None:
         out = free_vars(c.lhs) | free_vars(c.rhs) if isinstance(c, Eq) else free_vars(c.target)
-        object.__setattr__(c, "_vars", out)
+        _set_cvars(c, out)
     return out
 
 
@@ -397,12 +406,12 @@ def expand(st: _State, gen: NameGenerator, sig: Signature, rigid: frozenset = fr
         c = st.cons[k]
         got = None if c._tried == () else _rule(c, gen, sig)
         if got is None:
-            object.__setattr__(c, "_tried", ())
+            _set_tried(c, ())
             if isinstance(c, Eq):
                 heappush(st.inst, k)  # whether it instantiates is decided once, when popped
             continue
         if len(got[1]) > 1:
-            object.__setattr__(c, "_tried", got)  # every branch below takes these same children
+            _set_tried(c, got)  # every branch below takes these same children
             heappush(st.split, k)  # taken once no other step applies
             continue
         return _apply(st, k, c, *got)

@@ -127,7 +127,7 @@ def past_constructor(cls, *fields):
 
     model = cls(*map(as_x, fields))
     node = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
+    for name, value in zip(cls.__match_args__, fields):
         object.__setattr__(node, name, value)
     object.__setattr__(node, "_size", model._size)
     object.__setattr__(node, "_vars", model._vars)
