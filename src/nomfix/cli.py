@@ -23,7 +23,7 @@ from .fixpoint import check_alpha_fixp, check_fixp
 from .freshness import check_alpha_fresh, check_fresh
 from .oracle import TermPool, enumerate_terms, ground_alpha_oracle, verify_solution
 from .parser import FreshRequest, ProblemFile, parse_problem_file, parse_signature
-from .printer import print_perm, print_records, print_term
+from .printer import print_perm, print_records
 from .syntax import (
     GENERATED_PREFIX,
     Atom,
@@ -155,8 +155,9 @@ def _emit(args, payload, lines) -> None:
 
 def _json(v, pad: str) -> str:
     """The text of v in json.dumps(v, indent=2), at indentation pad.  Dicts
-    (string keys), lists and tuples recurse, a frame per level; a value other
-    than those, a string, an int or a constant is json.dumps(v)'s."""
+    (string keys), lists and tuples write members that are exactly str or int,
+    or constants, inline and recurse into others, a frame per level; a value
+    other than those, a string, an int or a constant is json.dumps(v)'s."""
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     if v is None or v is True or v is False:
@@ -165,9 +166,14 @@ def _json(v, pad: str) -> str:
         return int.__repr__(v)
     inner = pad + "  "
     if isinstance(v, dict):
-        items, brackets = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in v.items()], "{}"
+        items, brackets = [f"{encode_basestring_ascii(k)}: " + (
+            encode_basestring_ascii(x) if type(x) is str else "true" if x is True else "false" if x is False
+            else "null" if x is None else int.__repr__(x) if type(x) is int else _json(x, inner))
+            for k, x in v.items()], "{}"
     elif isinstance(v, (list, tuple)):
-        items, brackets = [_json(x, inner) for x in v], "[]"
+        items, brackets = [
+            encode_basestring_ascii(x) if type(x) is str else "true" if x is True else "false" if x is False
+            else "null" if x is None else int.__repr__(x) if type(x) is int else _json(x, inner) for x in v], "[]"
     else:
         return json.dumps(v)
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
@@ -220,10 +226,7 @@ def _fixp_entries(ctx: FixpointContext) -> list[dict]:
 def _solution_payload(sol: Solution) -> dict:
     return {
         "context": _fixp_entries(sol.context),
-        "subst": [
-            {"var": x.name, "term": print_term(t)}
-            for x, t in sorted(sol.subst.bindings.items())
-        ],
+        "subst": [{"var": x, "term": t} for x, t in sol.bindings()],
     }
 
 

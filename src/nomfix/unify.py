@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .fixpoint import check_alpha_fixp, check_fixp
-from .printer import print_perm, print_subst, print_term
+from .printer import print_perm, print_term
 from .syntax import (
     Abs,
     App,
@@ -139,19 +139,26 @@ class SimplStep(NamedTuple):
 
 
 class Solution(_Fields):
-    """A solved form: a fixed-point context paired with a substitution.  It
-    is not changed once built, so its text is printed once, on first use,
-    and kept: c_unify sorts by it and the CLI prints it."""
+    """A solved form: a fixed-point context paired with a substitution, not
+    changed once built.  So its bindings are sorted and printed once, on first
+    use, and kept: key(), c_unify's sort key and text, and --json read them."""
 
-    __slots__ = ("context", "subst", "_key")
+    __slots__ = ("context", "subst", "_bindings", "_key")
     __match_args__ = ("context", "subst")
 
     def __init__(self, context: FixpointContext, subst: Substitution):
-        self.context, self.subst, self._key = context, subst, None
+        self.context, self.subst, self._bindings, self._key = context, subst, None, None
+
+    def bindings(self) -> list[tuple[str, str]]:
+        """(variable name, term text) per binding, in name order (Var order: names are unique)."""
+        if self._bindings is None:
+            b = self.subst.bindings
+            self._bindings = sorted(zip([x.name for x in b], map(print_term, b.values())))
+        return self._bindings
 
     def key(self) -> str:
         if self._key is None:
-            self._key = f"{self.context} |- {print_subst(self.subst)}"
+            self._key = f"{self.context} |- {{" + ", ".join([f"{x} -> {t}" for x, t in self.bindings()]) + "}"
         return self._key
 
     def __str__(self) -> str:
@@ -223,7 +230,10 @@ def _step_decreases(step: SimplStep, before: int, after: int) -> bool:
     if step.binding is not None or after != before:
         return after < before
     w = _weight(step.consumed)
-    return w > 0 and all(_weight(c) < w for c in step.produced)
+    for c in step.produced:
+        if _weight(c) >= w:
+            return False
+    return w > 0
 
 
 class _State:
@@ -262,18 +272,24 @@ class _State:
 
     def _add(self, k: int, c: Constraint) -> None:
         self.cons[k] = c
+        occ = self.occ
         for x in constraint_vars(c):
-            self.occ.setdefault(x, set()).add(k)
+            keys = occ.get(x)
+            if keys is None:
+                occ[x] = {k}
+            else:
+                keys.add(k)
         heappush(self.todo, k)
 
     def consume(self, k: int) -> Constraint:
         """Remove and return the constraint under key k."""
         c = self.cons.pop(k)
+        occ = self.occ
         for x in constraint_vars(c):
-            keys = self.occ[x]
+            keys = occ[x]
             keys.discard(k)
             if not keys:
-                del self.occ[x]
+                del occ[x]
         return c
 
     def prepend(self, produced) -> None:

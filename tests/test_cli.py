@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from certificate import check_tree
-from nomfix import Eq, FixpointContext, c_unify, parse_constraint, parse_problem_file
+from gen import SIG_C, random_fixp_context, random_term
+from nomfix import Eq, FixpointContext, Substitution, Var, c_unify, parse_constraint, parse_problem_file
 from nomfix import cli
 from nomfix.cli import _emit, main
+from nomfix.printer import print_subst, print_term
 from nomfix.unify import Solution
 
 
@@ -517,12 +520,18 @@ class TestJsonWriter:
     @example({"a": [], "b": {}, "c": [[], {}, [{}]], "d": True, "e": 1, "f": False, "g": 0, "h": None}, list)
     @example({"a": [], "b": [True, 1, [], {}]}, lambda v: map(lambda x: x, v))
     @example({"a": [], "b": [False, 0]}, lambda v: (x for x in v))
+    # constants, 0, 1 and "" as members of nested dicts and lists, which are
+    # written inline: a bool is not an int there, nor 0 or "" None
+    @example({"d": {"t": True, "f": False, "z": 0, "o": 1, "n": None, "s": ""}}, list)
+    @example({"l": [[True, False, 0, 1, None, ""], {"t": True, "o": 1, "s": ""}]}, list)
+    @example({"l": [{"f": False, "z": 0, "n": None, "l": [[None, ""], (True, 1), {"f": False}]}]}, lambda v: iter(v))
     def test_same_bytes_as_json_dumps(self, payload, stream):
         want = json.dumps(payload, indent=2) + "\n"
         lists = {k: stream(v) if type(v) is list else v for k, v in payload.items()}
         assert emitted(lists) == want
 
-    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [1, {"x": object()}]])
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [1, {"x": object()}],
+                                       [True, None, "", {1, 2}], {"t": True, "z": 0, "b": b""}, [[None, object()]]])
     def test_what_json_cannot_hold_raises_type_error(self, value):
         with pytest.raises(TypeError):
             json.dumps({"v": value}, indent=2)
@@ -545,6 +554,25 @@ class ClosedPipe:
 
     def fileno(self):
         return self.fd
+
+
+variables = st.lists(st.sampled_from(["X", "Y", "Z", "X1", "X10", "X2", "Xa", "x", "Y'", "Z_0"]), unique=True,
+                     max_size=6).map(lambda names: [Var(n) for n in names])
+
+
+class TestSolutionTexts:
+    """A solution's key and its --json bindings read one list of printed
+    bindings; each is what printing the substitution itself gives."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), variables)
+    def test_key_and_payload_print_the_substitution(self, seed, xs):
+        rng = random.Random(seed)
+        subst = Substitution({x: random_term(rng, SIG_C, depth=rng.randrange(4)) for x in xs})
+        sol = Solution(random_fixp_context(rng), subst)
+        payload = cli._solution_payload(sol)
+        assert sol.key() == f"{sol.context} |- {print_subst(subst)}"
+        assert payload["subst"] == [{"var": x.name, "term": print_term(t)} for x, t in sorted(subst.bindings.items())]
+        assert str(sol) == sol.key() and cli._solution_payload(sol) == payload
 
 
 class TestClosedPipe:

@@ -217,26 +217,41 @@ def count_calls(monkeypatch, owner, name, counts):
 
 
 class TestKeyOnce:
-    """A solution's text is printed once: c_unify sorts by it and the CLI
-    prints it, tree included, with the output of before."""
+    """A solution's bindings are printed once: c_unify sorts by its key, and
+    the CLI prints the key or, with --json, the bindings, tree included,
+    with the output of before."""
 
-    # sha256 of `nomfix cunify` text output on c_pairs(8), without and with
-    # --tree, before the text was kept; the tree's recorded again when the
-    # search came to branch last, which left the output without it as it was
+    # sha256 of `nomfix cunify` output on c_pairs(8) for each flag set: the
+    # text ones recorded before the text was kept, the tree's again when the
+    # search came to branch last, which left the output without it as it
+    # was; the --json ones before key() and --json came to share one print
     OUTPUT = {
         (): "5fd6330e614dff3777d719b53133e78e5434d5a1671b8cd490238958691f6825",
         ("--tree",): "d7c1c5bc4dd01d85c66e2439947a60ce736a0ebe87df435761306e98319e7c42",
+        ("--json",): "97e27c2db343c9873d4ce5c4924c098d41726c4388f6185b4a8e98d676a29d3f",
+        ("--json", "--tree"): "3ea452d07c823ec733db5a9c862fe68afad9708ff789a84c3abcc6e20d047f1d",
     }
 
     @pytest.mark.parametrize("flags", list(OUTPUT))
-    def test_one_print_subst_per_solution(self, monkeypatch, capsys, tmp_path, flags):
+    def test_one_print_term_per_binding_per_solution(self, monkeypatch, capsys, tmp_path, flags):
         path = tmp_path / "pairs.nom"
         path.write_text("sym + : C ;\n" + ",\n".join(map(str, c_pairs(8))) + "\n")
-        counts = {}
-        count_calls(monkeypatch, UNIFY, "print_subst", counts)
+        # every print_term call but the tree's, which prints the steps'
+        # constraints and bindings: so one per binding of each solution
+        tree = {UNIFY.Eq.__str__.__code__, UNIFY.Fix.__str__.__code__, CUNIFY.tree_records.__code__}
+        calls = []
+
+        def counted(t):
+            if sys._getframe(1).f_code not in tree:
+                calls.append(t)
+            return print_term(t)
+
+        for module in (UNIFY, CUNIFY, sys.modules["nomfix.cli"], sys.modules["nomfix.printer"]):
+            if hasattr(module, "print_term"):
+                monkeypatch.setattr(module, "print_term", counted)
         assert main(["cunify", str(path), *flags]) == 0
         out = capsys.readouterr().out
-        assert counts == {"print_subst": 2**8}
+        assert len(calls) == 2**8 * 16  # 2^8 solutions, each binding X0..X7 and Y0..Y7
         assert hashlib.sha256(out.encode()).hexdigest() == self.OUTPUT[flags]
 
 
