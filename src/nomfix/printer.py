@@ -24,9 +24,11 @@ from .syntax import (
 )
 
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, memo: dict | None = None) -> str:
     """The text of t.  It walks an explicit stack of terms and text, so a
-    term nested deeper than Python's recursion limit prints too."""
+    term nested deeper than Python's recursion limit prints too.  memo, if
+    given, maps id() of compound terms already printed to their text, which
+    is emitted for the same object wherever it occurs in t."""
     out: list[str] = []
     stack: list = [t]
     while stack:
@@ -38,6 +40,8 @@ def print_term(t: Term) -> str:
             out.append(t.atom.name)
         elif kind is Susp:
             out.append(f"{print_perm(t.perm)}.{t.var.name}" if t.perm.swappings else t.var.name)
+        elif memo is not None and id(t) in memo:
+            out.append(memo[id(t)])
         elif kind is Abs:
             stack += (t.body, f"[{t.binder.name}] ")
         elif kind is Tup:

@@ -12,14 +12,13 @@ from variables to constraints, so a binding rewrites only the constraints
 that mention its variable, and whose size is the measure's variable count.
 The termination measure's decrease is checked from each step alone: the
 constraint it consumes, those it produces, and the variable count before
-and after.  A constraint's weight in the measure is read off its terms'
-sizes, which every term carries from its construction; each constraint
-memoises its variables, whether it is stuck and, if its rule splits, the
-split's alternatives.
+and after.  A constraint's weight in the measure and its variables are
+set when it is built, from its terms' sizes and variables, which every term
+carries from its own construction; each constraint memoises whether it is
+stuck and, if its rule splits, the split's alternatives.
 
 So a step pays for its rule and for the constraints it consumes and
-produces.  The memo fields start empty, so a constraint that never enters
-a search, as the checking commands' goals do not, builds no variable set.
+produces, and reads the measure's data off them.
 
 Simplification splits in two at applications of the signature's
 commutative symbols; given none, unify and match take a permissive one,
@@ -68,19 +67,19 @@ from .syntax import (
     free_vars,
     generator_avoiding,
     is_pair,
-    term_size,
 )
 
 
 class _Constraint(_Value):
-    """Base class of the constraints.  They are immutable, so each keeps its
-    variables (constraint_vars) and what expand's first tier found on it in
-    memo slots, left out of ==, hash and repr, None until first asked for:
-    _tried is () when no non-instantiating rule applies, and the rule and
-    alternatives when its rule splits.  A search writes a split before it
-    reads it, so it never reads one another search wrote."""
+    """Base class of the constraints.  They are immutable; a constructor sets
+    the variables and the measure's weight (_weight) from its terms' own,
+    without a walk, and rejects a non-term as the term constructors do.
+    _tried memoises what expand's first tier found, None until asked: () when
+    no non-instantiating rule applies, else the rule and alternatives of a
+    split.  A search writes a split before it reads it, so it never reads one
+    another search wrote.  ==, hash and repr leave these slots out."""
 
-    __slots__ = ("_vars", "_tried")
+    __slots__ = ("_vars", "_weight", "_tried")
 
 
 class Eq(_Constraint):
@@ -89,7 +88,12 @@ class Eq(_Constraint):
     def __init__(self, lhs: Term, rhs: Term):
         _set_lhs(self, lhs)
         _set_rhs(self, rhs)
-        _set_cvars(self, None)
+        try:
+            m, n, u, v = lhs._size, rhs._size, lhs._vars, rhs._vars
+        except AttributeError:
+            raise TypeError(f"not a term: {rhs if hasattr(lhs, '_vars') else lhs!r}") from None
+        _set_cvars(self, u if v <= u else v if u <= v else u | v)
+        _set_cweight(self, m if m > n else n)
         _set_tried(self, None)
 
     def atoms(self) -> set:
@@ -105,7 +109,11 @@ class Fix(_Constraint):
     def __init__(self, perm: Permutation, target: Term):
         _set_perm(self, perm)
         _set_target(self, target)
-        _set_cvars(self, None)
+        try:
+            _set_cvars(self, target._vars)
+            _set_cweight(self, 0 if type(target) is Susp and not target.perm.swappings else target._size)
+        except AttributeError:
+            raise TypeError(f"not a term: {target!r}") from None
         _set_tried(self, None)
 
     def atoms(self) -> set:
@@ -116,14 +124,15 @@ class Fix(_Constraint):
 
 
 _set_lhs, _set_rhs, _set_perm, _set_target = Eq.lhs.__set__, Eq.rhs.__set__, Fix.perm.__set__, Fix.target.__set__
-_set_cvars, _set_tried = _Constraint._vars.__set__, _Constraint._tried.__set__
+_set_cvars, _set_cweight, _set_tried = (d.__set__ for d in (_Constraint._vars, _Constraint._weight, _Constraint._tried))
 Constraint = Eq | Fix
 Problem = tuple  # tuple[Constraint, ...]
 
 
 class SimplStep(NamedTuple):
     """One simplification step: rule name, consumed constraint, produced
-    constraints, and the variable binding for instantiation steps."""
+    constraints, and the variable binding for instantiation steps.  The
+    search builds steps with tuple.__new__, past this class's own __new__."""
 
     rule: str
     consumed: Constraint
@@ -141,7 +150,9 @@ class SimplStep(NamedTuple):
 class Solution(_Fields):
     """A solved form: a fixed-point context paired with a substitution, not
     changed once built.  So its bindings are sorted and printed once, on first
-    use, and kept: key(), c_unify's sort key and text, and --json read them."""
+    use, and kept: key(), c_unify's sort key and text, and --json read them.
+    They print in insertion order through one memo, so a later binding's
+    term, which extract_solution shares inside earlier ones, prints once."""
 
     __slots__ = ("context", "subst", "_bindings", "_key")
     __match_args__ = ("context", "subst")
@@ -152,8 +163,10 @@ class Solution(_Fields):
     def bindings(self) -> list[tuple[str, str]]:
         """(variable name, term text) per binding, in name order (Var order: names are unique)."""
         if self._bindings is None:
-            b = self.subst.bindings
-            self._bindings = sorted(zip([x.name for x in b], map(print_term, b.values())))
+            memo = {}
+            for t in self.subst.bindings.values():
+                memo[id(t)] = print_term(t, memo)
+            self._bindings = sorted([(x.name, memo[id(t)]) for x, t in self.subst.bindings.items()])
         return self._bindings
 
     def key(self) -> str:
@@ -179,15 +192,12 @@ class UnifyResult(_Fields):
 
 
 def is_primitive(c: Constraint) -> bool:
-    return isinstance(c, Fix) and isinstance(c.target, Susp) and not c.target.perm.swappings
+    """A fixed-point constraint on a bare variable: Fix's constructor gives only those no weight."""
+    return type(c) is Fix and not c._weight
 
 
 def constraint_vars(c: Constraint) -> frozenset[Var]:
-    out = c._vars
-    if out is None:
-        out = free_vars(c.lhs) | free_vars(c.rhs) if isinstance(c, Eq) else free_vars(c.target)
-        _set_cvars(c, out)
-    return out
+    return c._vars
 
 
 def problem_vars(pr: Problem) -> frozenset[Var]:
@@ -197,18 +207,15 @@ def problem_vars(pr: Problem) -> frozenset[Var]:
 def _weight(c: Constraint) -> int:
     """c's weight in the measure: the larger side's size for an equation,
     the target's size for a fixed-point constraint, and 0, no weight, for
-    a primitive one."""
-    if isinstance(c, Eq):
-        m, n = term_size(c.lhs), term_size(c.rhs)
-        return m if m > n else n
-    return 0 if is_primitive(c) else term_size(c.target)
+    a primitive one, set when c was built."""
+    return c._weight
 
 
 def problem_measure(pr: Problem):
     """Termination measure: number of distinct variables, then the multiset
     of term sizes of equations (the larger side) and of non-primitive
     fixed-point constraints.  The search asserts its decrease from each
-    step (_step_decreases); this computes it from scratch.
+    step (_step_decreases); this computes it over a whole problem.
 
     Instantiation removes a variable; every other rule replaces one weight by
     smaller ones.  That includes both branches of the commutative rules:
@@ -229,9 +236,9 @@ def _step_decreases(step: SimplStep, before: int, after: int) -> bool:
     below it."""
     if step.binding is not None or after != before:
         return after < before
-    w = _weight(step.consumed)
+    w = step.consumed._weight
     for c in step.produced:
-        if _weight(c) >= w:
+        if c._weight >= w:
             return False
     return w > 0
 
@@ -273,7 +280,7 @@ class _State:
     def _add(self, k: int, c: Constraint) -> None:
         self.cons[k] = c
         occ = self.occ
-        for x in constraint_vars(c):
+        for x in c._vars:
             keys = occ.get(x)
             if keys is None:
                 occ[x] = {k}
@@ -285,7 +292,7 @@ class _State:
         """Remove and return the constraint under key k."""
         c = self.cons.pop(k)
         occ = self.occ
-        for x in constraint_vars(c):
+        for x in c._vars:
             keys = occ[x]
             keys.discard(k)
             if not keys:
@@ -305,7 +312,7 @@ class _State:
         theta = Substitution({x: t})
         for k in list(keys):
             c = self.consume(k)
-            self._add(k, Eq(theta(c.lhs), theta(c.rhs)) if isinstance(c, Eq) else Fix(c.perm, theta(c.target)))
+            self._add(k, Eq(theta(c.lhs), theta(c.rhs)) if type(c) is Eq else Fix(c.perm, theta(c.target)))
 
 
 def _fixes(entries) -> list[Fix]:
@@ -378,7 +385,7 @@ def _eq_rule(c: Eq, gen: NameGenerator, sig: Signature):
 
 
 def _rule(c: Constraint, gen: NameGenerator, sig: Signature):
-    return _fix_rule(c, gen, sig) if isinstance(c, Fix) else _eq_rule(c, gen, sig)
+    return _fix_rule(c, gen, sig) if type(c) is Fix else _eq_rule(c, gen, sig)
 
 
 def _instantiation(c: Constraint, rigid: frozenset):
@@ -399,10 +406,11 @@ def _apply(st: _State, k: int, c: Constraint, rule: str, children: list):
     per alternative, the earlier ones on copies of st, the last on st
     itself, advanced in place."""
     st.consume(k)
-    out = [(st.copy(), SimplStep(rule, c, cons)) for cons in children[:-1]]
-    out.append((st, SimplStep(rule, c, children[-1])))
-    for child, step in out:
-        child.prepend(step.produced)
+    out = []
+    for i, cons in enumerate(children, 1 - len(children)):  # i is 0 on the last alternative
+        child = st.copy() if i else st
+        child.prepend(cons)
+        out.append((child, tuple.__new__(SimplStep, (rule, c, cons, None))))
     return out
 
 
@@ -423,7 +431,7 @@ def expand(st: _State, gen: NameGenerator, sig: Signature, rigid: frozenset = fr
         got = None if c._tried == () else _rule(c, gen, sig)
         if got is None:
             _set_tried(c, ())
-            if isinstance(c, Eq):
+            if type(c) is Eq:
                 heappush(st.inst, k)  # whether it instantiates is decided once, when popped
             continue
         if len(got[1]) > 1:
@@ -441,7 +449,7 @@ def expand(st: _State, gen: NameGenerator, sig: Signature, rigid: frozenset = fr
         x, u = side.var, act(side.perm.inverse(), other)
         st.consume(k)
         st.bind(x, u)
-        return [(st, SimplStep(rule, c, (), (x, u)))]
+        return [(st, tuple.__new__(SimplStep, (rule, c, (), (x, u))))]
     while st.split:
         k = heappop(st.split)
         c = st.cons.get(k)

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -490,6 +491,42 @@ class TestDeepChain:
 texts = st.text(st.sampled_from('"\\/\x00\x07\x1f\x7f\n\t\u00e9\u2028\U0001f600a ') | st.characters())
 scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
            | st.floats(allow_nan=True, allow_infinity=True) | texts)
+
+
+class TestChainDerivations:
+    """`unify --json --trace` on equation chains, recorded before each search
+    step came to read its measure data off its constraints: a leaner step
+    must take the same steps, under the same names, in the same order."""
+
+    TAILS = {
+        "solved": [],
+        "occurs": ["X{n} =? f((X0, a))"],
+        "clash": ["X{n} =? c", "X{n} =? d"],
+        "fixpoint-inconsistency": ["(c d) fix? X{n}", "X{n} =? c"],
+    }
+    CHAINS = {"plain": "X{i} =? f((X{j}, a))", "abs": "[a] X{i} =? [b] f(X{j})"}
+    # (shape, length, outcome): (trace steps, sha256 of the output)
+    PINS = {
+        ("plain", 40, "occurs"): (40, "cf2ac50a3a036e32d284bcabfec4047bbd340cc8f529be89dca751a13399d551"),
+        ("abs", 12, "solved"): (180, "20f592adbc59a644ca63e0fc23f5131df72e7a6dbfc424b96760cbc62c1cffcd"),
+        ("abs", 12, "clash"): (205, "f36539fa57e0035dffeb33fa0c4989efa3184f383eecc29a289874237c3f10f0"),
+        ("abs", 12, "fixpoint-inconsistency"): (205, "f8ea91f096e4cdb846bd0afc054e9a7e50bee11a135dfbac5c1a5aa13c3cb47d"),
+    }
+
+    @classmethod
+    def problem(cls, shape, n, outcome):
+        goals = [cls.CHAINS[shape].format(i=i, j=i + 1) for i in range(n)]
+        return ",\n".join(goals + [t.format(n=n) for t in cls.TAILS[outcome]]) + "\n"
+
+    @pytest.mark.parametrize("shape, n, outcome", list(PINS))
+    def test_trace_is_pinned(self, capsys, monkeypatch, shape, n, outcome):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.problem(shape, n, outcome)))
+        code, out, err = run(capsys, "unify", "-", "--json", "--trace")
+        payload = json.loads(out)
+        assert (code, err) == ((0, "") if outcome == "solved" else (1, ""))
+        assert payload.get("witness", {}).get("kind", "solved") == outcome
+        steps, digest = self.PINS[shape, n, outcome]
+        assert (len(payload["trace"]), hashlib.sha256(out.encode()).hexdigest()) == (steps, digest)
 
 
 def nested(depth):

@@ -241,10 +241,10 @@ class TestKeyOnce:
         tree = {UNIFY.Eq.__str__.__code__, UNIFY.Fix.__str__.__code__, CUNIFY.tree_records.__code__}
         calls = []
 
-        def counted(t):
+        def counted(t, *args):
             if sys._getframe(1).f_code not in tree:
                 calls.append(t)
-            return print_term(t)
+            return print_term(t, *args)
 
         for module in (UNIFY, CUNIFY, sys.modules["nomfix.cli"], sys.modules["nomfix.printer"]):
             if hasattr(module, "print_term"):

@@ -35,9 +35,10 @@ from nomfix import (
 from nomfix.cli import main
 from nomfix.unify import Solution, SimplStep, problem_measure
 from certificate import check_tree, search_order, solve, texts
-from gen import SIG_C, SIG_PLAIN, random_perm, random_term
+from gen import SIG_C, SIG_PLAIN, VARS, random_perm, random_term
 
 UNIFY = sys.modules["nomfix.unify"]
+PRINTER = sys.modules["nomfix.printer"]
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Y, W = Var("X"), Var("Y"), Var("W")
@@ -170,11 +171,18 @@ class TestMeasure:
 
     @pytest.fixture
     def constant_measure(self, monkeypatch):
-        # the search checks each step from its constraints' variables and
-        # weights; with none of either, the measure is (0, ()) at every node
+        # the search checks each step from the variables and weights its
+        # constraints carry from their construction; built with none of
+        # either, the measure is (0, ()) at every node
         assert __debug__
-        monkeypatch.setattr(UNIFY, "constraint_vars", lambda c: frozenset())
-        monkeypatch.setattr(UNIFY, "_weight", lambda c: 0)
+        for cls in (Eq, Fix):
+
+            def built(self, *fields, init=cls.__init__):
+                init(self, *fields)
+                UNIFY._Constraint._vars.__set__(self, frozenset())
+                UNIFY._Constraint._weight.__set__(self, 0)
+
+            monkeypatch.setattr(cls, "__init__", built)
 
     def test_unify_asserts_the_measure(self, constant_measure):
         with pytest.raises(AssertionError):
@@ -336,6 +344,69 @@ class TestIncrementalState:
             for key in counts:
                 assert large[key] <= 2.2 * small[key], seen
 
+    def test_chain_solution_prints_in_linear_work(self, monkeypatch):
+        # each binding of a chain's solution holds the next one's term, which
+        # bindings() prints once: the nodes it lists at most about double
+        # when the chain doubles, where printing each binding whole grows
+        # them four times
+        counts = []
+        listed = PRINTER._listed
+
+        def counted(*args):
+            counts[-1] += 1
+            return listed(*args)
+
+        monkeypatch.setattr(PRINTER, "_listed", counted)
+        for n in (200, 400):
+            solution = unify(chain(n)).solution
+            counts.append(0)
+            solution.bindings()
+        assert counts[1] <= 2.2 * counts[0], counts
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bindings_print_each_term_whole(self, seed):
+        # the memo of shared bindings changes no text: bindings() is every
+        # binding printed on its own, in name order.  X =? s, Y =? t, Z =? u,
+        # each right side over the later variables only, always solves, and
+        # the bindings share what the later ones are bound to
+        rng = random.Random(seed)
+        triangle = tuple(Eq(Susp(idp, x), random_term(rng, SIG_PLAIN, variables=VARS[i + 1:], ground=x is VARS[-1]))
+                         for i, x in enumerate(VARS))
+        solutions = [unify(triangle).solution]
+        res = unify(random_problem(rng, SIG_PLAIN))
+        solutions += [res.solution] if res.solved else []
+        solutions += c_unify(random_problem(rng, SIG_C), SIG_C).solutions
+        for sol in solutions:
+            assert sol.bindings() == sorted((x.name, print_term(t)) for x, t in sol.subst.bindings.items())
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_constraints_carry_their_measure_data(self, seed):
+        # a constraint's weight and variables, set when it is built, are
+        # those the measure reads off its terms: the larger side's size of
+        # an equation, 0 for a primitive fixed-point constraint and else its
+        # target's size, and its terms' variables; checked on random
+        # problems and on every constraint their search builds
+        rng = random.Random(seed)
+        pr = random_problem(rng, SIG_PLAIN)
+        cons = list(pr)
+        for step in unify(pr).steps:
+            cons += (step.consumed, *step.produced)
+        for c in cons:
+            weight, xs = self.measure_data(c)
+            assert (UNIFY._weight(c), UNIFY.constraint_vars(c)) == (weight, xs)
+            assert problem_measure((c,)) == (len(xs), (weight,) if weight else ())
+        data = list(map(self.measure_data, pr))
+        weights = tuple(sorted((w for w, _ in data if w), reverse=True))
+        assert problem_measure(pr) == (len(frozenset().union(*(xs for _, xs in data))), weights)
+
+    @staticmethod
+    def measure_data(c):
+        """c's weight and variables, computed from its terms."""
+        if isinstance(c, Eq):
+            return max(term_size(c.lhs), term_size(c.rhs)), free_vars(c.lhs) | free_vars(c.rhs)
+        primitive = isinstance(c.target, Susp) and not c.target.perm.swappings
+        return 0 if primitive else term_size(c.target), free_vars(c.target)
+
 
 class TestSearchSize:
     """Step counts recorded before the search steps were made cheaper: a
@@ -418,20 +489,28 @@ class TestCyclicChain:
 
 
 class TestLazyConstraints:
-    def test_building_does_not_walk_deep_terms(self, monkeypatch):
-        # a constraint's memo is filled when the search reads it, not when
-        # it is built: the walk would recurse through all 5000 levels
-        deep, perm = parse_term("f(" * 5000 + "a" + ")" * 5000), parse_perm("(a b)")
-        shallow = Eq(parse_term("f(X)"), parse_term("a"))
-        calls = []
-        for module in (sys.modules["nomfix.syntax"], UNIFY):
-            for name in ("term_size", "free_vars"):
-                fn = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda t, fn=fn, name=name: calls.append(name) or fn(t))
-        Eq(deep, deep), Fix(perm, deep), Eq(deep, shallow.lhs)
-        assert calls == []
+    def test_building_does_not_walk_deep_terms(self):
+        # a constraint's variables and weight are read off its terms', which
+        # they carry from their own construction: building constraints on a
+        # term 5000 levels deep makes the calls it makes on f(a), and a walk
+        # would make more, or recurse through all 5000 levels
+        perm, shallow = parse_perm("(a b)"), Eq(parse_term("f(X)"), parse_term("a"))
+
+        def calls(t):
+            seen, profiler = [], sys.getprofile()
+            sys.setprofile(lambda frame, event, arg: seen.append((event, frame.f_code, getattr(arg, "__name__", None))))
+            try:
+                built = Eq(t, t), Fix(perm, t), Eq(t, shallow.lhs)
+            finally:
+                sys.setprofile(profiler)
+            return seen, built
+
+        deep = parse_term("f(" * 5000 + "a" + ")" * 5000)
+        (seen, (eq, fix, mixed)), (small, _) = calls(deep), calls(parse_term("f(a)"))
+        assert seen == small
         assert UNIFY.constraint_vars(shallow) == {X} and UNIFY._weight(shallow) == 2
-        assert sorted(set(calls)) == ["free_vars", "term_size"]
+        assert [UNIFY._weight(c) for c in (eq, fix, mixed)] == [5001, 5001, 5001]
+        assert [UNIFY.constraint_vars(c) for c in (eq, fix, mixed)] == [frozenset(), frozenset(), {X}]
 
 
 class TestSoundness:
