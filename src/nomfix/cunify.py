@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .printer import print_term
 from .syntax import NameGenerator, Signature, Theory, _Fields
-from .unify import Problem, Solution, _derive, is_more_general, problem_vars
+from .unify import Problem, Solution, _derive, is_more_general, problem_vars, step_line
 
 
 def tree_records(pr: Problem, leaves) -> Iterator[dict]:
@@ -72,9 +72,8 @@ def tree_line(record: dict) -> str:
     if record["parent"] is None:
         line = "; ".join(record["problem"]) or "(empty)"
     else:
-        binding = record.get("binding")
-        result = f"{binding['var']} -> {binding['term']}" if binding else ", ".join(record["produced"]) or "(nothing)"
-        line = f"[{record['rule']}] {record['consumed']}  =>  {result}"
+        b = record.get("binding")
+        line = step_line(record["rule"], record["consumed"], b and (b["var"], b["term"]), record.get("produced"))
     return f"{line} <{record['outcome']}>" if "outcome" in record else line
 
 

@@ -64,11 +64,21 @@ def print_perm(p: Permutation) -> str:
     return str(p)
 
 
-def print_subst(sigma: Substitution) -> str:
-    inner = ", ".join(
-        f"{x.name} -> {print_term(t)}" for x, t in sorted(sigma.bindings.items())
-    )
-    return "{" + inner + "}"
+def print_bindings(sigma: Substitution) -> list[tuple[str, str]]:
+    """(variable name, term text) per binding of sigma, in name order (Var
+    order: names are unique).  The terms print in insertion order through
+    one memo, so a binding's term that bindings inserted after it share, as
+    in unify's solutions, prints once."""
+    memo = {}
+    for t in sigma.bindings.values():
+        memo[id(t)] = print_term(t, memo)
+    return sorted([(x.name, memo[id(t)]) for x, t in sigma.bindings.items()])
+
+
+def print_subst(sigma: Substitution, bindings: list[tuple[str, str]] | None = None) -> str:
+    """{X -> t, ...}; bindings, if given, is print_bindings(sigma), made already."""
+    pairs = print_bindings(sigma) if bindings is None else bindings
+    return "{" + ", ".join([f"{x} -> {t}" for x, t in pairs]) + "}"
 
 
 def print_records(records, line) -> Iterator[str]:

@@ -105,15 +105,29 @@ class _Value(_Fields):
     __copy__ = __deepcopy__
 
 
-class _Interned(_Value):
-    """An immutable value with one live object per field values, kept in
-    _INTERNED: == is identity, and pickle returns the live object."""
+@functools.total_ordering
+class _Ordered(_Value):
+    """An immutable value ordered by its fields, in __match_args__ order,
+    against another of its own class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return self._fields(self) < other._fields(other) if type(other) is type(self) else NotImplemented
+
+
+class _Interned(_Ordered):
+    """An ordered value with one live object per field values, kept in
+    _INTERNED: == is identity, and pickle returns the live object.  It
+    prints as its name."""
 
     __slots__ = ("__weakref__",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
+    def __str__(self) -> str:
+        return self.name
 
-@functools.total_ordering
+
 class Atom(_Interned):
     """An object-level name.  Generated atoms come from a NameGenerator and
     carry the reserved prefix in their printed name.
@@ -128,20 +142,11 @@ class Atom(_Interned):
     def __new__(cls, name: str, gen_index: int = -1) -> Atom:
         return _intern(cls, (name, gen_index))
 
-    def __lt__(self, other: Atom) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return (self.name, self.gen_index) < (other.name, other.gen_index)
-
     @property
     def generated(self) -> bool:
         return self.gen_index >= 0
 
-    def __str__(self) -> str:
-        return self.name
 
-
-@functools.total_ordering
 class Var(_Interned):
     """A meta-level unknown, instantiable by substitution.  Variables are
     interned as atoms are: Var(name) returns the one live variable with that
@@ -157,17 +162,8 @@ class Var(_Interned):
             object.__setattr__(self, "_singleton", frozenset((self,)))
         return self
 
-    def __lt__(self, other: Var) -> bool:
-        if not isinstance(other, Var):
-            return NotImplemented
-        return self.name < other.name
 
-    def __str__(self) -> str:
-        return self.name
-
-
-@functools.total_ordering
-class Swapping(_Value):
+class Swapping(_Ordered):
     """A transposition of two distinct atoms, ordered by (left, right)."""
 
     __slots__ = __match_args__ = ("left", "right")
@@ -177,9 +173,6 @@ class Swapping(_Value):
             raise IllFormedTermError(f"swapping of an atom with itself: ({left} {right})")
         _set_left(self, left)
         _set_right(self, right)
-
-    def __lt__(self, other: Swapping) -> bool:
-        return (self.left, self.right) < (other.left, other.right) if type(other) is Swapping else NotImplemented
 
     def apply(self, a: Atom) -> Atom:
         if a == self.left:
@@ -193,10 +186,10 @@ class Swapping(_Value):
 
 
 class Permutation(_Value):
-    """A finite permutation of atoms, stored as a list of swappings.
+    """A finite permutation of atoms, stored as a tuple of swappings.
 
     The rightmost swapping acts first: (a b)(b c) sends c to a.  The
-    constructor takes any list and keeps the canonical one for its action:
+    constructor takes any sequence and keeps the canonical tuple for its action:
     each cycle c0 -> c1 -> ... -> ck, written from its least atom c0, becomes
     (c0 c1)(c1 c2)...(ck-1 ck), and the cycles follow the order of their
     least atoms.  So == and hash compare permutations, and every term,
@@ -207,7 +200,7 @@ class Permutation(_Value):
     __slots__ = __match_args__ = ("swappings",)
 
     def __init__(self, swappings: tuple[Swapping, ...] = ()):
-        _set_swappings(self, _canonical(swappings) if swappings else swappings)
+        _set_swappings(self, _canonical(swappings) if swappings else ())
 
     @staticmethod
     def identity() -> Permutation:
@@ -259,11 +252,11 @@ _set_left, _set_right, _set_swappings = Swapping.left.__set__, Swapping.right.__
 _IDENTITY = Permutation()
 
 
-def _canonical(swappings: tuple[Swapping, ...]) -> tuple[Swapping, ...]:
-    """The canonical swapping list of the permutation a list denotes."""
+def _canonical(swappings) -> tuple[Swapping, ...]:
+    """The canonical swapping tuple of the permutation a sequence denotes."""
     if len(swappings) == 1:
         (sw,) = swappings
-        return swappings if sw.left < sw.right else (Swapping(sw.right, sw.left),)
+        return (sw,) if sw.left < sw.right else (Swapping(sw.right, sw.left),)
     image: dict[Atom, Atom] = {}
     for sw in swappings:
         # composing with (a b) on the right swaps the images of a and b
@@ -764,9 +757,6 @@ class FreshnessContext(_Value):
 
     def holds(self, a: Atom, x: Var) -> bool:
         return (a, x) in self.constraints
-
-    def extend(self, pairs) -> FreshnessContext:
-        return FreshnessContext(self.constraints | frozenset(pairs))
 
     def atoms(self) -> set[Atom]:
         return {a for a, _ in self.constraints}

@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .fixpoint import check_alpha_fixp, check_fixp
-from .printer import print_perm, print_term
+from .printer import print_bindings, print_perm, print_subst, print_term
 from .syntax import (
     Abs,
     App,
@@ -140,19 +140,23 @@ class SimplStep(NamedTuple):
     binding: tuple[Var, Term] | None = None
 
     def __str__(self) -> str:
-        if self.binding is not None:
-            x, t = self.binding
-            return f"[{self.rule}] {self.consumed}  =>  {x} -> {print_term(t)}"
-        prod = ", ".join(str(c) for c in self.produced) or "(nothing)"
-        return f"[{self.rule}] {self.consumed}  =>  {prod}"
+        b = self.binding
+        return step_line(self.rule, self.consumed, b and (b[0], print_term(b[1])), self.produced)
+
+
+def step_line(rule: str, consumed, binding, produced) -> str:
+    """The text of a step, as unify's trace and cunify's tree print it:
+    [rule] consumed  =>  the binding, a pair (variable, term), if there is
+    one, else the produced constraints."""
+    result = f"{binding[0]} -> {binding[1]}" if binding else ", ".join(map(str, produced)) or "(nothing)"
+    return f"[{rule}] {consumed}  =>  {result}"
 
 
 class Solution(_Fields):
     """A solved form: a fixed-point context paired with a substitution, not
-    changed once built.  So its bindings are sorted and printed once, on first
-    use, and kept: key(), c_unify's sort key and text, and --json read them.
-    They print in insertion order through one memo, so a later binding's
-    term, which extract_solution shares inside earlier ones, prints once."""
+    changed once built.  So its bindings are printed once (print_bindings),
+    on first use, and kept: key(), c_unify's sort key and text, and --json
+    read them."""
 
     __slots__ = ("context", "subst", "_bindings", "_key")
     __match_args__ = ("context", "subst")
@@ -161,17 +165,13 @@ class Solution(_Fields):
         self.context, self.subst, self._bindings, self._key = context, subst, None, None
 
     def bindings(self) -> list[tuple[str, str]]:
-        """(variable name, term text) per binding, in name order (Var order: names are unique)."""
         if self._bindings is None:
-            memo = {}
-            for t in self.subst.bindings.values():
-                memo[id(t)] = print_term(t, memo)
-            self._bindings = sorted([(x.name, memo[id(t)]) for x, t in self.subst.bindings.items()])
+            self._bindings = print_bindings(self.subst)
         return self._bindings
 
     def key(self) -> str:
         if self._key is None:
-            self._key = f"{self.context} |- {{" + ", ".join([f"{x} -> {t}" for x, t in self.bindings()]) + "}"
+            self._key = f"{self.context} |- {print_subst(self.subst, self.bindings())}"
         return self._key
 
     def __str__(self) -> str:
@@ -191,31 +191,16 @@ class UnifyResult(_Fields):
         return self.status == "solved"
 
 
-def is_primitive(c: Constraint) -> bool:
-    """A fixed-point constraint on a bare variable: Fix's constructor gives only those no weight."""
-    return type(c) is Fix and not c._weight
-
-
-def constraint_vars(c: Constraint) -> frozenset[Var]:
-    return c._vars
-
-
 def problem_vars(pr: Problem) -> frozenset[Var]:
-    return frozenset().union(*map(constraint_vars, pr))
-
-
-def _weight(c: Constraint) -> int:
-    """c's weight in the measure: the larger side's size for an equation,
-    the target's size for a fixed-point constraint, and 0, no weight, for
-    a primitive one, set when c was built."""
-    return c._weight
+    return frozenset().union(*[c._vars for c in pr])
 
 
 def problem_measure(pr: Problem):
     """Termination measure: number of distinct variables, then the multiset
     of term sizes of equations (the larger side) and of non-primitive
-    fixed-point constraints.  The search asserts its decrease from each
-    step (_step_decreases); this computes it over a whole problem.
+    fixed-point constraints, read off each constraint's _vars and _weight.
+    The search asserts its decrease from each step (_step_decreases); this
+    computes it over a whole problem.
 
     Instantiation removes a variable; every other rule replaces one weight by
     smaller ones.  That includes both branches of the commutative rules:
@@ -225,7 +210,7 @@ def problem_measure(pr: Problem):
     The multiset is encoded as a descending sequence compared lexicographically,
     which coincides with the multiset extension of < on naturals.
     """
-    return len(problem_vars(pr)), tuple(sorted((w for w in map(_weight, pr) if w), reverse=True))
+    return len(problem_vars(pr)), tuple(sorted((c._weight for c in pr if c._weight), reverse=True))
 
 
 def _step_decreases(step: SimplStep, before: int, after: int) -> bool:
@@ -392,11 +377,11 @@ def _instantiation(c: Constraint, rigid: frozenset):
     """The instantiation step c allows, if any: (rule, suspension, other
     side), where the suspension's variable is not rigid and does not occur
     on the other side, the left side tried first."""
-    if isinstance(c, Eq):
+    if type(c) is Eq:
         s, t = c.lhs, c.rhs
-        if isinstance(s, Susp) and s.var not in rigid and s.var not in free_vars(t):
+        if type(s) is Susp and s.var not in rigid and s.var not in t._vars:
             return "eq-inst1", s, t
-        if isinstance(t, Susp) and t.var not in rigid and t.var not in free_vars(s):
+        if type(t) is Susp and t.var not in rigid and t.var not in s._vars:
             return "eq-inst2", t, s
     return None
 
@@ -461,20 +446,16 @@ def expand(st: _State, gen: NameGenerator, sig: Signature, rigid: frozenset = fr
 def classify_normal_form(pr: Problem, rigid: frozenset = frozenset()):
     """Return (kind, witness) for a failed normal form, or None on success."""
     for c in pr:
-        if isinstance(c, Eq):
+        if type(c) is Eq:
             s, t = c.lhs, c.rhs
-            if isinstance(s, Susp) and s.var in free_vars(t):
+            if type(s) is Susp and s.var in t._vars or type(t) is Susp and t.var in s._vars:
                 return "occurs", c
-            if isinstance(t, Susp) and t.var in free_vars(s):
-                return "occurs", c
-            if (isinstance(s, Susp) and s.var in rigid) or (
-                isinstance(t, Susp) and t.var in rigid
-            ):
+            if type(s) is Susp and s.var in rigid or type(t) is Susp and t.var in rigid:
                 return "rigid", c
             return "clash", c
-        if isinstance(c.target, AtomTerm):
+        if type(c.target) is AtomTerm:
             return "fixpoint-inconsistency", c
-        assert is_primitive(c), f"unexpected constraint in normal form: {c}"
+        assert not c._weight, f"unexpected constraint in normal form: {c}"  # a Fix on a bare variable
     return None
 
 
@@ -571,32 +552,30 @@ def is_more_general(
     carries each X sol1 to something equivalent to X sol2 under sol2's
     context, and sol2's context supports sol1's constraints so instantiated.
 
-    The carrying substitution is searched for by matching; candidates are then
-    verified directly with the checking engines.
+    sol1's own variables, those of its terms and context not among the given
+    ones, are first renamed apart, to names the parser cannot produce, so
+    that none is read as sol2's variable of the same name.  The carrying
+    substitution is searched for by matching; candidates are then verified
+    directly with the checking engines.
     """
     sig = sig or Signature(permissive=True)
     variables = sorted(set(variables))
-    lhs = [sol1.subst(Susp(Permutation.identity(), x)) for x in variables]
-    rhs = [sol2.subst(Susp(Permutation.identity(), x)) for x in variables]
-    lhs = [flatten(sig, t) for t in lhs]
-    rhs = [flatten(sig, t) for t in rhs]
-    rigid = frozenset().union(*(free_vars(t) for t in rhs)) if rhs else frozenset()
+    ident = Permutation.identity()
+    lhs = [sol1.subst(Susp(ident, x)) for x in variables]
+    own = frozenset().union(*[t._vars for t in lhs], [y for _, y in sol1.context.constraints]) - set(variables)
+    apart = {y: Var(f"#{y.name}") for y in own}
+    rename = Substitution({y: Susp(ident, z) for y, z in apart.items()})
+    lhs = [flatten(sig, rename(t)) for t in lhs]
+    rhs = [flatten(sig, sol2.subst(Susp(ident, x))) for x in variables]
+    fixes = [(p, apart.get(y, y)) for p, y in sol1.context.constraints]
+    rigid = frozenset().union(*[t._vars for t in rhs])
     problem = tuple(Eq(s, t) for s, t in zip(lhs, rhs))
     gen = generator_avoiding(atoms_in(*problem, sol1.context, sol2.context))
     for _, _, _, cand in _search(problem, sig, gen, rigid):
-        if cand is None:
-            continue
-        sigma1p = sol1.subst.compose(cand.subst)
-        ok = all(
-            check_alpha_fixp(sig, sol2.context, sigma1p(Susp(Permutation.identity(), x)), t)
-            for x, t in zip(variables, rhs)
-        )
-        if not ok:
-            continue
-        if all(
-            check_fixp(sig, sol2.context, p, cand.subst(Susp(Permutation.identity(), y)))
-            for p, y in sol1.context.constraints
+        if (
+            cand is not None
+            and all(check_alpha_fixp(sig, sol2.context, cand.subst(s), t) for s, t in zip(lhs, rhs))
+            and all(check_fixp(sig, sol2.context, p, cand.subst(Susp(ident, y))) for p, y in fixes)
         ):
             return True
     return False
-

@@ -74,6 +74,45 @@ class TestTwoSolutions:
         assert len(res.solutions) == 2
 
 
+def solution(bindings: dict, fixes=()) -> Solution:
+    """The solution {p fix X, ...} |- {X -> t, ...} of the texts given."""
+    context = FixpointContext(frozenset((parse_perm(p), Var(x)) for p, x in fixes))
+    return Solution(context, Substitution({Var(x): parse_term(t) for x, t in bindings.items()}))
+
+
+class TestIsMoreGeneral:
+    """sol1's own variables, those not among the given ones, are renamed
+    apart before matching, in its terms and its context: none is read as
+    sol2's variable of the same name."""
+
+    @pytest.mark.parametrize("sol1, sol2, variables, general", [
+        (solution({"X": "Y"}), solution({"X": "f(Y)"}), [X], True),
+        (solution({"X": "Y"}), solution({"X": "f(Z)"}), [X], True),
+        (solution({"X": "f(Y)"}), solution({"X": "Y"}), [X], False),
+        (solution({"X": "(a b).Y"}), solution({"X": "Y"}), [X], True),
+        (solution({"X": "Y"}, [("(a b)", "Y")]), solution({"X": "f(Y)"}), [X], False),
+        (solution({"X": "Y"}, [("(a b)", "Y")]), solution({"X": "f(Y)"}, [("(a b)", "Y")]), [X], True),
+        # sol1's context follows its renamed Y, which stands for f(a) here, not for sol2's Y
+        (solution({"X": "Y"}, [("(a b)", "Y")]), solution({"X": "f(a)"}, [("(a b)", "Y")]), [X], False),
+    ])
+    def test_own_variables_are_renamed_apart(self, sol1, sol2, variables, general):
+        assert is_more_general(sol1, sol2, variables) is general
+
+    def test_a_matched_candidate_can_fail_the_alpha_check(self, monkeypatch):
+        # over [X, Y], Y is given and not renamed: matching (a b).Y =? Y and
+        # Y =? Y leaves the candidate {(a b) fix Y} |- {}, and (a b).Y is
+        # not Y under sol2's empty context
+        verdicts = []
+
+        def check(*args, inner=UNIFY.check_alpha_fixp):
+            verdicts.append(inner(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(UNIFY, "check_alpha_fixp", check)
+        assert not is_more_general(solution({"X": "(a b).Y"}), solution({"X": "Y"}), [X, Y])
+        assert verdicts == [False]
+
+
 class TestFixConstraintSolution:
     def test_swap_against_itself(self):
         pr = (parse_constraint("(a b).X =? X", SIG),)

@@ -3,6 +3,7 @@ import pytest
 from nomfix import (
     Atom,
     Eq,
+    Fix,
     FixpointContext,
     Permutation,
     Signature,
@@ -14,11 +15,15 @@ from nomfix import (
     act,
     check_alpha_fixp,
     check_alpha_fresh,
+    completeness_check,
+    c_unify,
     enumerate_ground_substs,
     enumerate_terms,
     FreshnessContext,
     ground_alpha_oracle,
     is_ground,
+    parse_constraint,
+    parse_perm,
     parse_term,
     unify,
     verify_solution,
@@ -120,7 +125,30 @@ class TestVerification:
         stripped = Solution(FixpointContext(), res.solution.subst)
         assert not verify_solution(SIG0, pr, stripped)
 
+    def test_unfixed_target_rejected(self):
+        pr = (Fix(parse_perm("(a b)"), parse_term("X")),)
+        assert not verify_solution(SIG0, pr, Solution(FixpointContext(), Substitution({X: parse_term("a")})))
+        assert verify_solution(SIG0, pr, Solution(FixpointContext(), Substitution({X: parse_term("f(c)")})))
+
     def test_non_idempotent_rejected(self):
         pr = (Eq(parse_term("X"), parse_term("X")),)
         loopy = Solution(FixpointContext(), Substitution({X: parse_term("f(X)")}))
         assert not verify_solution(SIG0, pr, loopy)
+
+
+class TestCompleteness:
+    def test_a_dropped_solution_is_reported_missed(self):
+        # +((a b).X, a) =? +(Y, X) has two incomparable solutions, each
+        # covering ground solutions the other misses: over the depth-1 pool
+        # on a and b, {(a b) fix X} |- {Y -> a} covers four, {} |- {X -> a,
+        # Y -> b} one
+        sig = Signature({"+": Theory.C})
+        pr = (parse_constraint("+((a b).X, a) =? +(Y, X)", sig),)
+        pool = TermPool(atoms=(a, b), signature=sig, max_depth=1)
+        fixed, flat = c_unify(pr, sig).solutions
+        assert completeness_check(sig, pr, [fixed, flat], pool) == (5, 5, [])
+        for kept, missed in ((fixed, ["{X -> a, Y -> b}"]),
+                             (flat, ["{X -> [a] a, Y -> a}", "{X -> [b] b, Y -> a}",
+                                     "{X -> +(a, b), Y -> a}", "{X -> +(b, a), Y -> a}"])):
+            found, covered, deltas = completeness_check(sig, pr, [kept], pool)
+            assert (found, covered, list(map(repr, deltas))) == (5, 5 - len(missed), missed)

@@ -11,6 +11,7 @@ from nomfix import (
     App,
     Atom,
     AtomTerm,
+    FixpointContext,
     IllFormedTermError,
     NameGenerator,
     Permutation,
@@ -91,6 +92,24 @@ class TestPermutation:
         assert p == q
         assert hash(p) == hash(q)
         assert str(p) == str(q) == "(a b)(b c)"
+
+    @pytest.mark.parametrize("pairs", [(), ((a, b),), ((b, a),), ((a, b), (b, c))])
+    def test_built_from_a_list(self, pairs):
+        # any sequence of swappings gives the permutation of its tuple, as a
+        # tuple: equal, of one hash, and held by a context
+        listed, tupled = Permutation([Swapping(x, y) for x, y in pairs]), swaps(*pairs)
+        assert type(listed.swappings) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert FixpointContext(frozenset({(listed, Var("X"))})) == FixpointContext(frozenset({(tupled, Var("X"))}))
+
+    def test_names_are_ordered_by_their_fields_within_a_class(self):
+        assert Swapping(a, c) < Swapping(b, a) and Swapping(a, b) <= Swapping(a, b) < Swapping(a, c)
+        assert Swapping(b, c) > Swapping(b, a) >= Swapping(a, d)
+        assert sorted([Atom("a", 2), Atom("a"), Atom("#c0", 0)]) == [Atom("#c0", 0), Atom("a"), Atom("a", 2)]
+        for x, y in ((a, Var("a")), (Swapping(a, b), a), (Var("X"), Swapping(a, b))):
+            with pytest.raises(TypeError):
+                x < y
+            assert x != y
 
     def test_group_laws_random(self, rng):
         for _ in range(300):

@@ -303,7 +303,7 @@ class TestIncrementalState:
         # must decide as the tuple order does on the measures of the step's
         # constraints, the weights it leaves alone cancelling out
         step = SimplStep("rule", weighing(consumed), tuple(map(weighing, produced)))
-        assert [UNIFY._weight(c) for c in (step.consumed, *step.produced)] == [consumed, *produced]
+        assert [c._weight for c in (step.consumed, *step.produced)] == [consumed, *produced]
         after = count_after, problem_measure(step.produced)[1]
         before = count_before, problem_measure((step.consumed,))[1]
         assert UNIFY._step_decreases(step, count_before, count_after) == (after < before)
@@ -346,9 +346,10 @@ class TestIncrementalState:
 
     def test_chain_solution_prints_in_linear_work(self, monkeypatch):
         # each binding of a chain's solution holds the next one's term, which
-        # bindings() prints once: the nodes it lists at most about double
-        # when the chain doubles, where printing each binding whole grows
-        # them four times
+        # bindings() prints once, and so do print_subst and repr of its
+        # substitution: the nodes each lists at most about double when the
+        # chain doubles, where printing each binding whole grows them four
+        # times
         counts = []
         listed = PRINTER._listed
 
@@ -359,9 +360,10 @@ class TestIncrementalState:
         monkeypatch.setattr(PRINTER, "_listed", counted)
         for n in (200, 400):
             solution = unify(chain(n)).solution
-            counts.append(0)
-            solution.bindings()
-        assert counts[1] <= 2.2 * counts[0], counts
+            for show in (Solution.bindings, lambda sol: PRINTER.print_subst(sol.subst), lambda sol: repr(sol.subst)):
+                counts.append(0)
+                show(solution)
+        assert all(later <= 2.2 * first for first, later in zip(counts[:3], counts[3:])), counts
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_bindings_print_each_term_whole(self, seed):
@@ -393,7 +395,7 @@ class TestIncrementalState:
             cons += (step.consumed, *step.produced)
         for c in cons:
             weight, xs = self.measure_data(c)
-            assert (UNIFY._weight(c), UNIFY.constraint_vars(c)) == (weight, xs)
+            assert (c._weight, c._vars) == (weight, xs)
             assert problem_measure((c,)) == (len(xs), (weight,) if weight else ())
         data = list(map(self.measure_data, pr))
         weights = tuple(sorted((w for w, _ in data if w), reverse=True))
@@ -508,9 +510,9 @@ class TestLazyConstraints:
         deep = parse_term("f(" * 5000 + "a" + ")" * 5000)
         (seen, (eq, fix, mixed)), (small, _) = calls(deep), calls(parse_term("f(a)"))
         assert seen == small
-        assert UNIFY.constraint_vars(shallow) == {X} and UNIFY._weight(shallow) == 2
-        assert [UNIFY._weight(c) for c in (eq, fix, mixed)] == [5001, 5001, 5001]
-        assert [UNIFY.constraint_vars(c) for c in (eq, fix, mixed)] == [frozenset(), frozenset(), {X}]
+        assert shallow._vars == {X} and shallow._weight == 2
+        assert [c._weight for c in (eq, fix, mixed)] == [5001, 5001, 5001]
+        assert [c._vars for c in (eq, fix, mixed)] == [frozenset(), frozenset(), {X}]
 
 
 class TestSoundness:

@@ -46,7 +46,6 @@ from nomfix import (
     parse_term,
     unify,
 )
-from nomfix.unify import constraint_vars
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X = Var("X")
@@ -105,7 +104,7 @@ class TestRepr:
 
     def test_constraints_leave_out_their_memos(self):
         e, f = Eq(T, AtomTerm(a)), Fix(P, T)
-        constraint_vars(e)
+        object.__setattr__(e, "_tried", ())
         assert repr(e) == f"Eq(lhs={T_REPR}, rhs=AtomTerm(atom={A_}))"
         assert repr(f) == f"Fix(perm={P_REPR}, target={T_REPR})"
         assert repr(FreshRequest(a, T)) == f"FreshRequest(atom={A_}, term={T_REPR})"
@@ -131,7 +130,7 @@ class TestRepr:
 class TestEqualityAndHash:
     def test_filled_memos_are_ignored(self):
         filled, fresh = Eq(T, T), Eq(parse_term("[a] f((a b).X, b)"), T)
-        constraint_vars(filled)
+        object.__setattr__(filled, "_weight", -1)
         object.__setattr__(filled, "_tried", ())
         assert filled == fresh and hash(filled) == hash(fresh)
         ground, other = parse_term("[a] f(a, b)"), parse_term("[a] f(a, b)")
