@@ -3,25 +3,66 @@
 Runs the search of nomfix.unify with the signature's commutative symbols,
 so that it branches in two at every application of one, once no other
 step applies.  Every successful leaf contributes one solution; the
-collected set is a complete set of solutions for the problem.  The search
-keeps each leaf's chain of steps, and the finite derivation tree it
-explored is read off those chains, as flat records, on first use.
+collected set is a complete set of solutions for the problem.
+
+The problem is first split into parts that share no variable (union-find
+over the constraints' variables), and each part is searched on its own;
+the parts draw their new atoms from one generator, so no two of them
+generate the same atom, and none is an atom of the problem.  The problem's
+solutions are then the product of the parts' (the connected components of
+#SAT model counting: Bayardo and Pehoushek, AAAI 2000).
+
+- Each combination is a solution.  A part's search sees only its own
+  constraints, and no rule introduces a variable, so a part's solution
+  binds and constrains only the part's variables and its terms mention
+  only them.  The union of the parts' contexts and of their substitutions
+  so applies to each constraint as its own part's solution does, under a
+  larger context, and derivations stay derivations under a larger context.
+- The product is complete.  A solution of the problem solves each part, so
+  each part's complete set has a solution more general than it over the
+  part's variables.  Their instantiating substitutions act on disjoint
+  variables, and the new atoms they must read as new are disjoint, so
+  their union instantiates the combination to the given solution.
+- The leaves multiply.  No branch is cut early, and a part's steps neither
+  enable nor disable another part's, so a search over the whole problem
+  would reach one leaf per choice of a leaf in each part.
+
+So c_unify reports that tree: its leaves are counted as the product, and
+its paths graft each part's tree below every leaf of the parts before it.
+That takes each part's steps in the order its own search took them, the
+parts in turn; a search of the whole problem took the same steps, in that
+order when each part is one constraint whose first step is its split (k
+independent C-pairs), and otherwise interleaved.  The paths, and the
+derivation tree read off them as flat records, are made only when they
+are read, so the search costs the sum of the parts' searches, and only
+the output can be exponential.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
+from itertools import chain, product
+from math import prod
 
 from .printer import print_term
-from .syntax import NameGenerator, Signature, Theory, _Fields
+from .syntax import (
+    FixpointContext,
+    NameGenerator,
+    Signature,
+    Substitution,
+    Theory,
+    _Fields,
+    atoms_in,
+    generator_avoiding,
+)
 from .unify import Problem, Solution, _derive, is_more_general, problem_vars, step_line
 
 
 def tree_records(pr: Problem, leaves) -> Iterator[dict]:
     """The derivation tree of pr as flat records, from its leaves in the
     order unify._search yields them, each given as (path, failure,
-    solution).
+    solution); leaves is reversed once.
 
     The tree is the union of the leaves' paths; a node is known by its path
     object, which all its descendants share.  The records come in pre-order,
@@ -77,15 +118,72 @@ def tree_line(record: dict) -> str:
     return f"{line} <{record['outcome']}>" if "outcome" in record else line
 
 
+class Outcomes(_Fields):
+    """The leaves of a c_unify search as (path, failure, solution), in
+    search order: each part's tree grafted below every leaf of the parts
+    before it.  A part is (indices, leaves): its constraints' places in the
+    problem, and its search's leaves as (path, failure, solution, rank).
+    combos are the problem's solutions, one per choice of a successful leaf
+    in each part, in the order the leaves come.
+
+    The leaves are made each time they are iterated, forwards or reversed,
+    one at a time.  A combined leaf fails if a part's does, with the
+    failure that comes first in the whole problem's normal form, as the
+    failures' ranks order them (_rank; a problem of one part has no rank
+    to compare)."""
+
+    __slots__ = __match_args__ = ("parts", "combos")
+
+    def __init__(self, parts: list, combos: list[Solution]):
+        self.parts, self.combos = parts, combos
+
+    def __len__(self) -> int:
+        return prod(len(leaves) for _, leaves in self.parts)
+
+    def __iter__(self):
+        return self._walk([leaves for _, leaves in self.parts], iter(self.combos))
+
+    def __reversed__(self):
+        return self._walk([leaves[::-1] for _, leaves in self.parts], reversed(self.combos))
+
+    @staticmethod
+    def _walk(lists, combos):
+        grafted: dict[int, dict] = {}  # id(base) -> id(node) -> its copy below base; kept, so no id is reused
+        for choice in product(*lists):
+            path = first = None
+            for leaf, failure, _, rank in choice:
+                if failure is not None and (first is None or rank < first[0]):
+                    first = rank, failure
+                path = _graft(leaf, path, grafted)
+            yield path, first and first[1], None if first else next(combos)
+
+
+def _graft(path, base, grafted: dict):
+    """path, a chain (step, parent) back to its part's root, with the root
+    replaced by base, another such chain; the nodes are copied once per
+    base."""
+    if base is None:
+        return path
+    copies = grafted.setdefault(id(base), {})
+    new = []
+    while path is not None and id(path) not in copies:
+        new.append(path)
+        path = path[1]
+    top = base if path is None else copies[id(path)]
+    for node in reversed(new):
+        top = copies[id(node)] = (node[0], top)
+    return top
+
+
 class CUnifyResult(_Fields):
-    """The solutions and the number of leaves of a c_unify search.  tree,
-    the derivation tree as tree_records, is read on first use off the
-    leaves' (path, failure, solution) chains kept here.  It has no slots:
-    cached_property keeps tree in its __dict__."""
+    """The solutions of a c_unify search, its leaves (Outcomes) and the
+    number of them.  tree, the derivation tree as tree_records, is read on
+    first use off the leaves.  It has no slots: cached_property keeps tree
+    in its __dict__."""
 
     __match_args__ = ("status", "solutions", "problem", "outcomes")
 
-    def __init__(self, status: str, solutions: list[Solution], problem: Problem, outcomes: list):
+    def __init__(self, status: str, solutions: list[Solution], problem: Problem, outcomes: Outcomes):
         self.status = status  # "solved" | "unsolvable"
         self.solutions, self.problem, self.outcomes = solutions, problem, outcomes
 
@@ -111,15 +209,70 @@ def c_unify(
     gen: NameGenerator | None = None,
     dedup: bool = False,
 ) -> CUnifyResult:
-    """Solve a unification problem over plain and commutative symbols."""
+    """Solve a unification problem over plain and commutative symbols: each
+    part on its own, as the module docstring sets out."""
     pr = tuple(pr)
-    leaves = _derive(pr, sig, gen, (Theory.NONE, Theory.C))
-    outcomes = [(path, failure, solution) for _, path, failure, solution in leaves]
-    solutions = sorted((s for *_, s in outcomes if s is not None), key=Solution.key)
+    if gen is None:
+        gen = generator_avoiding(atoms_in(*pr))
+    groups = _parts(pr)
+    # every part is checked before any is searched
+    searches = [_derive([pr[i] for i in indices], sig, gen, (Theory.NONE, Theory.C)) for indices in groups]
+    ranked = len(groups) > 1  # only then can two parts' failures compete
+    parts = []
+    for p, (indices, leaves) in enumerate(zip(groups, searches)):
+        parts.append((indices, [(path, failure, sol, ranked and failure and _rank(st, failure[1], p, indices))
+                                for _, path, failure, sol, st in leaves]))
+    solved = ([sol for _, _, sol, _ in leaves if sol is not None] for _, leaves in parts)
+    combos = [_combine(choice) for choice in product(*solved)]
+    solutions = sorted(combos, key=Solution.key)
     if dedup:
         solutions = _dedup(solutions, problem_vars(pr), sig)
     status = "solved" if solutions else "unsolvable"
-    return CUnifyResult(status, solutions, pr, outcomes)
+    return CUnifyResult(status, solutions, pr, Outcomes(parts, combos))
+
+
+def _parts(pr: Problem) -> list[list[int]]:
+    """The indices of pr's constraints, in parts that share no variable,
+    each in input order and the parts in the order of their first
+    constraints: union-find over the constraints' variables.  An empty
+    problem is one empty part."""
+    up = list(range(len(pr)))
+
+    def root(i: int) -> int:
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
+    first: dict = {}  # variable -> the first constraint that mentions it
+    for i, c in enumerate(pr):
+        for x in c._vars:
+            up[root(first.setdefault(x, i))] = root(i)
+    parts: dict[int, list[int]] = {}
+    for i in range(len(pr)):
+        parts.setdefault(root(i), []).append(i)
+    return list(parts.values()) or [[]]
+
+
+def _rank(st, witness, p: int, indices: list[int]) -> tuple:
+    """Where the failure witness of a leaf of part p, in the leaf's state
+    st, stands in the normal form of the grafted path: the constraints
+    steps produced come first, the last part's first, then those in the
+    input constraints' places, in input order."""
+    k = min(k for k, c in st.cons.items() if c is witness)
+    return (0, -p) if k < 0 else (1, indices[k])
+
+
+def _combine(sols: tuple[Solution, ...]) -> Solution:
+    """One solution of each part, as one of the whole problem: the union of
+    their contexts and of their substitutions, the bindings' text merged
+    from theirs, not printed again."""
+    if len(sols) == 1:
+        return sols[0]
+    subst = Substitution()
+    for s in sols:
+        subst.bindings.update(s.subst.bindings)
+    context = FixpointContext(frozenset().union(*[s.context.constraints for s in sols]))
+    return Solution(context, subst, sorted(chain.from_iterable([s.bindings() for s in sols])))
 
 
 def _dedup(solutions: list[Solution], variables, sig) -> list[Solution]:

@@ -30,7 +30,8 @@ above the splits, not once in every branch.  A split's alternatives are
 derived once, when the first tier meets its constraint, so the branches
 below share its child constraints and their memos.  One depth-first
 search over these steps serves every solver: unify and match follow its
-single path, is_more_general and nomfix.cunify every branch.  It asserts
+single path, is_more_general every branch, and nomfix.cunify every branch
+of each part of a problem that shares no variable with the rest.  It asserts
 the termination measure on every step and reads each solution off its
 leaf's path of steps.  The paths share their prefixes, and their union is
 the derivation tree, whose records nomfix.cunify reads off them only when
@@ -155,14 +156,14 @@ def step_line(rule: str, consumed, binding, produced) -> str:
 class Solution(_Fields):
     """A solved form: a fixed-point context paired with a substitution, not
     changed once built.  So its bindings are printed once (print_bindings),
-    on first use, and kept: key(), c_unify's sort key and text, and --json
-    read them."""
+    on first use unless given, and kept: key(), c_unify's sort key and
+    text, and --json read them."""
 
     __slots__ = ("context", "subst", "_bindings", "_key")
     __match_args__ = ("context", "subst")
 
-    def __init__(self, context: FixpointContext, subst: Substitution):
-        self.context, self.subst, self._bindings, self._key = context, subst, None, None
+    def __init__(self, context: FixpointContext, subst: Substitution, bindings: list[tuple[str, str]] | None = None):
+        self.context, self.subst, self._bindings, self._key = context, subst, bindings, None
 
     def bindings(self) -> list[tuple[str, str]]:
         if self._bindings is None:
@@ -479,12 +480,14 @@ def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):
     """Depth-first search of the derivations of pr, last child first, so
     the leaves, read in reverse, come in the tree's pre-order.
 
-    Yields (normal form, path, failure, solution) for each leaf; path is the
-    linked chain (step, parent path) back to the root, and failure is
-    classify_normal_form's answer.  Each step's decrease of the measure is
-    asserted from the step and the variable counts around it.  The search
-    builds a problem only at a leaf; the chains share their prefixes and
-    together are the derivation tree, which nomfix.cunify reads on demand.
+    Yields (normal form, path, failure, solution, state) for each leaf; path
+    is the linked chain (step, parent path) back to the root, failure is
+    classify_normal_form's answer, and state the leaf's _State, whose keys
+    place the normal form's constraints.  Each step's decrease of the
+    measure is asserted from the step and the variable counts around it.
+    The search builds a problem only at a leaf; the chains share their
+    prefixes and together are the derivation tree, which nomfix.cunify
+    reads on demand.
     """
     stack = [(_State(pr), None)]
     while stack:
@@ -494,7 +497,7 @@ def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):
         if not children:
             nf = st.problem()
             failure = classify_normal_form(nf, rigid)
-            yield nf, path, failure, None if failure else extract_solution(nf, path)
+            yield nf, path, failure, None if failure else extract_solution(nf, path), st
         for child, step in children:
             assert _step_decreases(step, var_count, len(child.occ)), str(step)
             stack.append((child, (step, path)))
@@ -517,7 +520,7 @@ def unify(
 ) -> UnifyResult:
     """Solve a syntactic unification problem (a sequence of constraints)."""
     sig = sig or Signature(permissive=True)
-    ((nf, path, failure, solution),) = _derive(pr, sig, gen, (Theory.NONE,), rigid)
+    ((nf, path, failure, solution, _),) = _derive(pr, sig, gen, (Theory.NONE,), rigid)
     steps = []
     while path is not None:
         step, path = path
@@ -571,7 +574,7 @@ def is_more_general(
     rigid = frozenset().union(*[t._vars for t in rhs])
     problem = tuple(Eq(s, t) for s, t in zip(lhs, rhs))
     gen = generator_avoiding(atoms_in(*problem, sol1.context, sol2.context))
-    for _, _, _, cand in _search(problem, sig, gen, rigid):
+    for _, _, _, cand, _ in _search(problem, sig, gen, rigid):
         if (
             cand is not None
             and all(check_alpha_fixp(sig, sol2.context, cand.subst(s), t) for s, t in zip(lhs, rhs))

@@ -16,6 +16,11 @@ are replayed here, so the check does not trust the search's state or the
 code that prints the records.  So the generated atoms in the records must
 be ones the parser reads: solve names them with a plain prefix, as
 `--fresh-prefix n` does.
+
+c_unify searches each part of a problem that shares no variable with the
+rest on its own, so the problems its search reaches are the parts'.
+part_problems replays each part's own tree, read off the leaves a result
+keeps, for the tests that compare them with what the search reached.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from nomfix import (
     parse_term,
     verify_solution,
 )
+from nomfix.cunify import tree_records
 from nomfix.unify import problem_measure
 
 def solve(sig, pr, **options):
@@ -64,6 +70,43 @@ def search_order(records):
         i = stack.pop()
         yield i
         stack.extend(kids[i])
+
+
+def part_problems(sig, pr, res) -> list[list[str]]:
+    """The problems c_unify's search reached on pr, as texts, read off its
+    result res: each part's own tree, made from the part's leaves that res
+    keeps, replayed from the part and read in search order, the parts in
+    turn.  It checks too that res.tree grafts each part's steps below every
+    leaf of the parts before it."""
+    problems, trees = [], []
+    for indices, leaves in res.outcomes.parts:
+        part = tuple(pr[i] for i in indices)
+        trees.append(list(tree_records(part, [leaf[:3] for leaf in leaves])))
+        replayed = check_tree(sig, part, trees[-1])
+        problems += [texts(replayed[i]) for i in search_order(trees[-1])]
+    assert _steps(res.tree) == _grafted(trees), "the tree is not its parts' trees grafted"
+    return problems
+
+
+def _step(record) -> dict:
+    return {k: record[k] for k in ("rule", "consumed", "produced", "binding") if k in record}
+
+
+def _steps(records) -> list[dict]:
+    return [_step(records[i]) for i in search_order(records) if records[i]["parent"] is not None]
+
+
+def _grafted(trees, p=0) -> list[dict]:
+    """The steps of the tree that grafts each of trees below every leaf of
+    the ones before it, in search order."""
+    out = []
+    for i in search_order(trees[p]):
+        r = trees[p][i]
+        if r["parent"] is not None:
+            out.append(_step(r))
+        if "outcome" in r and p + 1 < len(trees):
+            out += _grafted(trees, p + 1)
+    return out
 
 
 def check_tree(sig, pr, records) -> list[tuple]:

@@ -7,10 +7,11 @@ from heapq import heappop, heappush
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from certificate import check_tree, search_order, solve, texts
+from certificate import check_tree, part_problems, solve, texts
 from nomfix import (
+    App,
     Eq,
     Fix,
     FixpointContext,
@@ -20,8 +21,11 @@ from nomfix import (
     Substitution,
     Susp,
     Theory,
+    Tup,
     Var,
+    atoms_in,
     c_unify,
+    generator_avoiding,
     is_more_general,
     parse_constraint,
     parse_perm,
@@ -258,7 +262,10 @@ def count_calls(monkeypatch, owner, name, counts):
 class TestKeyOnce:
     """A solution's bindings are printed once: c_unify sorts by its key, and
     the CLI prints the key or, with --json, the bindings, tree included,
-    with the output of before."""
+    with the output of before.  Since the parts of a problem that share no
+    variable are solved apart, a solution of the whole merges its parts'
+    printed bindings: each part's are printed once, not once per
+    combination."""
 
     # sha256 of `nomfix cunify` output on c_pairs(8) for each flag set: the
     # text ones recorded before the text was kept, the tree's again when the
@@ -276,7 +283,8 @@ class TestKeyOnce:
         path = tmp_path / "pairs.nom"
         path.write_text("sym + : C ;\n" + ",\n".join(map(str, c_pairs(8))) + "\n")
         # every print_term call but the tree's, which prints the steps'
-        # constraints and bindings: so one per binding of each solution
+        # constraints and bindings: so one per binding of each part's
+        # solution
         tree = {UNIFY.Eq.__str__.__code__, UNIFY.Fix.__str__.__code__, CUNIFY.tree_records.__code__}
         calls = []
 
@@ -290,23 +298,27 @@ class TestKeyOnce:
                 monkeypatch.setattr(module, "print_term", counted)
         assert main(["cunify", str(path), *flags]) == 0
         out = capsys.readouterr().out
-        assert len(calls) == 2**8 * 16  # 2^8 solutions, each binding X0..X7 and Y0..Y7
+        assert len(calls) == 8 * 2 * 2  # 8 parts of 2 solutions, each binding Xi and Yi
         assert hashlib.sha256(out.encode()).hexdigest() == self.OUTPUT[flags]
 
 
 class TestLazyTree:
     """The search keeps the leaves' chains of steps; the tree's records are
-    read off them, without replaying a step, only when the tree is read."""
+    read off them, without replaying a step, only when the tree is read.
+    Each of the problem's parts is searched once, and the tree grafts each
+    part's tree below every leaf of the parts before it."""
 
     def test_no_tree_work_unless_read(self, monkeypatch):
+        # c_pairs(6) is six parts of two leaves: a problem is built at each
+        # of their 12 leaves, not at each of the tree's 64
         counts = {}
         count_calls(monkeypatch, CUNIFY, "tree_records", counts)
         count_calls(monkeypatch, UNIFY._State, "problem", counts)
         res = c_unify(c_pairs(6), SIG)
         assert res.leaves == 2**6 and len(res.solutions) == 2**6
-        assert counts == {"problem": res.leaves}
+        assert counts == {"problem": 6 * 2}
         records = res.tree
-        assert counts == {"problem": res.leaves, "tree_records": 1}
+        assert counts == {"problem": 6 * 2, "tree_records": 1}
         assert res.tree is records and counts["tree_records"] == 1
         assert sum("outcome" in r for r in records) == res.leaves
 
@@ -325,8 +337,8 @@ class TestLazyTree:
 
     @staticmethod
     def replayed_in_search_order(sig, pr, res):
-        problems = check_tree(sig, pr, res.tree)
-        return [texts(problems[i]) for i in search_order(res.tree)]
+        check_tree(sig, pr, res.tree)
+        return part_problems(sig, pr, res)
 
     def test_duplicate_constraints(self, monkeypatch):
         # the replay removes the first constraint equal to the consumed one:
@@ -610,3 +622,114 @@ class TestSharedSplits:
     def test_same_objects_solve_alike_twice(self, seed):
         pr = random_c_problem(random.Random(seed))
         assert c_outcome(c_unify(pr, SIG_C)) == c_outcome(c_unify(pr, SIG_C))
+
+
+def renamed_apart(problems) -> tuple:
+    """The constraints of problems, the variables of the j-th renamed with
+    the suffix j, so that no two of them share a variable."""
+    out = []
+    for j, pr in enumerate(problems):
+        theta = Substitution({x: Susp(idp, Var(f"{x.name}{j}")) for x in problem_vars(pr)})
+        out += [Eq(theta(c.lhs), theta(c.rhs)) if isinstance(c, Eq) else Fix(c.perm, theta(c.target)) for c in pr]
+    return tuple(out)
+
+
+def parted_c_problem(rng) -> tuple:
+    """Two to four random_c_problems renamed apart, and up to two ground
+    equations +(s, t) =? +(u, v), in a random order."""
+    pr = list(renamed_apart([random_c_problem(rng) for _ in range(rng.randrange(2, 5))]))
+    for _ in range(rng.randrange(3)):
+        s, t, u, v = (random_term(rng, SIG_C, depth=1, ground=True) for _ in range(4))
+        pr.append(Eq(App("+", Tup((s, t))), App("+", Tup((u, v)))))
+    rng.shuffle(pr)
+    return tuple(pr)
+
+
+class TestParts:
+    """c_unify solves the parts of a problem that share no variable apart,
+    and combines their complete sets as a product.  The reference is the
+    search over the whole problem as one tree (unify._derive), which it
+    replaced: the same status, leaves and number of solutions, solution
+    sets that subsume each other both ways once the generated atoms are
+    named canonically, and a tree that passes the certificate checker with
+    one leaf record per leaf.  Problems whose tree has more than 256
+    leaves are left out, for time."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_one_tree(self, seed):
+        pr = parted_c_problem(random.Random(seed))
+        res = solve(SIG_C, pr)
+        if res.leaves > 256:
+            return
+        gen = generator_avoiding(atoms_in(*pr), prefix="n")
+        leaves = list(UNIFY._derive(pr, SIG_C, gen, (Theory.NONE, Theory.C)))
+        ref = [s for *_, s, _ in leaves if s is not None]
+        status = "solved" if ref else "unsolvable"
+        assert (res.status, res.leaves, len(res.solutions)) == (status, len(leaves), len(ref))
+        variables = problem_vars(pr)
+        got, want = [renamed(s) for s in res.solutions], [renamed(s) for s in ref]
+        assert subsumes(got, want, variables) and subsumes(want, got, variables)
+        check_tree(SIG_C, pr, res.tree)
+        assert sum("outcome" in r for r in res.tree) == res.leaves
+
+    def test_parts_draw_from_one_generator(self):
+        # each part renames a binder, and so generates two atoms; the parts'
+        # atoms are distinct, and none is an atom of the problem
+        pr = tuple(parse_constraint(c, SIG) for c in ("[a] +(X, a) =? [b] +(b, Y)", "[c] +(Z, c) =? [d] +(d, W)"))
+        res = c_unify(pr, SIG)
+        made = {"XY": set(), "ZW": set()}
+        for sol in res.solutions:
+            for p, x in sol.context.constraints:
+                made["XY" if x.name in "XY" else "ZW"] |= p.support()
+        made = {k: v - atoms_in(*pr) for k, v in made.items()}
+        assert len(made["XY"]) == len(made["ZW"]) == 2
+        assert not made["XY"] & made["ZW"]
+        assert (res.leaves, len(res.solutions)) == (16, 16)
+
+    def test_ground_constraints(self):
+        pr = tuple(parse_constraint(c, SIG) for c in ("+(a, b) =? +(b, a)", "+(X, a) =? +(b, a)"))
+        res = c_unify(pr, SIG)
+        assert (res.leaves, [s.key() for s in res.solutions]) == (4, ["{} |- {X -> b}"])
+
+    def test_empty_problem(self):
+        res = c_unify((), SIG)
+        assert (res.leaves, [s.key() for s in res.solutions]) == (1, ["{} |- {}"])
+
+
+def one_solution_pairs(k):
+    """k independent pairs +(Xi, ai) =? +(bi, ai): each branches in two and
+    one branch clashes, so 2^k leaves and one solution."""
+    return tuple(parse_constraint(f"+(X{i}, a{i}) =? +(b{i}, a{i})", SIG) for i in range(k))
+
+
+def chained_pairs(k):
+    """k pairs +(Xi, X(i+1)) =? +(a, b), chained by their variables into one
+    part: 2^k leaves, 2 solutions."""
+    return tuple(parse_constraint(f"+(X{i}, X{i + 1}) =? +(a, b)", SIG) for i in range(k))
+
+
+class TestPartGrowth:
+    """Counts, not clocks: independent pairs cost a search per pair, while
+    the tree they describe keeps its 2^k leaves; pairs chained into one part
+    take the steps they took when every problem was searched as one tree."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_independent_pairs_search_each_pair(self, monkeypatch, k):
+        counts = {}
+        count_calls(monkeypatch, UNIFY._State, "problem", counts)
+        res = c_unify(one_solution_pairs(k), SIG)
+        assert counts == {"problem": 2 * k}  # a search over the whole problem built 2^k
+        assert (res.leaves, len(res.solutions)) == (2**k, 1)
+
+    # unify.expand calls and tree records at k = 4, 6 and 8, recorded when
+    # every problem was searched as one tree: 5 * 2**k - 3 each
+    CHAINED = {4: 77, 6: 317, 8: 1277}
+
+    @pytest.mark.parametrize("k", sorted(CHAINED))
+    def test_chained_pairs_are_one_part(self, monkeypatch, k):
+        counts = {}
+        count_calls(monkeypatch, UNIFY, "expand", counts)
+        res = c_unify(chained_pairs(k), SIG)
+        assert (counts["expand"], len(res.tree)) == (self.CHAINED[k], self.CHAINED[k])
+        assert (res.leaves, len(res.solutions)) == (2**k, 2)
