@@ -94,6 +94,9 @@ PROBLEMS = [
     ("cunify", "(a b) fix? [c] +(c, X)"),
     ("cunify", "+(X, Y) =? +(a, b),\n(a c) fix? X"),
 ]
+# the corpus file of parts with equivalent solutions, which --dedup merges
+# part by part
+PROBLEMS.append(("cunify", (pathlib.Path(__file__).parent / "data" / "cunify_dedup_parts.nom").read_text()))
 
 
 def traces(engine: str, text: str) -> list:
