@@ -36,6 +36,17 @@ independent C-pairs), and otherwise interleaved.  The paths, and the
 derivation tree read off them as flat records, are made only when they
 are read, so the search costs the sum of the parts' searches, and only
 the output can be exponential.
+
+With dedup, equivalent solutions (each more general than the other) are
+dropped within each part, and only the kept ones are combined, as
+equivalence splits over the parts.  Let s and t combine s_i and t_i.  A
+substitution that carries s to t restricts, on part i's variables, to one
+that carries s_i to t_i: X s_i and X t_i mention only those variables, and
+a judgement on them reads only t's constraints on them, which are t_i's.
+The union of such substitutions, on disjoint variables, carries s to t.
+So s is more general than t exactly when each s_i is than t_i, each class
+of the product is a product of the parts' classes, and c_unify keeps of
+each the combination of the pieces that come first by key in their parts.
 """
 
 from __future__ import annotations
@@ -123,8 +134,9 @@ class Outcomes(_Fields):
     search order: each part's tree grafted below every leaf of the parts
     before it.  A part is (indices, leaves): its constraints' places in the
     problem, and its search's leaves as (path, failure, solution, rank).
-    combos are the problem's solutions, one per choice of a successful leaf
-    in each part, in the order the leaves come.
+    combos, if given, are the problem's solutions, one per choice of a
+    successful leaf in each part, in the order the leaves come; if None,
+    each is combined (_combine) when its leaf is made.
 
     The leaves are made each time they are iterated, forwards or reversed,
     one at a time.  A combined leaf fails if a part's does, with the
@@ -134,17 +146,19 @@ class Outcomes(_Fields):
 
     __slots__ = __match_args__ = ("parts", "combos")
 
-    def __init__(self, parts: list, combos: list[Solution]):
+    def __init__(self, parts: list, combos: list[Solution] | None):
         self.parts, self.combos = parts, combos
 
     def __len__(self) -> int:
         return prod(len(leaves) for _, leaves in self.parts)
 
     def __iter__(self):
-        return self._walk([leaves for _, leaves in self.parts], iter(self.combos))
+        combos = None if self.combos is None else iter(self.combos)
+        return self._walk([leaves for _, leaves in self.parts], combos)
 
     def __reversed__(self):
-        return self._walk([leaves[::-1] for _, leaves in self.parts], reversed(self.combos))
+        combos = None if self.combos is None else reversed(self.combos)
+        return self._walk([leaves[::-1] for _, leaves in self.parts], combos)
 
     @staticmethod
     def _walk(lists, combos):
@@ -155,7 +169,10 @@ class Outcomes(_Fields):
                 if failure is not None and (first is None or rank < first[0]):
                     first = rank, failure
                 path = _graft(leaf, path, grafted)
-            yield path, first and first[1], None if first else next(combos)
+            if first:
+                yield path, first[1], None
+            else:
+                yield path, None, _combine(tuple(s for _, _, s, _ in choice)) if combos is None else next(combos)
 
 
 def _graft(path, base, grafted: dict):
@@ -223,12 +240,13 @@ def c_unify(
         parts.append((indices, [(path, failure, sol, ranked and failure and _rank(st, failure[1], p, indices))
                                 for _, path, failure, sol, st in leaves]))
     solved = ([sol for _, _, sol, _ in leaves if sol is not None] for _, leaves in parts)
+    if dedup:
+        solved = [_dedup(sorted(sols, key=Solution.key), problem_vars([pr[i] for i in indices]), sig)
+                  for indices, sols in zip(groups, solved)]
     combos = [_combine(choice) for choice in product(*solved)]
     solutions = sorted(combos, key=Solution.key)
-    if dedup:
-        solutions = _dedup(solutions, problem_vars(pr), sig)
     status = "solved" if solutions else "unsolvable"
-    return CUnifyResult(status, solutions, pr, Outcomes(parts, combos))
+    return CUnifyResult(status, solutions, pr, Outcomes(parts, None if dedup else combos))
 
 
 def _parts(pr: Problem) -> list[list[int]]:

@@ -37,6 +37,7 @@ class TestCorpusExitCodes:
         ("unify", "unify_occurs.nom", 1),
         ("cunify", "cunify_two_mgu.nom", 0),
         ("cunify", "cunify_fix_var.nom", 0),
+        ("cunify", "cunify_dedup_parts.nom", 0),
         ("alpha", "alpha_forall.nom", 0),
         ("alpha", "alpha_renamed_ground.nom", 1),
         ("alpha", "alpha_ac_lookalike.nom", 1),

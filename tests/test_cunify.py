@@ -733,3 +733,103 @@ class TestPartGrowth:
         res = c_unify(chained_pairs(k), SIG)
         assert (counts["expand"], len(res.tree)) == (self.CHAINED[k], self.CHAINED[k])
         assert (res.leaves, len(res.solutions)) == (2**k, 2)
+
+
+def duplicate_pairs(k):
+    """k independent pairs +(Xi, Xi) =? +(ai, ai): both branches of each
+    give Xi -> ai, so 2^k leaves and 2^k solutions, all equivalent."""
+    return tuple(parse_constraint(f"+(X{i}, X{i}) =? +(a{i}, a{i})", SIG) for i in range(k))
+
+
+class TestDedupGrowth:
+    """Counts, not clocks: dedup=True compares solutions within each part,
+    and combines only the kept ones.  Deduplicating the whole product, as
+    c_unify did before, made 2^k - 1 combinations and 2 * (2^k - 1)
+    is_more_general calls on k duplicate pairs."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_duplicate_pairs(self, monkeypatch, k):
+        counts = {}
+        count_calls(monkeypatch, CUNIFY, "is_more_general", counts)
+        count_calls(monkeypatch, CUNIFY, "_combine", counts)
+        res = c_unify(duplicate_pairs(k), SIG, dedup=True)
+        # each pair's second solution is proved equivalent to its first, both ways
+        assert counts == {"is_more_general": 2 * k, "_combine": 1}
+        assert (res.leaves, len(res.solutions)) == (2**k, 1)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_rotating_pairs(self, monkeypatch, k):
+        # perfbench's c_pairs: a two-solution pair's solutions differ at the
+        # first comparison, a one-solution pair makes none, and a duplicate
+        # pair makes two; the kept product is 2^(two-solution pairs)
+        counts = {}
+        count_calls(monkeypatch, CUNIFY, "is_more_general", counts)
+        count_calls(monkeypatch, CUNIFY, "_combine", counts)
+        res = c_unify(rotation(k), SIG, dedup=True)
+        two, dup = len(range(0, k, 3)), len(range(2, k, 3))
+        assert counts == {"is_more_general": two + 2 * dup, "_combine": 2**two}
+        assert (res.leaves, len(res.solutions)) == (2**k, 2**two)
+
+    def test_leaves_combine_when_read(self, monkeypatch):
+        # each leaf's own solution is combined as the leaves are read, and
+        # is the one the search without dedup reports there
+        counts = {}
+        count_calls(monkeypatch, CUNIFY, "_combine", counts)
+        res = c_unify(duplicate_pairs(6), SIG, dedup=True)
+        assert counts == {"_combine": 1}
+        assert c_outcome(res)[2:] == c_outcome(c_unify(duplicate_pairs(6), SIG))[2:]
+        assert counts == {"_combine": 1 + 2**6 + 2 * 2**6}  # the plain search's 2^6, and two reads of ours
+
+
+DEDUP_TEMPLATES = ("+(X, X) =? +(a, a)", "[a] +(X, a) =? [b] +(b, Y)", "+(X, Y) =? +(Y, X)")
+
+
+def dedup_c_problem(rng) -> tuple:
+    """Two to four parts renamed apart, in a random order, each one
+    constraint of DEDUP_TEMPLATES, whose solutions fall into classes of
+    equivalent ones, or a random_c_problem."""
+    parts = [(parse_constraint(rng.choice(DEDUP_TEMPLATES), SIG_C),) if rng.random() < 0.6 else random_c_problem(rng)
+             for _ in range(rng.randrange(2, 5))]
+    pr = list(renamed_apart(parts))
+    rng.shuffle(pr)
+    return tuple(pr)
+
+
+def whole_product_dedup(pr, sig) -> list[Solution]:
+    """The reference for dedup=True, as c_unify did it before it went part
+    by part: every solution of the whole problem, in key order, kept unless
+    it is equivalent to one kept before it over all the problem's
+    variables."""
+    variables, kept = problem_vars(pr), []
+    for sol in c_unify(pr, sig).solutions:
+        if not any(is_more_general(k, sol, variables, sig) and is_more_general(sol, k, variables, sig) for k in kept):
+            kept.append(sol)
+    return kept
+
+
+class TestDedupParts:
+    """dedup=True deduplicates each part's solutions and combines the kept
+    ones; the reference deduplicates the whole product.  Both give the same
+    status, the same leaves and tree as the search without dedup, and the
+    same solutions by key.  Problems with more than 128 solutions are left
+    out, for time: the reference compares each with every kept one."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_whole_product(self, seed):
+        pr = dedup_c_problem(random.Random(seed))
+        plain = c_unify(pr, SIG_C)
+        if len(plain.solutions) > 128:
+            return
+        res, ref = c_unify(pr, SIG_C, dedup=True), whole_product_dedup(pr, SIG_C)
+        assert res.status == ("solved" if ref else "unsolvable")
+        assert c_outcome(res)[2:] == c_outcome(plain)[2:]
+        assert [s.key() for s in res.solutions] == [s.key() for s in ref]
+
+    def test_templates_exercise_dedup(self, rng):
+        # the property's problems often have solutions that dedup drops
+        dropped = 0
+        for _ in range(100):
+            pr = dedup_c_problem(rng)
+            dropped += len(c_unify(pr, SIG_C, dedup=True).solutions) < len(c_unify(pr, SIG_C).solutions)
+        assert dropped > 15
