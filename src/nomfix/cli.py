@@ -31,16 +31,14 @@ from .syntax import (
     FreshnessContext,
     NameGenerator,
     NomfixError,
-    Permutation,
     Signature,
-    Susp,
     Theory,
     Var,
     atoms_in,
     generator_avoiding,
 )
 from .translate import fixp_to_fresh, fresh_to_fixp
-from .unify import Eq, Fix, Solution, unify
+from .unify import Eq, Fix, Solution, _fixes, unify
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -234,8 +232,7 @@ def _initial_problem(pf: ProblemFile, gen: NameGenerator) -> tuple:
     """The file's constraints, then its context as fixed-point constraints."""
     if any(isinstance(c, FreshRequest) for c in pf.constraints):
         raise NomfixError("freshness goals are not unification constraints")
-    entries = _fixpoint_context(pf, gen).entries()
-    return (*pf.constraints, *(Fix(p, Susp(Permutation.identity(), x)) for p, x in entries))
+    return (*pf.constraints, *_fixes(_fixpoint_context(pf, gen).entries()))
 
 
 def _unify_command(args):

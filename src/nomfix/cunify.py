@@ -32,10 +32,10 @@ its paths graft each part's tree below every leaf of the parts before it.
 That takes each part's steps in the order its own search took them, the
 parts in turn; a search of the whole problem took the same steps, in that
 order when each part is one constraint whose first step is its split (k
-independent C-pairs), and otherwise interleaved.  The paths, and the
-derivation tree read off them as flat records, are made only when they
-are read, so the search costs the sum of the parts' searches, and only
-the output can be exponential.
+independent C-pairs), and otherwise interleaved.  The paths, a successful
+leaf's combined solution and the derivation tree read off them as flat
+records are made only when they are read, so the search costs the sum of
+the parts' searches, and only the output can be exponential.
 
 With dedup, equivalent solutions (each more general than the other) are
 dropped within each part, and only the kept ones are combined, as
@@ -134,34 +134,30 @@ class Outcomes(_Fields):
     search order: each part's tree grafted below every leaf of the parts
     before it.  A part is (indices, leaves): its constraints' places in the
     problem, and its search's leaves as (path, failure, solution, rank).
-    combos, if given, are the problem's solutions, one per choice of a
-    successful leaf in each part, in the order the leaves come; if None,
-    each is combined (_combine) when its leaf is made.
 
     The leaves are made each time they are iterated, forwards or reversed,
-    one at a time.  A combined leaf fails if a part's does, with the
-    failure that comes first in the whole problem's normal form, as the
-    failures' ranks order them (_rank; a problem of one part has no rank
-    to compare)."""
+    one at a time; a successful one's solution is combined (_combine) from
+    its parts' as it is made.  A combined leaf fails if a part's does, with
+    the failure that comes first in the whole problem's normal form, as the
+    failures' ranks order them (_rank; a problem of one part has no rank to
+    compare)."""
 
-    __slots__ = __match_args__ = ("parts", "combos")
+    __slots__ = __match_args__ = ("parts",)
 
-    def __init__(self, parts: list, combos: list[Solution] | None):
-        self.parts, self.combos = parts, combos
+    def __init__(self, parts: list):
+        self.parts = parts
 
     def __len__(self) -> int:
         return prod(len(leaves) for _, leaves in self.parts)
 
     def __iter__(self):
-        combos = None if self.combos is None else iter(self.combos)
-        return self._walk([leaves for _, leaves in self.parts], combos)
+        return self._walk([leaves for _, leaves in self.parts])
 
     def __reversed__(self):
-        combos = None if self.combos is None else reversed(self.combos)
-        return self._walk([leaves[::-1] for _, leaves in self.parts], combos)
+        return self._walk([leaves[::-1] for _, leaves in self.parts])
 
     @staticmethod
-    def _walk(lists, combos):
+    def _walk(lists):
         grafted: dict[int, dict] = {}  # id(base) -> id(node) -> its copy below base; kept, so no id is reused
         for choice in product(*lists):
             path = first = None
@@ -172,7 +168,7 @@ class Outcomes(_Fields):
             if first:
                 yield path, first[1], None
             else:
-                yield path, None, _combine(tuple(s for _, _, s, _ in choice)) if combos is None else next(combos)
+                yield path, None, _combine(tuple(s for _, _, s, _ in choice))
 
 
 def _graft(path, base, grafted: dict):
@@ -243,10 +239,9 @@ def c_unify(
     if dedup:
         solved = [_dedup(sorted(sols, key=Solution.key), problem_vars([pr[i] for i in indices]), sig)
                   for indices, sols in zip(groups, solved)]
-    combos = [_combine(choice) for choice in product(*solved)]
-    solutions = sorted(combos, key=Solution.key)
+    solutions = sorted(map(_combine, product(*solved)), key=Solution.key)
     status = "solved" if solutions else "unsolvable"
-    return CUnifyResult(status, solutions, pr, Outcomes(parts, None if dedup else combos))
+    return CUnifyResult(status, solutions, pr, Outcomes(parts))
 
 
 def _parts(pr: Problem) -> list[list[int]]:

@@ -771,14 +771,16 @@ class TestDedupGrowth:
         assert (res.leaves, len(res.solutions)) == (2**k, 2**two)
 
     def test_leaves_combine_when_read(self, monkeypatch):
-        # each leaf's own solution is combined as the leaves are read, and
-        # is the one the search without dedup reports there
+        # each leaf's own solution is combined as the leaves are read, with
+        # or without dedup, and is the one the search without dedup reports
+        # there
         counts = {}
         count_calls(monkeypatch, CUNIFY, "_combine", counts)
         res = c_unify(duplicate_pairs(6), SIG, dedup=True)
         assert counts == {"_combine": 1}
         assert c_outcome(res)[2:] == c_outcome(c_unify(duplicate_pairs(6), SIG))[2:]
-        assert counts == {"_combine": 1 + 2**6 + 2 * 2**6}  # the plain search's 2^6, and two reads of ours
+        # the plain search's 2^6 solutions, and two reads of each search's leaves
+        assert counts == {"_combine": 1 + 2**6 + 4 * 2**6}
 
 
 DEDUP_TEMPLATES = ("+(X, X) =? +(a, a)", "[a] +(X, a) =? [b] +(b, Y)", "+(X, Y) =? +(Y, X)")
@@ -833,3 +835,31 @@ class TestDedupParts:
             pr = dedup_c_problem(rng)
             dropped += len(c_unify(pr, SIG_C, dedup=True).solutions) < len(c_unify(pr, SIG_C).solutions)
         assert dropped > 15
+
+
+def leaf_keys(leaves) -> list:
+    """Each leaf's failure kind, or None, and its solution's key, or None."""
+    return [(failure and failure[0], sol and sol.key()) for _, failure, sol in leaves]
+
+
+class TestLeafOrder:
+    """The leaves come in one order, read forwards or reversed, and each
+    successful one's solution is combined from its parts' as it is read.
+    Without dedup, the successful leaves' keys, sorted, are the solutions';
+    with dedup, each leaf is the one the search without it has in its
+    place.  Problems whose tree has more than 256 leaves are left out, for
+    time."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from([parted_c_problem, dedup_c_problem]), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_forwards_reversed_and_dedup(self, make, seed):
+        pr = make(random.Random(seed))
+        plain = c_unify(pr, SIG_C)
+        if plain.leaves > 256:
+            return
+        leaves = leaf_keys(plain.outcomes)
+        assert leaf_keys(reversed(plain.outcomes)) == leaves[::-1]
+        assert sorted(key for kind, key in leaves if kind is None) == [s.key() for s in plain.solutions]
+        res = c_unify(pr, SIG_C, dedup=True)
+        assert leaf_keys(res.outcomes) == leaves
+        assert leaf_keys(reversed(res.outcomes)) == leaves[::-1]
