@@ -258,7 +258,7 @@ def _cunify_command(args):
     """--trace is accepted and ignored: the derivation is --tree."""
     pf, gen = _read_problem(args)
     res = c_unify(_initial_problem(pf, gen), pf.signature, gen=gen, dedup=args.dedup)
-    tree = {"tree": tree_records(res.problem, res.outcomes)} if args.tree else {}
+    tree = {"tree": tree_records(res.problem, res.outcomes.parts)} if args.tree else {}
     return (
         0 if res.solved else 1,
         lambda: {"status": res.status, "solutions": map(_solution_payload, res.solutions),

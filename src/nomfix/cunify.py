@@ -28,14 +28,15 @@ solutions are then the product of the parts' (the connected components of
   would reach one leaf per choice of a leaf in each part.
 
 So c_unify reports that tree: its leaves are counted as the product, and
-its paths graft each part's tree below every leaf of the parts before it.
-That takes each part's steps in the order its own search took them, the
-parts in turn; a search of the whole problem took the same steps, in that
-order when each part is one constraint whose first step is its split (k
-independent C-pairs), and otherwise interleaved.  The paths, a successful
-leaf's combined solution and the derivation tree read off them as flat
-records are made only when they are read, so the search costs the sum of
-the parts' searches, and only the output can be exponential.
+it has each part's tree below every leaf of the parts before it, written
+(tree_records) from the parts' own leaves, not built.  That takes each
+part's steps in the order its own search took them, the parts in turn; a
+search of the whole problem took the same steps, in that order when each
+part is one constraint whose first step is its split (k independent
+C-pairs), and otherwise interleaved.  A leaf's outcome, a successful
+leaf's combined solution and the tree's records are made only when they
+are read, so the search costs the sum of the parts' searches, and only
+the output can be exponential.
 
 With dedup, equivalent solutions (each more general than the other) are
 dropped within each part, and only the kept ones are combined, as
@@ -70,52 +71,62 @@ from .syntax import (
 from .unify import Problem, Solution, _derive, is_more_general, problem_vars, step_line
 
 
-def tree_records(pr: Problem, leaves) -> Iterator[dict]:
-    """The derivation tree of pr as flat records, from its leaves in the
-    order unify._search yields them, each given as (path, failure,
-    solution); leaves is reversed once.
+def tree_records(pr: Problem, parts) -> Iterator[dict]:
+    """The derivation tree of pr as flat records, read off its parts as in
+    Outcomes.parts: each part's tree below every leaf of the parts before.
 
-    The tree is the union of the leaves' paths; a node is known by its path
-    object, which all its descendants share.  The records come in pre-order,
-    children in expansion order, each as {id, parent, rule, ...}: id is its
-    position and parent its parent's.  The root holds the problem; every
-    other record holds the step that led to it, the consumed constraint and
+    A node of a part's tree is known by its path object, which all its
+    descendants share.  The records come in pre-order, children in
+    expansion order, each as {id, parent, rule, ...}: id is its position
+    and parent its parent's.  The root holds the problem; every other
+    record holds the step that led to it, the consumed constraint and
     either the produced constraints or the binding.  A leaf adds its
     outcome, "success" or the failure kind, and a success its solution.
-    The search visits the last child first, so its leaves, read in reverse,
-    come in pre-order: each leaf's path adds the nodes below the deepest one
-    already written, top down.  Each record is built when it is asked for
-    and not kept here."""
-    ids: dict[int, int] = {}  # id(path) -> its record's id
+    A part's search visits the last child first, so its leaves, read in
+    reverse, come in pre-order, and so do the combinations of them: each
+    adds, part by part, the nodes below the deepest one already written
+    under the record the part hangs from, top down, and its outcome goes
+    on the last record it adds (on the root, when no part takes a step).
+    A combination's records are built when the first is asked for; a
+    part's table of written nodes is cleared when that record changes."""
     said: dict[int, str] = {}  # id(constraint) -> its text: a step consumes what an earlier one produced
 
     def text(c) -> str:
         return said.get(id(c)) or said.setdefault(id(c), str(c))
 
-    for leaf, failure, solution in reversed(leaves):
-        new, path = [], leaf
-        while id(path) not in ids:
-            new.append(path)
-            if path is None:
-                break
-            path = path[1]
-        for path in reversed(new):
-            ids[id(path)] = n = len(ids)
-            if path is None:
-                rec = {"id": n, "parent": None, "rule": None, "problem": list(map(text, pr))}
-            else:
+    below = [None] * len(parts)  # per part, the record its table's nodes hang from
+    tables: list[dict[int, int]] = [{} for _ in parts]  # per part, id(path) -> its record's id
+    made = [{"id": 0, "parent": None, "rule": None, "problem": list(map(text, pr))}]
+    n = 0
+    for choice in product(*[leaves[::-1] for _, leaves in parts]):
+        top = 0
+        for p, (path, *_) in enumerate(choice):
+            if below[p] != top:
+                below[p], tables[p] = top, {}
+            ids, new = tables[p], []
+            while path is not None and id(path) not in ids:
+                new.append(path)
+                path = path[1]
+            if path is not None:
+                top = ids[id(path)]
+            for path in reversed(new):
+                n += 1
+                ids[id(path)] = n
                 step = path[0]
-                rec = {"id": n, "parent": ids[id(path[1])], "rule": step.rule, "consumed": text(step.consumed)}
+                rec = {"id": n, "parent": top, "rule": step.rule, "consumed": text(step.consumed)}
                 if step.binding is None:
                     rec["produced"] = list(map(text, step.produced))
                 else:
                     x, t = step.binding
                     rec["binding"] = {"var": x.name, "term": print_term(t)}
-            if path is leaf:
-                rec["outcome"] = "success" if failure is None else failure[0]
-                if solution is not None:
-                    rec["solution"] = solution.key()
-            yield rec
+                made.append(rec)
+                top = n
+        failure, solution = _outcome(choice)
+        made[-1]["outcome"] = "success" if failure is None else failure[0]
+        if solution is not None:
+            made[-1]["solution"] = solution.key()
+        yield from made
+        made = []
 
 
 def tree_line(record: dict) -> str:
@@ -130,17 +141,14 @@ def tree_line(record: dict) -> str:
 
 
 class Outcomes(_Fields):
-    """The leaves of a c_unify search as (path, failure, solution), in
-    search order: each part's tree grafted below every leaf of the parts
-    before it.  A part is (indices, leaves): its constraints' places in the
-    problem, and its search's leaves as (path, failure, solution, rank).
+    """The leaves of a c_unify search as (failure, solution), in search
+    order: one per choice of a leaf in each part, the last part's varying
+    fastest (itertools.product).  A part is (indices, leaves): its
+    constraints' places in the problem, and its search's leaves as (path,
+    failure, solution, rank).
 
-    The leaves are made each time they are iterated, forwards or reversed,
-    one at a time; a successful one's solution is combined (_combine) from
-    its parts' as it is made.  A combined leaf fails if a part's does, with
-    the failure that comes first in the whole problem's normal form, as the
-    failures' ranks order them (_rank; a problem of one part has no rank to
-    compare)."""
+    The leaves are made each time they are iterated, one at a time, by
+    _outcome."""
 
     __slots__ = __match_args__ = ("parts",)
 
@@ -151,47 +159,24 @@ class Outcomes(_Fields):
         return prod(len(leaves) for _, leaves in self.parts)
 
     def __iter__(self):
-        return self._walk([leaves for _, leaves in self.parts])
-
-    def __reversed__(self):
-        return self._walk([leaves[::-1] for _, leaves in self.parts])
-
-    @staticmethod
-    def _walk(lists):
-        grafted: dict[int, dict] = {}  # id(base) -> id(node) -> its copy below base; kept, so no id is reused
-        for choice in product(*lists):
-            path = first = None
-            for leaf, failure, _, rank in choice:
-                if failure is not None and (first is None or rank < first[0]):
-                    first = rank, failure
-                path = _graft(leaf, path, grafted)
-            if first:
-                yield path, first[1], None
-            else:
-                yield path, None, _combine(tuple(s for _, _, s, _ in choice))
+        return map(_outcome, product(*[leaves for _, leaves in self.parts]))
 
 
-def _graft(path, base, grafted: dict):
-    """path, a chain (step, parent) back to its part's root, with the root
-    replaced by base, another such chain; the nodes are copied once per
-    base."""
-    if base is None:
-        return path
-    copies = grafted.setdefault(id(base), {})
-    new = []
-    while path is not None and id(path) not in copies:
-        new.append(path)
-        path = path[1]
-    top = base if path is None else copies[id(path)]
-    for node in reversed(new):
-        top = copies[id(node)] = (node[0], top)
-    return top
+def _outcome(choice: tuple) -> tuple:
+    """The leaf that combines a choice of a leaf in each part, as (failure,
+    solution).  It fails if a part's leaf does, with the failure that comes
+    first in the whole problem's normal form, as the failures' ranks order
+    them (_rank); else its solution is combined from the parts' (_combine)."""
+    failed = [leaf for leaf in choice if leaf[1] is not None]
+    if failed:
+        return min(failed, key=lambda leaf: leaf[3])[1], None
+    return None, _combine(tuple(sol for _, _, sol, _ in choice))
 
 
 class CUnifyResult(_Fields):
     """The solutions of a c_unify search, its leaves (Outcomes) and the
     number of them.  tree, the derivation tree as tree_records, is read on
-    first use off the leaves.  It has no slots: cached_property keeps tree
+    first use off the parts.  It has no slots: cached_property keeps tree
     in its __dict__."""
 
     __match_args__ = ("status", "solutions", "problem", "outcomes")
@@ -209,7 +194,7 @@ class CUnifyResult(_Fields):
 
     @cached_property
     def tree(self) -> list[dict]:
-        return list(tree_records(self.problem, self.outcomes))
+        return list(tree_records(self.problem, self.outcomes.parts))
 
     @property
     def solved(self) -> bool:
@@ -230,11 +215,9 @@ def c_unify(
     groups = _parts(pr)
     # every part is checked before any is searched
     searches = [_derive([pr[i] for i in indices], sig, gen, (Theory.NONE, Theory.C)) for indices in groups]
-    ranked = len(groups) > 1  # only then can two parts' failures compete
-    parts = []
-    for p, (indices, leaves) in enumerate(zip(groups, searches)):
-        parts.append((indices, [(path, failure, sol, ranked and failure and _rank(st, failure[1], p, indices))
-                                for _, path, failure, sol, st in leaves]))
+    parts = [(indices, [(path, failure, sol, failure and _rank(st, failure[1], p, indices))
+                        for _, path, failure, sol, st in leaves])
+             for p, (indices, leaves) in enumerate(zip(groups, searches))]
     solved = ([sol for _, _, sol, _ in leaves if sol is not None] for _, leaves in parts)
     if dedup:
         solved = [_dedup(sorted(sols, key=Solution.key), problem_vars([pr[i] for i in indices]), sig)
@@ -268,7 +251,7 @@ def _parts(pr: Problem) -> list[list[int]]:
 
 def _rank(st, witness, p: int, indices: list[int]) -> tuple:
     """Where the failure witness of a leaf of part p, in the leaf's state
-    st, stands in the normal form of the grafted path: the constraints
+    st, stands in the normal form of a combined leaf: the constraints
     steps produced come first, the last part's first, then those in the
     input constraints' places, in input order."""
     k = min(k for k, c in st.cons.items() if c is witness)

@@ -81,7 +81,7 @@ def part_problems(sig, pr, res) -> list[list[str]]:
     problems, trees = [], []
     for indices, leaves in res.outcomes.parts:
         part = tuple(pr[i] for i in indices)
-        trees.append(list(tree_records(part, [leaf[:3] for leaf in leaves])))
+        trees.append(list(tree_records(part, [(indices, leaves)])))
         replayed = check_tree(sig, part, trees[-1])
         problems += [texts(replayed[i]) for i in search_order(trees[-1])]
     assert _steps(res.tree) == _grafted(trees), "the tree is not its parts' trees grafted"

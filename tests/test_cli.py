@@ -17,6 +17,7 @@ from hypothesis import example, given, strategies as st
 
 from certificate import check_tree
 from gen import SIG_C, random_fixp_context, random_term
+from test_cunify import rotation
 from nomfix import Eq, FixpointContext, Substitution, Var, c_unify, parse_constraint, parse_problem_file
 from nomfix import cli
 from nomfix.cli import _emit, main
@@ -651,19 +652,30 @@ def test_failed_write_to_stdout_exits_2(capsys, monkeypatch, data_dir):
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
-class ByteCount:
-    """A stdout that keeps nothing, only counts what is written and, at each
-    write, how many tree records had been made by then."""
+class ByteSink:
+    """A stdout that keeps nothing, only counts the bytes written."""
 
-    def __init__(self, made):
-        self.bytes, self.made, self.seen = 0, made, []
+    def __init__(self):
+        self.bytes = 0
 
     def write(self, text):
         self.bytes += len(text)
-        self.seen.append(len(self.made))
 
     def flush(self):
         pass
+
+
+class ByteCount(ByteSink):
+    """A ByteSink that notes too, at each write, how many tree records had
+    been made by then."""
+
+    def __init__(self, made):
+        super().__init__()
+        self.made, self.seen = made, []
+
+    def write(self, text):
+        super().write(text)
+        self.seen.append(len(self.made))
 
 
 class TestStreamedTree:
@@ -701,6 +713,22 @@ class TestStreamedTree:
         assert set(range(1, len(made) + 1)) <= set(sink.seen)
         if mode:  # in text, the search's own state sets the peak, not the output
             assert peak < 5 * sink.bytes, (peak, sink.bytes)
+
+    def test_json_tree_memory_is_a_fraction_of_its_output(self, monkeypatch, tmp_path):
+        # each part's tree is written below every leaf of the parts before
+        # it, but not built there: the peak is set by the parts, not by the
+        # product of their trees, which the output holds
+        path = tmp_path / "rotation.nom"
+        path.write_text("sym + : C ;\n" + ",\n".join(map(str, rotation(12))))
+        sink = ByteSink()
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["cunify", "--json", "--tree", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.bytes / 4, (peak, sink.bytes)
 
 
 class TestSelfcheck:
