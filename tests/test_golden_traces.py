@@ -76,6 +76,12 @@ GOALS = [
 # the corpus file of renamed binders over ground bodies, in both engines
 RENAMED_GROUND = (pathlib.Path(__file__).parent / "data" / "alpha_renamed_ground.nom").read_text()
 GOALS += [("alpha-fresh", RENAMED_GROUND), ("alpha-fixp", RENAMED_GROUND)]
+# the corpus files that reach fix-app-C under a pending renaming: below a
+# renamed binder, and in the side condition of an inner abs-rename
+GOALS += [
+    ("fixp", (pathlib.Path(__file__).parent / "data" / "fixp_c_renamed.nom").read_text()),
+    ("alpha-fixp", (pathlib.Path(__file__).parent / "data" / "alpha_c_renamed.nom").read_text()),
+]
 
 # (solver, problem text); match takes the right-hand sides' variables as rigid.
 PROBLEMS = [
