@@ -73,7 +73,7 @@ from .unify import Problem, Solution, _derive, is_more_general, problem_vars, st
 
 def tree_records(pr: Problem, parts) -> Iterator[dict]:
     """The derivation tree of pr as flat records, read off its parts as in
-    Outcomes.parts: each part's tree below every leaf of the parts before.
+    CUnifyResult.parts: each part's tree below every leaf of the parts before.
 
     A node of a part's tree is known by its path object, which all its
     descendants share.  The records come in pre-order, children in
@@ -140,28 +140,6 @@ def tree_line(record: dict) -> str:
     return f"{line} <{record['outcome']}>" if "outcome" in record else line
 
 
-class Outcomes(_Fields):
-    """The leaves of a c_unify search as (failure, solution), in search
-    order: one per choice of a leaf in each part, the last part's varying
-    fastest (itertools.product).  A part is (indices, leaves): its
-    constraints' places in the problem, and its search's leaves as (path,
-    failure, solution, rank).
-
-    The leaves are made each time they are iterated, one at a time, by
-    _outcome."""
-
-    __slots__ = __match_args__ = ("parts",)
-
-    def __init__(self, parts: list):
-        self.parts = parts
-
-    def __len__(self) -> int:
-        return prod(len(leaves) for _, leaves in self.parts)
-
-    def __iter__(self):
-        return map(_outcome, product(*[leaves for _, leaves in self.parts]))
-
-
 def _outcome(choice: tuple) -> tuple:
     """The leaf that combines a choice of a leaf in each part, as (failure,
     solution).  It fails if a part's leaf does, with the failure that comes
@@ -174,27 +152,37 @@ def _outcome(choice: tuple) -> tuple:
 
 
 class CUnifyResult(_Fields):
-    """The solutions of a c_unify search, its leaves (Outcomes) and the
-    number of them.  tree, the derivation tree as tree_records, is read on
-    first use off the parts.  It has no slots: cached_property keeps tree
-    in its __dict__."""
+    """The solutions of a c_unify search and its parts, off which the rest
+    is read.  A part is (indices, leaves): its constraints' places in the
+    problem, and its search's leaves as (path, failure, solution, rank).
 
-    __match_args__ = ("status", "solutions", "problem", "outcomes")
+    leaves counts the leaves, one per choice of a leaf in each part.
+    outcomes makes them as (failure, solution), in search order, the last
+    part's varying fastest (itertools.product), afresh at each read, one
+    at a time, by _outcome.  tree, the derivation tree as tree_records, is
+    read on first use.  It has no slots: cached_property keeps tree in its
+    __dict__."""
 
-    def __init__(self, status: str, solutions: list[Solution], problem: Problem, outcomes: Outcomes):
+    __match_args__ = ("status", "solutions", "problem", "parts")
+
+    def __init__(self, status: str, solutions: list[Solution], problem: Problem, parts: list):
         self.status = status  # "solved" | "unsolvable"
-        self.solutions, self.problem, self.outcomes = solutions, problem, outcomes
+        self.solutions, self.problem, self.parts = solutions, problem, parts
 
     def __repr__(self) -> str:
         return f"CUnifyResult(status={self.status!r}, solutions={self.solutions!r})"
 
     @property
     def leaves(self) -> int:
-        return len(self.outcomes)
+        return prod(len(leaves) for _, leaves in self.parts)
+
+    @property
+    def outcomes(self) -> Iterator[tuple]:
+        return map(_outcome, product(*[leaves for _, leaves in self.parts]))
 
     @cached_property
     def tree(self) -> list[dict]:
-        return list(tree_records(self.problem, self.outcomes.parts))
+        return list(tree_records(self.problem, self.parts))
 
     @property
     def solved(self) -> bool:
@@ -224,7 +212,7 @@ def c_unify(
                   for indices, sols in zip(groups, solved)]
     solutions = sorted(map(_combine, product(*solved)), key=Solution.key)
     status = "solved" if solutions else "unsolvable"
-    return CUnifyResult(status, solutions, pr, Outcomes(parts))
+    return CUnifyResult(status, solutions, pr, parts)
 
 
 def _parts(pr: Problem) -> list[list[int]]:

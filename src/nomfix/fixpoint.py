@@ -107,12 +107,10 @@ def _fixp(
         if th in (Theory.NONE, Theory.A):
             node.rule, premises = "fix-app", (t.arg,)
         else:
-            # commutative theories: pi fixes t when pi.t ~ t; rho is acted out here, once
+            # commutative theories: pi fixes rho.t when pi.rho.t ~ rho.t, rho carried down the right
             node.rule = f"fix-app-{th.value}"
-            t = act(rho.permutation(), t)
-            moved = act(perm, t)
-            inner = node.child("", None, moved, "=?", t)
-            ok = yield alpha(_RULES, sig, ctx, gen, moved, t, Renaming(), inner, bound)
+            moved = act(perm.compose(rho.permutation()), t)
+            ok = yield alpha(_RULES, sig, ctx, gen, moved, t, rho, node.child("", rho, moved, "=?", t), bound)
     elif kind is Susp:
         # pi fix rho.q.X when (rho q)^-1 pi (rho q) fixes X: its support, the
         # atoms q^-1(rho^-1(a)) for a moved by pi, lies in what fixes X

@@ -284,7 +284,7 @@ class _Parser:
         self.expect(";")
         if fresh_pairs and fixp_pairs:
             self.fail("a context must be all 'fresh' or all 'fix' entries")
-        return FixpointContext(frozenset(fixp_pairs)) if fixp_pairs else FreshnessContext(frozenset(fresh_pairs))
+        return FixpointContext(fixp_pairs) if fixp_pairs else FreshnessContext(fresh_pairs)
 
     def signature_decls(self) -> Signature:
         while self.accept("sym"):

@@ -414,6 +414,8 @@ class Tup(Term):
     __slots__ = __match_args__ = ("items",)
 
     def __init__(self, items: tuple[Term, ...]):
+        if type(items) is not tuple:
+            items = tuple(items)
         if len(items) < 2:
             raise IllFormedTermError("tuples need at least two components")
         _set_items(self, items)
@@ -466,7 +468,7 @@ def var(name: str, perm: Permutation | None = None) -> Susp:
 
 
 def pair(*items: Term) -> Tup:
-    return Tup(tuple(items))
+    return Tup(items)
 
 
 def is_pair(t: Term) -> bool:
@@ -753,7 +755,7 @@ class FreshnessContext(_Value):
     __slots__ = __match_args__ = ("constraints",)
 
     def __init__(self, constraints: frozenset[tuple[Atom, Var]] = frozenset()):
-        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constraints", frozenset(constraints))
 
     def holds(self, a: Atom, x: Var) -> bool:
         return (a, x) in self.constraints
@@ -775,7 +777,7 @@ class FixpointContext(_Value):
     __slots__ = __match_args__ = ("constraints",)
 
     def __init__(self, constraints: frozenset[tuple[Permutation, Var]] = frozenset()):
-        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constraints", frozenset(constraints))
 
     def supp_of(self, x: Var) -> frozenset[Atom]:
         """Union of supports of the permutations constrained to fix x.
@@ -790,7 +792,7 @@ class FixpointContext(_Value):
         return frozenset(out)
 
     def extend(self, pairs) -> FixpointContext:
-        return FixpointContext(self.constraints | frozenset(pairs)) if pairs else self
+        return FixpointContext(self.constraints.union(pairs)) if pairs else self
 
     def atoms(self) -> set[Atom]:
         out: set[Atom] = set()

@@ -31,7 +31,7 @@ class TranslationRecord(_Value):
     def __init__(self, source: str, target: str, generated: tuple[Atom, ...] = ()):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "generated", generated)
+        object.__setattr__(self, "generated", tuple(generated))
 
 
 def fresh_to_fixp(
@@ -48,7 +48,7 @@ def fresh_to_fixp(
         pairs.append((p, x))
         if records is not None:
             records.append(TranslationRecord(f"{a} fresh {x}", f"{p} fix {x}", (c,)))
-    return FixpointContext(frozenset(pairs))
+    return FixpointContext(pairs)
 
 
 def fixp_to_fresh(
@@ -61,7 +61,7 @@ def fixp_to_fresh(
         if records is not None:
             target = ", ".join(f"{a} fresh {x}" for a in supp) or "(empty)"
             records.append(TranslationRecord(f"{p} fix {x}", target))
-    return FreshnessContext(frozenset(pairs))
+    return FreshnessContext(pairs)
 
 
 def fresh_judgement_via_fixp(

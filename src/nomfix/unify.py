@@ -473,7 +473,7 @@ def extract_solution(pr: Problem, path) -> Solution:
         if step.binding is not None:
             x, t = step.binding
             sigma.bindings[x] = sigma(t)
-    return Solution(FixpointContext(frozenset(pairs)), sigma)
+    return Solution(FixpointContext(pairs), sigma)
 
 
 def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):

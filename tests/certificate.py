@@ -79,7 +79,7 @@ def part_problems(sig, pr, res) -> list[list[str]]:
     turn.  It checks too that res.tree grafts each part's steps below every
     leaf of the parts before it."""
     problems, trees = [], []
-    for indices, leaves in res.outcomes.parts:
+    for indices, leaves in res.parts:
         part = tuple(pr[i] for i in indices)
         trees.append(list(tree_records(part, [(indices, leaves)])))
         replayed = check_tree(sig, part, trees[-1])

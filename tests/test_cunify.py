@@ -586,7 +586,7 @@ class TestSharedSplits:
         sig = Signature({"+": Theory.C, "h": Theory.NONE})
         pr = tuple(parse_constraint(c, sig) for c in ("+(X, Y) =? +(a, b)", "+(Z, W) =? +(c, d)", "h(X, Z) =? h(X, Z)"))
         res = c_unify(pr, sig)
-        ((_, leaves),) = res.outcomes.parts
+        ((_, leaves),) = res.parts
         splits = [[s for s in steps_of(path) if s.rule == "eq-app-C"] for path, *_ in leaves]
         assert len(splits) == 4 and all(len(s) == 2 for s in splits)
         assert len({id(second.consumed) for _, second in splits}) == 1
@@ -847,8 +847,9 @@ class TestLeafOrder:
     """The leaves come in one order, and each successful one's solution is
     combined from its parts' as it is read.  Without dedup, the successful
     leaves' keys, sorted, are the solutions'; with dedup, each leaf is the
-    one the search without it has in its place.  Problems whose tree has
-    more than 256 leaves are left out, for time."""
+    one the search without it has in its place.  The tree's leaf records,
+    in record order, are the leaves read backwards.  Problems whose tree
+    has more than 256 leaves are left out, for time."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.sampled_from([parted_c_problem, dedup_c_problem]), st.integers(min_value=0, max_value=2**32 - 1))
@@ -861,3 +862,20 @@ class TestLeafOrder:
         assert sorted(key for kind, key in leaves if kind is None) == [s.key() for s in plain.solutions]
         res = c_unify(pr, SIG_C, dedup=True)
         assert leaf_keys(res.outcomes) == leaves
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.sampled_from([parted_c_problem, dedup_c_problem]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_tree_leaves_are_outcomes_reversed(self, make, dedup, seed):
+        # .outcomes and .tree are two reads of the same parts: the search
+        # visits the last child first, so the tree's pre-order is the
+        # leaves' search order backwards
+        res = c_unify(make(random.Random(seed)), SIG_C, dedup=dedup)
+        if res.leaves > 256:
+            return
+        leaves = [r for r in res.tree if "outcome" in r]
+        tree = [(None if r["outcome"] == "success" else r["outcome"], r.get("solution")) for r in leaves]
+        assert tree == leaf_keys(res.outcomes)[::-1]

@@ -3,7 +3,8 @@ text, == and hash over the fields and never the memo slots, AttributeError
 on setting or deleting a field of an immutable value, match on
 __match_args__, Swapping's order, and pickle and copy.  The mutable records
 keep their == and stay unhashable.  Immutable values copy as themselves,
-at any depth; importing the CLI does not import dataclasses."""
+at any depth, and a value built from a list or a set keeps a tuple or a
+frozenset; importing the CLI does not import dataclasses."""
 
 import copy
 import os
@@ -40,6 +41,8 @@ from nomfix import (
     UnifyResult,
     Var,
     c_unify,
+    check_alpha_fixp,
+    check_fixp,
     free_atoms,
     parse_perm,
     parse_problem_file,
@@ -207,7 +210,7 @@ class TestMatch:
         assert Eq.__match_args__ == ("lhs", "rhs") and Fix.__match_args__ == ("perm", "target")
         assert Solution.__match_args__ == ("context", "subst")
         assert UnifyResult.__match_args__ == ("status", "solution", "witness", "witness_kind", "steps", "normal_form")
-        assert CUnifyResult.__match_args__ == ("status", "solutions", "problem", "outcomes")
+        assert CUnifyResult.__match_args__ == ("status", "solutions", "problem", "parts")
         assert ProblemFile.__match_args__ == ("signature", "context", "constraints")
         assert TermPool.__match_args__ == ("atoms", "variables", "signature", "max_depth")
 
@@ -262,6 +265,38 @@ class TestValuesCopyAsThemselves:
         assert copy.copy(t) is t and copy.deepcopy(t) is t
         box = copy.deepcopy([t, Eq(t, t), Fix(P, t)])
         assert box[0] is t and box[1].lhs is t and box[2].target is t
+
+
+class TestBuiltFromLists:
+    """A value built from a list or a set keeps a tuple or a frozenset, as
+    Permutation does, so it is hashable and equal to the same value built
+    from a tuple or a frozenset, and the engines take it."""
+
+    PAIRS = [(Permutation.swap(a, b), X), (Permutation.swap(b, c), Var("Y"))]
+
+    @pytest.mark.parametrize(
+        "built, same",
+        [
+            (Tup([AtomTerm(a), AtomTerm(b)]), Tup((AtomTerm(a), AtomTerm(b)))),
+            (FixpointContext(PAIRS), FixpointContext(frozenset(PAIRS))),
+            (FreshnessContext({(a, X), (b, X)}), FreshnessContext(frozenset({(a, X), (b, X)}))),
+            (TranslationRecord("a fresh X", "(a #c0) fix X", [Atom("#c0", 0)]),
+             TranslationRecord("a fresh X", "(a #c0) fix X", (Atom("#c0", 0),))),
+        ],
+        ids=["Tup", "FixpointContext", "FreshnessContext", "TranslationRecord"],
+    )
+    def test_equal_and_hashable(self, built, same):
+        assert built == same and hash(built) == hash(same) and repr(built) == repr(same)
+        assert all(type(getattr(built, f)) is type(getattr(same, f)) for f in type(same).__match_args__)
+
+    def test_tuple_and_frozenset_are_kept(self):
+        items, pairs = (AtomTerm(a), AtomTerm(b)), frozenset(self.PAIRS)
+        assert Tup(items).items is items and FixpointContext(pairs).constraints is pairs
+
+    def test_engines_take_a_list_built_context(self):
+        ctx = FixpointContext([(Permutation.swap(a, b), X)])
+        assert check_fixp(Signature(), ctx, Permutation.swap(a, b), parse_term("[c] X"))
+        assert check_alpha_fixp(Signature(), ctx, parse_term("[a] X"), parse_term("[b] X"))
 
 
 def test_importing_the_cli_leaves_out_dataclasses():
