@@ -70,7 +70,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     cu.add_argument(
         "--tree",
         action="store_true",
-        help="include the derivation tree: the problem, then one line, or with --json one record, per step",
+        help="include the derivation tree: the problem, then one line, or with --json one record, per part and per step",
     )
     cu.add_argument("--dedup", action="store_true", help="drop equivalent solutions")
     common(sub.add_parser("translate", help="translate the context section"), _translate_command)

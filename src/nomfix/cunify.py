@@ -27,16 +27,15 @@ solutions are then the product of the parts' (the connected components of
   enable nor disable another part's, so a search over the whole problem
   would reach one leaf per choice of a leaf in each part.
 
-So c_unify reports that tree: its leaves are counted as the product, and
-it has each part's tree below every leaf of the parts before it, written
-(tree_records) from the parts' own leaves, not built.  That takes each
-part's steps in the order its own search took them, the parts in turn; a
-search of the whole problem took the same steps, in that order when each
-part is one constraint whose first step is its split (k independent
-C-pairs), and otherwise interleaved.  A leaf's outcome, a successful
-leaf's combined solution and the tree's records are made only when they
-are read, so the search costs the sum of the parts' searches, and only
-the output can be exponential.
+So c_unify reports the tree it searched, an AND/OR tree (Dechter and
+Mateescu, AIJ 2007): below the root, an AND node per part, and under each
+the part's own tree, whose splits are OR nodes; a one-part problem has no
+AND node, and its tree is the whole problem's.  The tree's leaves are
+the parts', their sum; CUnifyResult.leaves counts their product, the
+leaves a search of the whole problem reaches.  The tree's records are made
+only when they are read, so the search and the tree cost the sum of the
+parts', and only solutions, the product of the parts' solutions, can be
+exponential.
 
 With dedup, equivalent solutions (each more general than the other) are
 dropped within each part, and only the kept ones are combined, as
@@ -73,42 +72,40 @@ from .unify import Problem, Solution, _derive, is_more_general, problem_vars, st
 
 def tree_records(pr: Problem, parts) -> Iterator[dict]:
     """The derivation tree of pr as flat records, read off its parts as in
-    CUnifyResult.parts: each part's tree below every leaf of the parts before.
+    CUnifyResult.parts: below the root, each part's own tree.
 
-    A node of a part's tree is known by its path object, which all its
-    descendants share.  The records come in pre-order, children in
-    expansion order, each as {id, parent, rule, ...}: id is its position
-    and parent its parent's.  The root holds the problem; every other
-    record holds the step that led to it, the consumed constraint and
-    either the produced constraints or the binding.  A leaf adds its
-    outcome, "success" or the failure kind, and a success its solution.
-    A part's search visits the last child first, so its leaves, read in
-    reverse, come in pre-order, and so do the combinations of them: each
-    adds, part by part, the nodes below the deepest one already written
-    under the record the part hangs from, top down, and its outcome goes
-    on the last record it adds (on the root, when no part takes a step).
-    A combination's records are built when the first is asked for; a
-    part's table of written nodes is cleared when that record changes."""
+    The records come in pre-order, children in expansion order, each as
+    {id, parent, rule, ...}: id is its position and parent its parent's.
+    The root holds the problem.  A problem of two or more parts has an AND
+    node per part below it, in order, {rule: "part", problem: the part's
+    constraints}, and each part's tree hangs from its node as it would
+    from the root of the part alone; a one-part problem has none.  Every
+    other record holds the step that led to it, the consumed constraint
+    and either the produced constraints or the binding.  A node of a
+    part's tree is known by its path object, which all its descendants
+    share.  A part's search visits the last child first, so its leaves,
+    read in reverse, come in pre-order: each adds the nodes below the
+    deepest one already written, top down, and its outcome, "success" or
+    the failure kind, and a success its part's solution, go on the last
+    record it adds (on the part's node, when the part takes no step)."""
     said: dict[int, str] = {}  # id(constraint) -> its text: a step consumes what an earlier one produced
 
     def text(c) -> str:
         return said.get(id(c)) or said.setdefault(id(c), str(c))
 
-    below = [None] * len(parts)  # per part, the record its table's nodes hang from
-    tables: list[dict[int, int]] = [{} for _ in parts]  # per part, id(path) -> its record's id
     made = [{"id": 0, "parent": None, "rule": None, "problem": list(map(text, pr))}]
     n = 0
-    for choice in product(*[leaves[::-1] for _, leaves in parts]):
-        top = 0
-        for p, (path, *_) in enumerate(choice):
-            if below[p] != top:
-                below[p], tables[p] = top, {}
-            ids, new = tables[p], []
+    for indices, leaves in parts:
+        if len(parts) > 1:
+            n += 1
+            made.append({"id": n, "parent": 0, "rule": "part", "problem": [text(pr[i]) for i in indices]})
+        node, ids = n, {}  # the part's node; id(path) -> its record's id
+        for path, failure, solution in reversed(leaves):
+            new = []
             while path is not None and id(path) not in ids:
                 new.append(path)
                 path = path[1]
-            if path is not None:
-                top = ids[id(path)]
+            top = node if path is None else ids[id(path)]
             for path in reversed(new):
                 n += 1
                 ids[id(path)] = n
@@ -121,47 +118,37 @@ def tree_records(pr: Problem, parts) -> Iterator[dict]:
                     rec["binding"] = {"var": x.name, "term": print_term(t)}
                 made.append(rec)
                 top = n
-        failure, solution = _outcome(choice)
-        made[-1]["outcome"] = "success" if failure is None else failure[0]
-        if solution is not None:
-            made[-1]["solution"] = solution.key()
-        yield from made
-        made = []
+            made[-1]["outcome"] = "success" if failure is None else failure[0]
+            if solution is not None:
+                made[-1]["solution"] = solution.key()
+            yield from made
+            made = []
 
 
 def tree_line(record: dict) -> str:
-    """The text of a tree record: the problem at the root, else the step
-    as unify's trace prints it; a leaf's outcome in angle brackets."""
+    """The text of a tree record: the problem at the root, [part] and the
+    part's constraints at an AND node, else the step as unify's trace
+    prints it; a leaf's outcome in angle brackets."""
     if record["parent"] is None:
         line = "; ".join(record["problem"]) or "(empty)"
+    elif record["rule"] == "part":
+        line = "[part] " + "; ".join(record["problem"])
     else:
         b = record.get("binding")
         line = step_line(record["rule"], record["consumed"], b and (b["var"], b["term"]), record.get("produced"))
     return f"{line} <{record['outcome']}>" if "outcome" in record else line
 
 
-def _outcome(choice: tuple) -> tuple:
-    """The leaf that combines a choice of a leaf in each part, as (failure,
-    solution).  It fails if a part's leaf does, with the failure that comes
-    first in the whole problem's normal form, as the failures' ranks order
-    them (_rank); else its solution is combined from the parts' (_combine)."""
-    failed = [leaf for leaf in choice if leaf[1] is not None]
-    if failed:
-        return min(failed, key=lambda leaf: leaf[3])[1], None
-    return None, _combine(tuple(sol for _, _, sol, _ in choice))
-
-
 class CUnifyResult(_Fields):
     """The solutions of a c_unify search and its parts, off which the rest
     is read.  A part is (indices, leaves): its constraints' places in the
-    problem, and its search's leaves as (path, failure, solution, rank).
+    problem, and its search's leaves as (path, failure, solution).
 
-    leaves counts the leaves, one per choice of a leaf in each part.
-    outcomes makes them as (failure, solution), in search order, the last
-    part's varying fastest (itertools.product), afresh at each read, one
-    at a time, by _outcome.  tree, the derivation tree as tree_records, is
-    read on first use.  It has no slots: cached_property keeps tree in its
-    __dict__."""
+    leaves is the product of the parts' leaf counts: the leaves of a
+    search of the whole problem as one part, as the module docstring
+    argues, not the sum that the parts' searches reached.  tree, the
+    derivation tree as tree_records, is read on first use.  It has no
+    slots: cached_property keeps tree in its __dict__."""
 
     __match_args__ = ("status", "solutions", "problem", "parts")
 
@@ -175,10 +162,6 @@ class CUnifyResult(_Fields):
     @property
     def leaves(self) -> int:
         return prod(len(leaves) for _, leaves in self.parts)
-
-    @property
-    def outcomes(self) -> Iterator[tuple]:
-        return map(_outcome, product(*[leaves for _, leaves in self.parts]))
 
     @cached_property
     def tree(self) -> list[dict]:
@@ -203,10 +186,9 @@ def c_unify(
     groups = _parts(pr)
     # every part is checked before any is searched
     searches = [_derive([pr[i] for i in indices], sig, gen, (Theory.NONE, Theory.C)) for indices in groups]
-    parts = [(indices, [(path, failure, sol, failure and _rank(st, failure[1], p, indices))
-                        for _, path, failure, sol, st in leaves])
-             for p, (indices, leaves) in enumerate(zip(groups, searches))]
-    solved = ([sol for _, _, sol, _ in leaves if sol is not None] for _, leaves in parts)
+    parts = [(indices, [(path, failure, sol) for _, path, failure, sol in leaves])
+             for indices, leaves in zip(groups, searches)]
+    solved = ([sol for _, _, sol in leaves if sol is not None] for _, leaves in parts)
     if dedup:
         solved = [_dedup(sorted(sols, key=Solution.key), problem_vars([pr[i] for i in indices]), sig)
                   for indices, sols in zip(groups, solved)]
@@ -235,15 +217,6 @@ def _parts(pr: Problem) -> list[list[int]]:
     for i in range(len(pr)):
         parts.setdefault(root(i), []).append(i)
     return list(parts.values()) or [[]]
-
-
-def _rank(st, witness, p: int, indices: list[int]) -> tuple:
-    """Where the failure witness of a leaf of part p, in the leaf's state
-    st, stands in the normal form of a combined leaf: the constraints
-    steps produced come first, the last part's first, then those in the
-    input constraints' places, in input order."""
-    k = min(k for k, c in st.cons.items() if c is witness)
-    return (0, -p) if k < 0 else (1, indices[k])
 
 
 def _combine(sols: tuple[Solution, ...]) -> Solution:

@@ -696,14 +696,6 @@ class Substitution:
     def __call__(self, t: Term) -> Term:
         return _rebuild(t, bindings=self.bindings)
 
-    def compose(self, other: Substitution) -> Substitution:
-        """self then other: t(self.compose(other)) == other(self(t))."""
-        out = {x: other(s) for x, s in self.bindings.items()}
-        for y, s in other.bindings.items():
-            if y not in out:
-                out[y] = s
-        return Substitution(out)
-
     def domain(self) -> set[Var]:
         return set(self.bindings)
 

@@ -480,11 +480,10 @@ def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):
     """Depth-first search of the derivations of pr, last child first, so
     the leaves, read in reverse, come in the tree's pre-order.
 
-    Yields (normal form, path, failure, solution, state) for each leaf; path
-    is the linked chain (step, parent path) back to the root, failure is
-    classify_normal_form's answer, and state the leaf's _State, whose keys
-    place the normal form's constraints.  Each step's decrease of the
-    measure is asserted from the step and the variable counts around it.
+    Yields (normal form, path, failure, solution) for each leaf; path is
+    the linked chain (step, parent path) back to the root, and failure is
+    classify_normal_form's answer.  Each step's decrease of the measure is
+    asserted from the step and the variable counts around it.
     The search builds a problem only at a leaf; the chains share their
     prefixes and together are the derivation tree, which nomfix.cunify
     reads on demand.
@@ -497,7 +496,7 @@ def _search(pr: Problem, sig: Signature, gen: NameGenerator, rigid: frozenset):
         if not children:
             nf = st.problem()
             failure = classify_normal_form(nf, rigid)
-            yield nf, path, failure, None if failure else extract_solution(nf, path), st
+            yield nf, path, failure, None if failure else extract_solution(nf, path)
         for child, step in children:
             assert _step_decreases(step, var_count, len(child.occ)), str(step)
             stack.append((child, (step, path)))
@@ -520,7 +519,7 @@ def unify(
 ) -> UnifyResult:
     """Solve a syntactic unification problem (a sequence of constraints)."""
     sig = sig or Signature(permissive=True)
-    ((nf, path, failure, solution, _),) = _derive(pr, sig, gen, (Theory.NONE,), rigid)
+    ((nf, path, failure, solution),) = _derive(pr, sig, gen, (Theory.NONE,), rigid)
     steps = []
     while path is not None:
         step, path = path
@@ -574,7 +573,7 @@ def is_more_general(
     rigid = frozenset().union(*[t._vars for t in rhs])
     problem = tuple(Eq(s, t) for s, t in zip(lhs, rhs))
     gen = generator_avoiding(atoms_in(*problem, sol1.context, sol2.context))
-    for _, _, _, cand, _ in _search(problem, sig, gen, rigid):
+    for _, _, _, cand in _search(problem, sig, gen, rigid):
         if (
             cand is not None
             and all(check_alpha_fixp(sig, sol2.context, cand.subst(s), t) for s, t in zip(lhs, rhs))

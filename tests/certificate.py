@@ -17,10 +17,12 @@ code that prints the records.  So the generated atoms in the records must
 be ones the parser reads: solve names them with a plain prefix, as
 `--fresh-prefix n` does.
 
-c_unify searches each part of a problem that shares no variable with the
-rest on its own, so the problems its search reaches are the parts'.
-part_problems replays each part's own tree, read off the leaves a result
-keeps, for the tests that compare them with what the search reached.
+A problem of two or more parts that share no variable has an AND node per
+part below the root, {rule: "part", problem}.  check_tree splits the
+problem by shared variables itself and checks that the nodes hold its
+parts, in order; each part's subtree then replays from its node as a tree
+of the part alone, and its leaves solve the part.  part_problems reads the
+problems c_unify's search reached off the tree, part by part.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from nomfix import (
     parse_term,
     verify_solution,
 )
-from nomfix.cunify import tree_records
 from nomfix.unify import problem_measure
 
 def solve(sig, pr, **options):
@@ -59,84 +60,90 @@ def texts(pr) -> list[str]:
     return [str(c) for c in pr]
 
 
-def search_order(records):
-    """The record ids in the order the search reaches them: last child
-    first."""
+def search_order(records, top=0):
+    """The ids of the records at and below top in the order the search
+    reaches them: last child first."""
     kids = [[] for _ in records]
     for r in records[1:]:
         kids[r["parent"]].append(r["id"])
-    stack = [0]
+    stack = [top]
     while stack:
         i = stack.pop()
         yield i
         stack.extend(kids[i])
 
 
+def split(pr) -> list[tuple]:
+    """pr's constraints in parts that share no variable, each in input order
+    and the parts in the order of their first constraints: each constraint
+    merges the parts whose variables it mentions, in the place of the first
+    of them.  A constraint without variables is a part of its own."""
+    parts: list[tuple[set, list[int]]] = []  # (variables, constraint indices)
+    for i, c in enumerate(pr):
+        seen = set().union(*map(free_vars, (c.lhs, c.rhs) if isinstance(c, Eq) else (c.target,)))
+        joined = [p for p in parts if p[0] & seen]
+        place = parts.index(joined[0]) if joined else len(parts)
+        parts = [p for p in parts if not any(p is q for q in joined)]
+        parts.insert(place, (seen.union(*[vs for vs, _ in joined]), sorted([i, *[j for _, js in joined for j in js]])))
+    return [tuple(pr[j] for j in js) for _, js in parts]
+
+
 def part_problems(sig, pr, res) -> list[list[str]]:
     """The problems c_unify's search reached on pr, as texts, read off its
-    result res: each part's own tree, made from the part's leaves that res
-    keeps, replayed from the part and read in search order, the parts in
-    turn.  It checks too that res.tree grafts each part's steps below every
-    leaf of the parts before it."""
-    problems, trees = [], []
-    for indices, leaves in res.parts:
-        part = tuple(pr[i] for i in indices)
-        trees.append(list(tree_records(part, [(indices, leaves)])))
-        replayed = check_tree(sig, part, trees[-1])
-        problems += [texts(replayed[i]) for i in search_order(trees[-1])]
-    assert _steps(res.tree) == _grafted(trees), "the tree is not its parts' trees grafted"
-    return problems
-
-
-def _step(record) -> dict:
-    return {k: record[k] for k in ("rule", "consumed", "produced", "binding") if k in record}
-
-
-def _steps(records) -> list[dict]:
-    return [_step(records[i]) for i in search_order(records) if records[i]["parent"] is not None]
-
-
-def _grafted(trees, p=0) -> list[dict]:
-    """The steps of the tree that grafts each of trees below every leaf of
-    the ones before it, in search order."""
-    out = []
-    for i in search_order(trees[p]):
-        r = trees[p][i]
-        if r["parent"] is not None:
-            out.append(_step(r))
-        if "outcome" in r and p + 1 < len(trees):
-            out += _grafted(trees, p + 1)
-    return out
+    tree res.tree as check_tree replays it: each part's subtree in search
+    order, from its AND node (the root, when pr is one part), the parts in
+    turn."""
+    replayed = check_tree(sig, pr, res.tree)
+    tops = [r["id"] for r in res.tree if r["rule"] == "part"] or [0]
+    return [texts(replayed[i]) for top in tops for i in search_order(res.tree, top)]
 
 
 def check_tree(sig, pr, records) -> list[tuple]:
     """Check the tree records of pr as set out above, and return the problem
-    replayed at each record, by id."""
+    replayed at each record, by id: at an AND node, its part."""
     pr = tuple(pr)
+    parts = split(pr)
+    anded = len(parts) > 1  # the root is an AND node over the parts
     problems: list[tuple] = []
-    bindings: list[list] = []  # per record, the bindings on its path, root first
+    goals: list[tuple] = []  # per record, the constraints its leaves solve: its part's
+    bindings: list[list] = []  # per record, the bindings on its path, from its part's node
     children: dict[int, list[dict]] = {}
     for i, r in enumerate(records):
         assert r["id"] == i, r
         if r["parent"] is None:
             assert i == 0 and r["rule"] is None, r
-            assert [str(c) for c in pr] == r["problem"], r
+            assert texts(pr) == r["problem"], r
             problems.append(pr)
+            goals.append(pr)
             bindings.append([])
         else:
             assert 0 <= r["parent"] < i, r
-            children.setdefault(r["parent"], []).append(r)
-            before = problems[r["parent"]]
-            after, binding = _replay(sig, before, r)
-            assert problem_measure(after) < problem_measure(before), r
-            problems.append(after)
-            bindings.append(bindings[r["parent"]] + [binding] if binding else bindings[r["parent"]])
+            kids = children.setdefault(r["parent"], [])
+            kids.append(r)
+            if anded and r["parent"] == 0:
+                assert r["rule"] == "part" and len(kids) <= len(parts), r
+                part = parts[len(kids) - 1]
+                assert texts(part) == r["problem"], r
+                problems.append(part)
+                goals.append(part)
+                bindings.append([])
+            else:
+                assert r["rule"] != "part", r
+                before = problems[r["parent"]]
+                after, binding = _replay(sig, before, r)
+                assert problem_measure(after) < problem_measure(before), r
+                problems.append(after)
+                goals.append(goals[r["parent"]])
+                bindings.append(bindings[r["parent"]] + [binding] if binding else bindings[r["parent"]])
         if "outcome" in r:
-            _check_leaf(sig, pr, problems[i], bindings[i], r)
+            _check_leaf(sig, goals[i], problems[i], bindings[i], r)
+    if anded:
+        assert len(children.get(0, ())) == len(parts), "an AND node per part"
     for parent, kids in children.items():
         assert "outcome" not in records[parent], records[parent]
-        # a step consumes one constraint, branching at most in two
-        assert len(kids) <= 2 and len({(k["rule"], k["consumed"]) for k in kids}) == 1, kids
+        if not (anded and parent == 0):
+            # a step consumes one constraint, branching at most in two
+            assert len(kids) <= 2 and len({(k["rule"], k["consumed"]) for k in kids}) == 1, kids
     assert all("outcome" in r or r["id"] in children for r in records), "a record neither branches nor ends"
     return problems
 

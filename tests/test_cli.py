@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 
 from certificate import check_tree
 from gen import SIG_C, random_fixp_context, random_term
-from test_cunify import rotation
+from test_cunify import chained_pairs, one_solution_pairs
 from nomfix import Eq, FixpointContext, Substitution, Var, c_unify, parse_constraint, parse_problem_file
 from nomfix import cli
 from nomfix.cli import _emit, main
@@ -409,11 +409,12 @@ class TestDeepChain:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "solved: 1 solution(s)"
-        # the C pair branches at the root; the solved branch then takes one
-        # step for a =? a, one for Y and one per equation, a level each
+        # the C pair and the chain are two parts, each below an AND node at
+        # level 1; the chain's part takes one step per equation, a level
+        # each, so its last step, at level n + 1, is the deepest
         last = lines[-1]
-        assert last.startswith("  " * (n + 3) + "[eq-inst") and last.endswith(" <success>")
-        assert max(len(ln) - len(ln.lstrip(" ")) for ln in lines) == 2 * (n + 3)
+        assert last.startswith("  " * (n + 1) + "[eq-inst") and last.endswith(" <success>")
+        assert max(len(ln) - len(ln.lstrip(" ")) for ln in lines) == 2 * (n + 1)
 
     def test_seven_hundred_step_tree_encodes(self, capsys, monkeypatch):
         n = 700
@@ -421,21 +422,23 @@ class TestDeepChain:
         code, out, _ = run(capsys, "cunify", "-", "--json", "--tree")
         assert code == 0
         # a few MB: the solution, whose X0 holds n applications, takes about
-        # 1.5 MB in solutions and again at its leaf; the other records name
-        # one step each, so they grow linearly in n
+        # 1.5 MB in solutions and again at its part's leaf; the other
+        # records name one step or one part each, so they grow linearly in n
         assert len(out) < 4_000_000
         # flat records load at the default recursion limit
         payload = json.loads(out)
         assert payload["status"] == "solved" and payload["leaves"] == 2
         tree = payload["tree"]
         assert sum(len(json.dumps(r)) for r in tree if "solution" not in r) < 300 * n
-        (leaf,) = [r for r in tree if r.get("outcome") == "success"]
+        # one success in each part: the C pair's, and the chain's last
+        _, leaf = [r for r in tree if r.get("outcome") == "success"]
         path = [leaf]
         while path[-1]["parent"] is not None:
             path.append(tree[path[-1]["parent"]])
-        # the path holds the root, the C step on the pair, then one step for
-        # a =? a, one for Y and one per equation
-        assert len(path) == n + 4
+        # the path holds the root, the chain's AND node, then one step per
+        # equation
+        assert len(path) == n + 2
+        assert path[-2]["rule"] == "part" and len(path[-2]["problem"]) == n
         assert path[-1]["problem"][0] == "+(Y, a) =? +(a, b)" and len(path[-1]["problem"]) == n + 1
 
     def test_six_hundred_nested_applications_answer(self, capsys, monkeypatch):
@@ -686,8 +689,9 @@ class TestStreamedTree:
 
     @pytest.mark.parametrize("mode", [["--json"], []])
     def test_records_stream_to_stdout(self, monkeypatch, tmp_path, mode):
-        path = tmp_path / "pairs.nom"
-        path.write_text("sym + : C ;\n" + ",\n".join(f"+(X{i}, Y{i}) =? +(a{i}, b{i})" for i in range(self.K)))
+        # K pairs chained into one part: one tree of 2^K leaves
+        path = tmp_path / "chained.nom"
+        path.write_text("sym + : C ;\n" + ",\n".join(map(str, chained_pairs(self.K))))
         results, made = [], []
         monkeypatch.setattr("nomfix.cli.c_unify", lambda *a, **kw: results.append(c_unify(*a, **kw)) or results[-1])
         records = sys.modules["nomfix.cli"].tree_records
@@ -714,21 +718,22 @@ class TestStreamedTree:
         if mode:  # in text, the search's own state sets the peak, not the output
             assert peak < 5 * sink.bytes, (peak, sink.bytes)
 
-    def test_json_tree_memory_is_a_fraction_of_its_output(self, monkeypatch, tmp_path):
-        # each part's tree is written below every leaf of the parts before
-        # it, but not built there: the peak is set by the parts, not by the
-        # product of their trees, which the output holds
-        path = tmp_path / "rotation.nom"
-        path.write_text("sym + : C ;\n" + ",\n".join(map(str, rotation(12))))
-        sink = ByteSink()
-        monkeypatch.setattr("sys.stdout", sink)
-        tracemalloc.start()
-        try:
-            assert main(["cunify", "--json", "--tree", str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < sink.bytes / 4, (peak, sink.bytes)
+    def test_json_tree_grows_linearly_in_parts(self, tmp_path):
+        # k one-solution pairs are k parts of two leaves, each below an AND
+        # node of its own: doubling k at most doubles the records and the
+        # bytes, give or take the root
+        sizes = []
+        for k in (6, 12):
+            path = tmp_path / f"pairs{k}.nom"
+            path.write_text("sym + : C ;\n" + ",\n".join(map(str, one_solution_pairs(k))))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["cunify", "--json", "--tree", str(path)]) == 0
+            payload = json.loads(out.getvalue())
+            sizes.append((len(payload["tree"]), len(out.getvalue()), payload))
+        (records, size, _), (records2, size2, payload) = sizes
+        assert records2 <= 2.2 * records and size2 <= 2.2 * size, sizes[0][:2] + sizes[1][:2]
+        assert payload["leaves"] == 2**12 and sum("outcome" in r for r in payload["tree"]) == 2 * 12
 
 
 class TestSelfcheck:

@@ -4,12 +4,13 @@ import random
 import re
 import sys
 from heapq import heappop, heappush
+from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certificate import check_tree, part_problems, solve, texts
+from certificate import check_tree, part_problems, search_order, solve, texts
 from nomfix import (
     App,
     Eq,
@@ -192,7 +193,7 @@ class TestTree:
         res = c_unify(pr, SIG)
         assert not res.solved and res.solutions == []
         outcomes = [r["outcome"] for r in res.tree if "outcome" in r]
-        assert len(outcomes) == res.leaves and set(outcomes) == {"clash"}
+        assert len(outcomes) == part_leaves(res) and set(outcomes) == {"clash"}
 
 
 class TestSoundness:
@@ -216,6 +217,19 @@ def c_pairs(k):
     return tuple(parse_constraint(f"+(X{i}, Y{i}) =? +(a{i}, b{i})", SIG) for i in range(k))
 
 
+def part_leaves(res) -> int:
+    """The leaves the parts' searches reached: the sum of the parts' leaf
+    counts, where res.leaves is their product."""
+    return sum(len(leaves) for _, leaves in res.parts)
+
+
+def tree_parts(tree) -> list[list[dict]]:
+    """The leaf records below each part's AND node, or below the root of a
+    one-part tree, in record order."""
+    tops = [r["id"] for r in tree if r["rule"] == "part"] or [0]
+    return [[tree[i] for i in sorted(search_order(tree, top)) if "outcome" in tree[i]] for top in tops]
+
+
 def rotation(k):
     """k pairs whose kinds rotate: two solutions, one (the other branch
     clashes), and two equal ones that --dedup merges."""
@@ -229,11 +243,15 @@ class TestSearchSize:
     counts were recorded again when the search came to branch only once
     nothing else applies, with the leaf and solution counts kept: each
     pair's instantiations now run once above the splits, so the tree of k
-    pairs has 6 * 2**k - 5 records, not (2k + 2) * 2**k - 1."""
+    pairs had 6 * 2**k - 5 records, not (2k + 2) * 2**k - 1.  They were
+    recorded again when the tree came to hang each part's own tree from an
+    AND node below the root, with the leaf and solution counts kept: at
+    k >= 2 the root, and per pair its node and the 6 records of its tree,
+    so 7k + 1 records, not 6 * 2**k - 5."""
 
-    PAIRS = [6 * 2**k - 5 for k in range(1, 9)]  # tree records at k = 1..8: 7, 19, 43, ... 1531
-    ROTATION = [(7, 2, 2), (17, 4, 2), (41, 8, 4), (89, 16, 8), (169, 32, 8), (361, 64, 16), (745, 128, 32),
-                (1385, 256, 32)]  # (tree records, leaves, solutions) at k = 1..8
+    PAIRS = [7] + [7 * k + 1 for k in range(2, 9)]  # tree records at k = 1..8: 7, 15, 22, ... 57
+    ROTATION = [(7, 2, 2), (14, 4, 2), (21, 8, 4), (28, 16, 8), (34, 32, 8), (41, 64, 16), (48, 128, 32),
+                (54, 256, 32)]  # (tree records, leaves, solutions) at k = 1..8
     DEDUP = [2, 2, 2, 4, 4, 4]  # solutions with --dedup at k = 1..6
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -270,12 +288,14 @@ class TestKeyOnce:
     # sha256 of `nomfix cunify` output on c_pairs(8) for each flag set: the
     # text ones recorded before the text was kept, the tree's again when the
     # search came to branch last, which left the output without it as it
-    # was; the --json ones before key() and --json came to share one print
+    # was; the --json ones before key() and --json came to share one print.
+    # Both --tree ones were recorded again when each part's tree came to
+    # hang from an AND node, which left the outputs without it as they were
     OUTPUT = {
         (): "5fd6330e614dff3777d719b53133e78e5434d5a1671b8cd490238958691f6825",
-        ("--tree",): "d7c1c5bc4dd01d85c66e2439947a60ce736a0ebe87df435761306e98319e7c42",
+        ("--tree",): "d3ee37aaddd593ff2f0d7023905d54f103b04d51617f0b761942be4b0064cde4",
         ("--json",): "97e27c2db343c9873d4ce5c4924c098d41726c4388f6185b4a8e98d676a29d3f",
-        ("--json", "--tree"): "3ea452d07c823ec733db5a9c862fe68afad9708ff789a84c3abcc6e20d047f1d",
+        ("--json", "--tree"): "4fbfc8b297d7fa1638869752f60b34ef47d0c540be33939fab64355b75a29d8a",
     }
 
     @pytest.mark.parametrize("flags", list(OUTPUT))
@@ -305,12 +325,12 @@ class TestKeyOnce:
 class TestLazyTree:
     """The search keeps the leaves' chains of steps; the tree's records are
     read off them, without replaying a step, only when the tree is read.
-    Each of the problem's parts is searched once, and the tree grafts each
-    part's tree below every leaf of the parts before it."""
+    Each of the problem's parts is searched once, and the tree hangs each
+    part's tree from an AND node of its own."""
 
     def test_no_tree_work_unless_read(self, monkeypatch):
         # c_pairs(6) is six parts of two leaves: a problem is built at each
-        # of their 12 leaves, not at each of the tree's 64
+        # of their 12 leaves, not at each of the 64 of a search of the whole
         counts = {}
         count_calls(monkeypatch, CUNIFY, "tree_records", counts)
         count_calls(monkeypatch, UNIFY._State, "problem", counts)
@@ -320,7 +340,7 @@ class TestLazyTree:
         records = res.tree
         assert counts == {"problem": 6 * 2, "tree_records": 1}
         assert res.tree is records and counts["tree_records"] == 1
-        assert sum("outcome" in r for r in records) == res.leaves
+        assert sum("outcome" in r for r in records) == part_leaves(res) == 6 * 2
 
     @staticmethod
     def searched_problems(monkeypatch):
@@ -358,7 +378,7 @@ class TestLazyTree:
             seen.clear()
             res = solve(SIG, pr)
             assert self.replayed_in_search_order(SIG, pr, res) == [texts(p) for p in seen]
-            assert sum("outcome" in r for r in res.tree) == res.leaves
+            assert sum("outcome" in r for r in res.tree) == part_leaves(res)
 
     def test_random_problems_with_duplicates(self, monkeypatch, rng):
         seen = self.searched_problems(monkeypatch)
@@ -395,9 +415,12 @@ class TestCertificate:
         pr = random_c_problem(rng)
         res = solve(SIG_C, pr)
         check_tree(SIG_C, pr, res.tree)
-        leaves = [r for r in res.tree if "outcome" in r]
-        assert len(leaves) == res.leaves
-        assert sorted(r["solution"] for r in leaves if "solution" in r) == sorted(s.key() for s in res.solutions)
+        parts = tree_parts(res.tree)
+        assert [len(leaves) for leaves in parts] == [len(leaves) for _, leaves in res.parts]
+        # a leaf holds its part's solution, and the solutions combine one of each part's
+        assert prod(sum("solution" in r for r in leaves) for leaves in parts) == len(res.solutions)
+        if len(parts) == 1:
+            assert sorted(r["solution"] for r in parts[0] if "solution" in r) == [s.key() for s in res.solutions]
 
     @pytest.mark.parametrize("text", ["", "a =? b", "(a b) fix? X"])
     def test_root_is_the_only_leaf(self, text):
@@ -428,6 +451,46 @@ class TestCertificate:
         records = [dict(r) for r in res.tree]
         assert key in records[i]
         records[i][key] = value
+        with pytest.raises(AssertionError):
+            check_tree(SIG, pr, records)
+
+    # the tree of PARTED: the root, then AND nodes 1 (X, Y), 8 (Z, which
+    # takes no step and so is its own leaf) and 9 (W), each part's tree below
+    # its node
+    PARTED = ("+(X, Y) =? +(c, f(d))", "(a b) fix? Z", "f(W) =? f(a)", "X =? c")
+
+    @staticmethod
+    def merged(records, into, gone):
+        """records with AND node gone merged into node into: its problem
+        appended, its children moved, and the ids after it renumbered."""
+        out = [r for r in records if r["id"] != gone]
+        out[into]["problem"] = out[into]["problem"] + records[gone]["problem"]
+        for r in out:
+            r["id"] -= r["id"] > gone
+            if r["parent"] is not None:
+                r["parent"] = into if r["parent"] == gone else r["parent"] - (r["parent"] > gone)
+        return out
+
+    def test_parted_tree(self):
+        pr = tuple(parse_constraint(c, SIG) for c in self.PARTED)
+        res = solve(SIG, pr)
+        check_tree(SIG, pr, res.tree)
+        nodes = [r for r in res.tree if r["rule"] == "part"]
+        assert [(r["id"], r["parent"], r["problem"]) for r in nodes] == [
+            (1, 0, ["+(X, Y) =? +(c, f(d))", "X =? c"]), (8, 0, ["(a b) fix? Z"]), (9, 0, ["f(W) =? f(a)"])]
+        assert (res.tree[8]["outcome"], res.tree[8]["solution"]) == ("success", "{(a b) fix Z} |- {}")
+
+    @pytest.mark.parametrize("tamper", ["constraint in the wrong part", "two parts in one node", "a part with no leaf"])
+    def test_tampered_parts_are_rejected(self, tamper):
+        pr = tuple(parse_constraint(c, SIG) for c in self.PARTED)
+        records = [dict(r) for r in solve(SIG, pr).tree]
+        if tamper == "constraint in the wrong part":
+            records[9]["problem"] = records[9]["problem"] + records[1]["problem"][1:]
+            records[1]["problem"] = records[1]["problem"][:1]
+        elif tamper == "two parts in one node":
+            records = self.merged(records, 8, 9)
+        else:
+            del records[8]["outcome"], records[8]["solution"]
         with pytest.raises(AssertionError):
             check_tree(SIG, pr, records)
 
@@ -549,10 +612,10 @@ def steps_of(path) -> list:
 
 
 def c_outcome(res) -> tuple:
-    """What a c_unify result says: status, solutions, each leaf's outcome
-    in search order, and the tree."""
-    leaves = [(failure, None if sol is None else sol.key()) for failure, sol in res.outcomes]
-    return res.status, [s.key() for s in res.solutions], leaves, res.tree
+    """What a c_unify result says: status, solutions, each part's
+    constraints and its leaves' outcomes in search order, and the tree."""
+    parts = [(indices, leaf_keys(leaves)) for indices, leaves in res.parts]
+    return res.status, [s.key() for s in res.solutions], parts, res.tree
 
 
 class TestSharedSplits:
@@ -653,8 +716,8 @@ class TestParts:
     replaced: the same status, leaves and number of solutions, solution
     sets that subsume each other both ways once the generated atoms are
     named canonically, and a tree that passes the certificate checker with
-    one leaf record per leaf.  Problems whose tree has more than 256
-    leaves are left out, for time."""
+    one leaf record per leaf of each part.  Problems whose one tree has
+    more than 256 leaves are left out, for time."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -665,14 +728,14 @@ class TestParts:
             return
         gen = generator_avoiding(atoms_in(*pr), prefix="n")
         leaves = list(UNIFY._derive(pr, SIG_C, gen, (Theory.NONE, Theory.C)))
-        ref = [s for *_, s, _ in leaves if s is not None]
+        ref = [s for *_, s in leaves if s is not None]
         status = "solved" if ref else "unsolvable"
         assert (res.status, res.leaves, len(res.solutions)) == (status, len(leaves), len(ref))
         variables = problem_vars(pr)
         got, want = [renamed(s) for s in res.solutions], [renamed(s) for s in ref]
         assert subsumes(got, want, variables) and subsumes(want, got, variables)
         check_tree(SIG_C, pr, res.tree)
-        assert sum("outcome" in r for r in res.tree) == res.leaves
+        assert sum("outcome" in r for r in res.tree) == part_leaves(res)
 
     def test_parts_draw_from_one_generator(self):
         # each part renames a binder, and so generates two atoms; the parts'
@@ -712,8 +775,9 @@ def chained_pairs(k):
 
 class TestPartGrowth:
     """Counts, not clocks: independent pairs cost a search per pair, while
-    the tree they describe keeps its 2^k leaves; pairs chained into one part
-    take the steps they took when every problem was searched as one tree."""
+    leaves still counts the 2^k leaves of a search of the whole problem;
+    pairs chained into one part take the steps they took when every problem
+    was searched as one tree."""
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_independent_pairs_search_each_pair(self, monkeypatch, k):
@@ -771,17 +835,16 @@ class TestDedupGrowth:
         assert counts == {"is_more_general": two + 2 * dup, "_combine": 2**two}
         assert (res.leaves, len(res.solutions)) == (2**k, 2**two)
 
-    def test_leaves_combine_when_read(self, monkeypatch):
-        # each leaf's own solution is combined as the leaves are read, with
-        # or without dedup, and is the one the search without dedup reports
-        # there
+    def test_reading_leaves_combines_nothing(self, monkeypatch):
+        # a leaf holds its part's own solution, with or without dedup, and
+        # reading the leaves and the tree combines none
         counts = {}
         count_calls(monkeypatch, CUNIFY, "_combine", counts)
         res = c_unify(duplicate_pairs(6), SIG, dedup=True)
         assert counts == {"_combine": 1}
         assert c_outcome(res)[2:] == c_outcome(c_unify(duplicate_pairs(6), SIG))[2:]
-        # the plain search's 2^6 solutions, and two reads of each search's leaves
-        assert counts == {"_combine": 1 + 2**6 + 4 * 2**6}
+        # the plain search's 2^6 solutions only
+        assert counts == {"_combine": 1 + 2**6}
 
 
 DEDUP_TEMPLATES = ("+(X, X) =? +(a, a)", "[a] +(X, a) =? [b] +(b, Y)", "+(X, Y) =? +(Y, X)")
@@ -839,17 +902,19 @@ class TestDedupParts:
 
 
 def leaf_keys(leaves) -> list:
-    """Each leaf's failure kind, or None, and its solution's key, or None."""
-    return [(failure and failure[0], sol and sol.key()) for failure, sol in leaves]
+    """Each of a part's leaves as its failure kind, or None, and its
+    solution's key, or None."""
+    return [(failure and failure[0], sol and sol.key()) for _, failure, sol in leaves]
 
 
 class TestLeafOrder:
-    """The leaves come in one order, and each successful one's solution is
-    combined from its parts' as it is read.  Without dedup, the successful
-    leaves' keys, sorted, are the solutions'; with dedup, each leaf is the
-    one the search without it has in its place.  The tree's leaf records,
-    in record order, are the leaves read backwards.  Problems whose tree
-    has more than 256 leaves are left out, for time."""
+    """Each part's leaves come in one order, each successful one with its
+    part's solution.  Without dedup, the solutions combine one successful
+    leaf of each part; with dedup, each leaf is the one the search without
+    it has in its place.  Under each part's AND node, the tree's leaf
+    records, in record order, are the part's leaves read backwards.
+    Problems whose search of the whole has more than 256 leaves are left
+    out, for time."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.sampled_from([parted_c_problem, dedup_c_problem]), st.integers(min_value=0, max_value=2**32 - 1))
@@ -858,10 +923,10 @@ class TestLeafOrder:
         plain = c_unify(pr, SIG_C)
         if plain.leaves > 256:
             return
-        leaves = leaf_keys(plain.outcomes)
-        assert sorted(key for kind, key in leaves if kind is None) == [s.key() for s in plain.solutions]
+        parts = [leaf_keys(leaves) for _, leaves in plain.parts]
+        assert prod(sum(kind is None for kind, _ in leaves) for leaves in parts) == len(plain.solutions)
         res = c_unify(pr, SIG_C, dedup=True)
-        assert leaf_keys(res.outcomes) == leaves
+        assert [leaf_keys(leaves) for _, leaves in res.parts] == parts
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -869,13 +934,12 @@ class TestLeafOrder:
         st.booleans(),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_tree_leaves_are_outcomes_reversed(self, make, dedup, seed):
-        # .outcomes and .tree are two reads of the same parts: the search
-        # visits the last child first, so the tree's pre-order is the
-        # leaves' search order backwards
+    def test_tree_leaves_are_part_leaves_reversed(self, make, dedup, seed):
+        # a part's search visits the last child first, so the pre-order of
+        # the tree below its node is its leaves' search order backwards
         res = c_unify(make(random.Random(seed)), SIG_C, dedup=dedup)
         if res.leaves > 256:
             return
-        leaves = [r for r in res.tree if "outcome" in r]
-        tree = [(None if r["outcome"] == "success" else r["outcome"], r.get("solution")) for r in leaves]
-        assert tree == leaf_keys(res.outcomes)[::-1]
+        tree = [[(None if r["outcome"] == "success" else r["outcome"], r.get("solution")) for r in leaves]
+                for leaves in tree_parts(res.tree)]
+        assert tree == [leaf_keys(leaves)[::-1] for _, leaves in res.parts]

@@ -176,7 +176,7 @@ def test_cunify_trees_are_certificates():
             pr = tuple(pf.constraints)
             res = solve(pf.signature, pr)
             check_tree(pf.signature, pr, res.tree)
-            assert sum("outcome" in r for r in res.tree) == res.leaves
+            assert sum("outcome" in r for r in res.tree) == sum(len(leaves) for _, leaves in res.parts)
 
 
 if __name__ == "__main__":
