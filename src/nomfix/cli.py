@@ -151,13 +151,21 @@ def _emit(args, payload, lines) -> None:
         os.close(devnull)
 
 
+class _Written(str):
+    """JSON text already written at the indentation where it goes, which
+    _json passes through."""
+
+    __slots__ = ()
+
+
 def _json(v, pad: str) -> str:
     """The text of v in json.dumps(v, indent=2), at indentation pad.  Dicts
     (string keys), lists and tuples write members that are exactly str or int,
     or constants, inline and recurse into others, a frame per level; a value
-    other than those, a string, an int or a constant is json.dumps(v)'s."""
+    other than those, a string, an int or a constant is json.dumps(v)'s, and
+    a _Written is itself."""
     if isinstance(v, str):
-        return encode_basestring_ascii(v)
+        return v if type(v) is _Written else encode_basestring_ascii(v)
     if v is None or v is True or v is False:
         return "null" if v is None else "true" if v else "false"
     if isinstance(v, int):
@@ -217,15 +225,27 @@ def _check_goals(args, goals, kind, noun: str, check):
     )
 
 
-def _fixp_entries(ctx: FixpointContext) -> list[dict]:
-    return [{"perm": print_perm(p), "var": x.name} for p, x in ctx.entries()]
+def _fixp_entry(p, x: Var) -> dict:
+    return {"perm": print_perm(p), "var": x.name}
 
 
-def _solution_payload(sol: Solution) -> dict:
-    return {
-        "context": _fixp_entries(sol.context),
-        "subst": [{"var": x, "term": t} for x, t in sol.bindings()],
-    }
+def _solution_writer(pad: str):
+    """A function from a solution to its --json members, "context" and
+    "subst", lists whose objects go at indentation pad.  Each binding's and
+    each context entry's object is written once, by _json, and shared by every
+    solution that holds it: c_unify's combinations hold their parts' binding
+    pairs and context entries."""
+    memo: dict[tuple, _Written] = {}  # a context entry or (name, text) pair -> its object
+
+    def members(sol: Solution) -> dict:
+        return {
+            "context": [memo.get(e) or memo.setdefault(e, _Written(_json(_fixp_entry(*e), pad)))
+                        for e in sol.context.entries()],
+            "subst": [memo.get(b) or memo.setdefault(b, _Written(_json({"var": b[0], "term": b[1]}, pad)))
+                      for b in sol.bindings()],
+        }
+
+    return members
 
 
 def _initial_problem(pf: ProblemFile, gen: NameGenerator) -> tuple:
@@ -242,7 +262,8 @@ def _unify_command(args):
 
     def payload():
         if res.solved:
-            out = {"status": "solved", **_solution_payload(res.solution)}
+            # top-level members: their lists' objects are 2 levels deep
+            out = {"status": "solved", **_solution_writer("    ")(res.solution)}
         else:
             out = {"status": "unsolvable", "witness": {"constraint": str(res.witness), "kind": res.witness_kind}}
         return out if steps is None else {**out, "trace": steps}
@@ -261,7 +282,8 @@ def _cunify_command(args):
     tree = {"tree": tree_records(res.problem, res.parts)} if args.tree else {}
     return (
         0 if res.solved else 1,
-        lambda: {"status": res.status, "solutions": map(_solution_payload, res.solutions),
+        # a solution is an element of a top-level list, so its lists' objects are 4 levels deep
+        lambda: {"status": res.status, "solutions": map(_solution_writer("        "), res.solutions),
                  "leaves": res.leaves, **tree},
         lambda: chain([f"{res.status}: {len(res.solutions)} solution(s)"], (f"  {s}" for s in res.solutions),
                       print_records(tree.get("tree", ()), tree_line)),
@@ -273,7 +295,7 @@ def _translate_command(args):
     records = []
     if isinstance(pf.context, FreshnessContext):
         ctx = fresh_to_fixp(pf.context, gen, records=records)
-        kind, entries = "fixpoint", _fixp_entries
+        kind, entries = "fixpoint", lambda ctx: [_fixp_entry(p, x) for p, x in ctx.entries()]
     elif pf.context is not None:
         ctx = fixp_to_fresh(pf.context, records=records)
         kind, entries = "freshness", lambda ctx: [{"atom": a.name, "var": x.name} for a, x in ctx.entries()]

@@ -13,15 +13,29 @@ from contextlib import redirect_stdout
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from certificate import check_tree
-from gen import SIG_C, random_fixp_context, random_term
-from test_cunify import chained_pairs, one_solution_pairs
-from nomfix import Eq, FixpointContext, Substitution, Var, c_unify, parse_constraint, parse_problem_file
+from gen import SIG_C, SIG_PLAIN, VARS, random_fixp_context, random_perm, random_term
+from test_cunify import chained_pairs, dedup_c_problem, one_solution_pairs, parted_c_problem
+from test_unify import random_problem
+from nomfix import (
+    Eq,
+    Fix,
+    FixpointContext,
+    Permutation,
+    Substitution,
+    Susp,
+    Var,
+    c_unify,
+    parse_constraint,
+    parse_problem_file,
+    unify,
+)
 from nomfix import cli
 from nomfix.cli import _emit, main
-from nomfix.printer import print_subst, print_term
+from nomfix.printer import print_perm, print_subst, print_term
+from nomfix.syntax import GENERATED_PREFIX
 from nomfix.unify import Solution
 
 
@@ -315,7 +329,7 @@ class TestOnlyTheChosenOutputIsBuilt:
 
         path = str(data_dir / "translate_fresh.nom")
         with monkeypatch.context() as m:
-            m.setattr(cli, "_fixp_entries", unprinted)
+            m.setattr(cli, "_fixp_entry", unprinted)
             code, out, _ = run(capsys, "translate", path, *trace)
         assert code == 0 and out.startswith("{(")
         with monkeypatch.context() as m:
@@ -604,17 +618,105 @@ variables = st.lists(st.sampled_from(["X", "Y", "Z", "X1", "X10", "X2", "Xa", "x
 
 class TestSolutionTexts:
     """A solution's key and its --json bindings read one list of printed
-    bindings; each is what printing the substitution itself gives."""
+    bindings; each is what printing the substitution itself gives.  The
+    solution writer writes each binding's object once: a second solution
+    holding the same bindings gets the same texts."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), variables)
     def test_key_and_payload_print_the_substitution(self, seed, xs):
         rng = random.Random(seed)
         subst = Substitution({x: random_term(rng, SIG_C, depth=rng.randrange(4)) for x in xs})
         sol = Solution(random_fixp_context(rng), subst)
-        payload = cli._solution_payload(sol)
+        write = cli._solution_writer("    ")
+        members = write(sol)
         assert sol.key() == f"{sol.context} |- {print_subst(subst)}"
-        assert payload["subst"] == [{"var": x.name, "term": print_term(t)} for x, t in sorted(subst.bindings.items())]
-        assert str(sol) == sol.key() and cli._solution_payload(sol) == payload
+        assert [json.loads(text) for text in members["subst"]] == [
+            {"var": x.name, "term": print_term(t)} for x, t in sorted(subst.bindings.items())]
+        again = write(Solution(sol.context, subst, sol.bindings()))
+        assert again == members and all(a is b for k in members for a, b in zip(again[k], members[k]))
+        assert str(sol) == sol.key()
+
+
+def reference_solution(sol: Solution) -> dict:
+    """A solution's --json members as the CLI built them before its writer
+    shared each binding's and context entry's object between solutions:
+    new dicts for every solution."""
+    return {
+        "context": [{"perm": print_perm(p), "var": x.name} for p, x in sol.context.entries()],
+        "subst": [{"var": x, "term": t} for x, t in sol.bindings()],
+    }
+
+
+PAIR_FORMS = ("+(X{i}, Y{i}) =? +(a{i}, b{i})", "+(X{i}, a{i}) =? +(b{i}, a{i})", "+(X{i}, X{i}) =? +(a{i}, a{i})",
+              "+((a{i} b{i}).X{i}, a{i}) =? +(Y{i}, X{i})", "(a b) fix? Z{i}")
+
+
+def pair_problem(rng) -> tuple:
+    """One to six independent parts, each of a random PAIR_FORMS: two
+    solutions, one, two equal ones, two of which one has a context entry,
+    or one that is a context entry.  So their product is solvable, and its
+    combinations share bindings and context entries."""
+    return tuple(parse_constraint(rng.choice(PAIR_FORMS).format(i=i), SIG_C) for i in range(rng.randrange(1, 7)))
+
+
+def solvable_unify_problem(rng) -> tuple:
+    """A random_problem over plain symbols, with a fixed-point constraint on a
+    variable beside it, that unify solves: the first of up to 200 drawn."""
+    for _ in range(200):
+        pr = (*random_problem(rng, SIG_PLAIN), Fix(random_perm(rng), Susp(Permutation.identity(), rng.choice(VARS))))
+        if unify(pr).solved:
+            return pr
+    return None
+
+
+class TestSolutionJson:
+    """cunify --json, with --dedup or --tree, and unify --json, on random
+    problems written to files, write exactly json.dumps(payload, indent=2)
+    and a newline, where payload is built from the solutions the API gives
+    for the same file, one new dict per binding and context entry of each.
+    Most parted_c_problems are unsolvable, so pair_problems are drawn too.
+    cunify problems of more than 256 solutions are left out, for time."""
+
+    @staticmethod
+    def run_on_file(tmp_path_factory, pr, command, *flags):
+        """main's output on pr, written to a file; then the file's problem and
+        generator of new atoms, as the command reads them."""
+        path = tmp_path_factory.getbasetemp() / "solutions.nom"
+        path.write_text("sym + : C ;\n" + ",\n".join(map(str, pr)) + "\n")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main([command, "--json", *flags, str(path)])
+        args = SimpleNamespace(file=str(path), sig=None, fresh_prefix=GENERATED_PREFIX)
+        pf, gen = cli._read_problem(args)
+        return out.getvalue(), cli._initial_problem(pf, gen), pf.signature, gen
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.sampled_from([parted_c_problem, dedup_c_problem, pair_problem]),
+        st.sampled_from([(), ("--dedup",), ("--tree",)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cunify(self, tmp_path_factory, make, flags, seed):
+        pr = make(random.Random(seed))
+        if len(c_unify(pr, SIG_C, dedup="--dedup" in flags).solutions) > 256:
+            return
+        out, pr, sig, gen = self.run_on_file(tmp_path_factory, pr, "cunify", *flags)
+        res = c_unify(pr, sig, gen=gen, dedup="--dedup" in flags)
+        payload = {"status": res.status, "solutions": [reference_solution(s) for s in res.solutions],
+                   "leaves": res.leaves}
+        if "--tree" in flags:
+            payload["tree"] = res.tree
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_unify(self, tmp_path_factory, seed):
+        pr = solvable_unify_problem(random.Random(seed))
+        if pr is None:
+            return
+        out, pr, sig, gen = self.run_on_file(tmp_path_factory, pr, "unify")
+        res = unify(pr, sig=sig, gen=gen)
+        assert out == json.dumps({"status": "solved", **reference_solution(res.solution)}, indent=2) + "\n"
 
 
 class TestClosedPipe:

@@ -777,7 +777,8 @@ class TestPartGrowth:
     """Counts, not clocks: independent pairs cost a search per pair, while
     leaves still counts the 2^k leaves of a search of the whole problem;
     pairs chained into one part take the steps they took when every problem
-    was searched as one tree."""
+    was searched as one tree; and --json writes each binding of the pairs'
+    solutions once, not once per combination that holds it."""
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_independent_pairs_search_each_pair(self, monkeypatch, k):
@@ -786,6 +787,25 @@ class TestPartGrowth:
         res = c_unify(one_solution_pairs(k), SIG)
         assert counts == {"problem": 2 * k}  # a search over the whole problem built 2^k
         assert (res.leaves, len(res.solutions)) == (2**k, 1)
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_json_writes_each_binding_once(self, monkeypatch, capsys, tmp_path, k):
+        # 2^k solutions of 2k bindings each, which --json wrote object by
+        # object, 2k * 2^k in all; the pairs' solutions hold 4k
+        cli = sys.modules["nomfix.cli"]
+        written, json_text = [], cli._json
+
+        def counted(v, pad):
+            if type(v) is dict and list(v) == ["var", "term"]:
+                written.append(v)
+            return json_text(v, pad)
+
+        monkeypatch.setattr(cli, "_json", counted)
+        path = tmp_path / "pairs.nom"
+        path.write_text("sym + : C ;\n" + ",\n".join(map(str, c_pairs(k))) + "\n")
+        assert main(["cunify", "--json", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["solutions"]) == 2**k
+        assert len(written) == 4 * k
 
     # unify.expand calls and tree records at k = 4, 6 and 8, recorded when
     # every problem was searched as one tree: 5 * 2**k - 3 each
